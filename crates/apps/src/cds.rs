@@ -21,7 +21,7 @@ use std::collections::HashSet;
 use rmo_congest::CostReport;
 use rmo_graph::{DisjointSets, Graph, NodeId, Partition};
 
-use rmo_core::{Aggregate, EngineConfig, PaEngine, PaError};
+use rmo_core::{Aggregate, PaEngine, PaError};
 
 /// Result of [`approx_mwcds`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,29 +34,14 @@ pub struct CdsResult {
     pub cost: CostReport,
 }
 
-/// Computes an `O(log² n)`-approximate MWCDS (greedy domination is
-/// `O(log n)`, the connection phase loses another logarithmic factor —
-/// matching the structure, if not the exact constant, of Corollary A.2).
+/// Computes an `O(log² n)`-approximate MWCDS of the engine's graph
+/// (greedy domination is `O(log n)`, the connection phase loses another
+/// logarithmic factor — matching the structure, if not the exact
+/// constant, of Corollary A.2).
 ///
-/// `node_weight[v]` — the cost of including `v`.
-///
-/// # Errors
-/// Propagates [`PaError`] from the coordination calls.
-///
-/// # Panics
-/// Panics if the graph is empty/disconnected or weights length mismatches.
-pub fn approx_mwcds(
-    g: &Graph,
-    node_weight: &[u64],
-    config: &rmo_core::PaConfig,
-) -> Result<CdsResult, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
-    approx_mwcds_with_engine(&mut engine, node_weight)
-}
-
-/// [`approx_mwcds`] on a long-lived engine session. The connection
-/// phase's Thurimella-style component labelings run as real PA calls on
-/// the engine (each round's "current CDS components + singletons"
+/// `node_weight[v]` — the cost of including `v`. The connection phase's
+/// Thurimella-style component labelings run as real PA calls on the
+/// engine (each round's "current CDS components + singletons"
 /// partition), so the reported cost is measured, not estimated.
 ///
 /// # Errors
@@ -64,10 +49,7 @@ pub fn approx_mwcds(
 ///
 /// # Panics
 /// Panics if weights length mismatches the node count.
-pub fn approx_mwcds_with_engine(
-    engine: &mut PaEngine<'_>,
-    node_weight: &[u64],
-) -> Result<CdsResult, PaError> {
+pub fn approx_mwcds(engine: &mut PaEngine<'_>, node_weight: &[u64]) -> Result<CdsResult, PaError> {
     let g = engine.graph();
     assert_eq!(node_weight.len(), g.n());
     if g.n() == 1 {
@@ -248,11 +230,11 @@ pub fn is_connected_dominating_set(g: &Graph, set: &[NodeId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmo_core::PaConfig;
+    use rmo_core::EngineConfig;
     use rmo_graph::gen;
 
     fn check(g: &Graph, weights: &[u64]) -> CdsResult {
-        let res = approx_mwcds(g, weights, &PaConfig::default()).unwrap();
+        let res = approx_mwcds(&mut PaEngine::new(g, EngineConfig::new()), weights).unwrap();
         assert!(
             is_connected_dominating_set(g, &res.set),
             "output must be a CDS"

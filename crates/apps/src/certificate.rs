@@ -9,14 +9,15 @@
 //! forests; their union is the certificate.
 //!
 //! Each forest is one connected-components computation — an instance of
-//! PA (see [`component_labels`](crate::components::component_labels)) —
-//! so the whole certificate costs `k` PA calls: `Õ(k(D + √n))` rounds,
-//! `Õ(km)` messages, matching the paper's accounting.
+//! PA (see [`component_labels`]) — so the whole certificate costs `k` PA
+//! calls: `Õ(k(D + √n))` rounds, `Õ(km)` messages, matching the paper's
+//! accounting.
 
 use rmo_congest::CostReport;
 use rmo_graph::{DisjointSets, EdgeId, Graph};
 
-use rmo_core::{PaConfig, PaError};
+use crate::components::component_labels;
+use rmo_core::{EngineConfig, PaEngine, PaError};
 
 /// A sparse certificate plus its measured cost.
 #[derive(Debug, Clone)]
@@ -31,7 +32,8 @@ pub struct SparseCertificate {
 }
 
 /// Computes a sparse certificate for k-edge-connectivity: the union of
-/// `k` successive spanning forests.
+/// `k` successive spanning forests. Each forest's labeling pass runs on
+/// a fresh engine built from `config`, so every pass pays its own setup.
 ///
 /// # Errors
 /// Propagates [`PaError`] from the PA-based coordination.
@@ -41,7 +43,7 @@ pub struct SparseCertificate {
 pub fn sparse_certificate(
     g: &Graph,
     k: usize,
-    config: &PaConfig,
+    config: &EngineConfig,
 ) -> Result<SparseCertificate, PaError> {
     assert!(k > 0, "certificate order must be positive");
     let mut used = vec![false; g.m()];
@@ -52,7 +54,7 @@ pub fn sparse_certificate(
         // is a Borůvka/components pass — one PA call on the current
         // forest components; we charge the measured PA cost of a
         // component labeling on G.
-        let labels = crate::components::component_labels(g, &[], config)?;
+        let labels = component_labels(&mut PaEngine::new(g, *config), &[])?;
         cost += labels.cost;
         let mut dsu = DisjointSets::new(g.n());
         let mut forest = Vec::new();
@@ -113,7 +115,7 @@ mod tests {
     #[test]
     fn certificate_is_sparse() {
         let g = gen::complete(14); // m = 91
-        let cert = sparse_certificate(&g, 3, &PaConfig::default()).unwrap();
+        let cert = sparse_certificate(&g, 3, &EngineConfig::new()).unwrap();
         assert!(cert.edges.len() <= 3 * (g.n() - 1), "at most k(n-1) edges");
         assert!(cert.edges.len() < g.m(), "sparser than the clique");
     }
@@ -121,7 +123,7 @@ mod tests {
     #[test]
     fn forests_are_forests_and_disjoint() {
         let g = gen::gnp_connected(30, 0.3, 2);
-        let cert = sparse_certificate(&g, 4, &PaConfig::default()).unwrap();
+        let cert = sparse_certificate(&g, 4, &EngineConfig::new()).unwrap();
         let mut seen = std::collections::HashSet::new();
         for forest in &cert.forests {
             let mut dsu = DisjointSets::new(g.n());
@@ -136,7 +138,7 @@ mod tests {
     #[test]
     fn first_forest_spans_connected_graph() {
         let g = gen::grid(5, 6);
-        let cert = sparse_certificate(&g, 2, &PaConfig::default()).unwrap();
+        let cert = sparse_certificate(&g, 2, &EngineConfig::new()).unwrap();
         assert_eq!(cert.forests[0].len(), g.n() - 1);
     }
 
@@ -149,7 +151,7 @@ mod tests {
             (gen::grid(4, 5), 2),
             (gen::torus(4, 4), 3),
         ] {
-            let cert = sparse_certificate(&g, k, &PaConfig::default()).unwrap();
+            let cert = sparse_certificate(&g, k, &EngineConfig::new()).unwrap();
             assert!(
                 certificate_preserves_connectivity(&g, &cert.edges, k),
                 "certificate broke lambda decision at k = {k}"
@@ -171,8 +173,8 @@ mod tests {
     #[test]
     fn cost_scales_with_k() {
         let g = gen::grid(6, 6);
-        let c2 = sparse_certificate(&g, 2, &PaConfig::default()).unwrap();
-        let c4 = sparse_certificate(&g, 4, &PaConfig::default()).unwrap();
+        let c2 = sparse_certificate(&g, 2, &EngineConfig::new()).unwrap();
+        let c4 = sparse_certificate(&g, 4, &EngineConfig::new()).unwrap();
         assert!(
             c4.cost.messages >= c2.cost.messages,
             "more forests, more passes"

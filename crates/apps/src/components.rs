@@ -10,9 +10,9 @@
 //! aggregation over node ids labels everyone.
 
 use rmo_congest::CostReport;
-use rmo_graph::{DisjointSets, EdgeId, Graph, Partition};
+use rmo_graph::{DisjointSets, EdgeId, Partition};
 
-use rmo_core::{Aggregate, EngineConfig, PaConfig, PaEngine, PaError};
+use rmo_core::{Aggregate, PaEngine, PaError};
 
 /// Component labels plus the measured PA cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,30 +27,14 @@ pub struct ComponentLabels {
     pub cost: CostReport,
 }
 
-/// Labels the connected components of the subgraph given by `h_edges`,
-/// using a fresh one-shot [`PaEngine`] session. Callers issuing several
-/// labelings on one graph should hold an engine and use
-/// [`component_labels_with_engine`] so the BFS tree and per-partition
-/// artifacts are reused.
-///
-/// # Errors
-/// Propagates [`PaError`] (the graph must be connected, per CONGEST).
-pub fn component_labels(
-    g: &Graph,
-    h_edges: &[EdgeId],
-    config: &PaConfig,
-) -> Result<ComponentLabels, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
-    component_labels_with_engine(&mut engine, h_edges)
-}
-
-/// Labels the connected components of the subgraph given by `h_edges` on
-/// a long-lived engine session (one PA call; repeated labelings of the
-/// same `H` hit the artifact cache).
+/// Labels the connected components of the subgraph given by `h_edges`
+/// with one PA call on the engine. Repeated labelings of the same `H`
+/// hit the artifact cache, so callers issuing several labelings on one
+/// graph should hold one engine.
 ///
 /// # Errors
 /// Propagates [`PaError`].
-pub fn component_labels_with_engine(
+pub fn component_labels(
     engine: &mut PaEngine<'_>,
     h_edges: &[EdgeId],
 ) -> Result<ComponentLabels, PaError> {
@@ -92,7 +76,12 @@ pub fn component_labels_with_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmo_graph::gen;
+    use rmo_core::EngineConfig;
+    use rmo_graph::{gen, Graph};
+
+    fn labels(g: &Graph, h_edges: &[EdgeId]) -> ComponentLabels {
+        component_labels(&mut PaEngine::new(g, EngineConfig::new()), h_edges).unwrap()
+    }
 
     #[test]
     fn labels_match_h_connectivity() {
@@ -103,7 +92,7 @@ mod tests {
             .filter(|&(_, u, v, _)| u / 5 == v / 5)
             .map(|(e, _, _, _)| e)
             .collect();
-        let out = component_labels(&g, &h, &PaConfig::default()).unwrap();
+        let out = labels(&g, &h);
         assert_eq!(out.num_components, 5);
         for u in 0..25 {
             for v in 0..25 {
@@ -119,7 +108,7 @@ mod tests {
     #[test]
     fn empty_h_gives_singletons() {
         let g = gen::cycle(7);
-        let out = component_labels(&g, &[], &PaConfig::default()).unwrap();
+        let out = labels(&g, &[]);
         assert_eq!(out.num_components, 7);
         for v in 0..7 {
             assert_eq!(out.labels[v], v as u64, "own id is the only candidate");
@@ -130,7 +119,7 @@ mod tests {
     fn full_h_gives_one_component() {
         let g = gen::grid(4, 4);
         let all: Vec<EdgeId> = (0..g.m()).collect();
-        let out = component_labels(&g, &all, &PaConfig::default()).unwrap();
+        let out = labels(&g, &all);
         assert_eq!(out.num_components, 1);
         assert!(out.labels.iter().all(|&l| l == 0));
     }
@@ -140,7 +129,7 @@ mod tests {
         let g = gen::path(9);
         // H = two segments: edges 0..3 (nodes 0..4) and 5..7 (nodes 5..8).
         let h: Vec<EdgeId> = vec![0, 1, 2, 3, 5, 6, 7];
-        let out = component_labels(&g, &h, &PaConfig::default()).unwrap();
+        let out = labels(&g, &h);
         for v in 0..5 {
             assert_eq!(out.labels[v], 0);
         }

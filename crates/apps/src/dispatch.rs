@@ -1,7 +1,8 @@
 //! The unified query surface over every application.
 //!
-//! Each app module exposes a `*_with_engine` entry point; serving layers
-//! want a single dispatch instead of eight ad-hoc call sites. [`Query`]
+//! Each app module exposes one entry point that runs on a [`PaEngine`];
+//! serving layers want a single dispatch instead of eight ad-hoc call
+//! sites. [`Query`]
 //! names one request against one graph, [`run_query`] executes it on a
 //! caller-held [`PaEngine`] session, and [`QueryResponse`] carries the
 //! typed result (every variant reports its measured [`CostReport`]).
@@ -20,17 +21,16 @@ use rmo_graph::{EdgeId, NodeId, Partition};
 
 use rmo_core::{partition_fingerprint, Aggregate, PaEngine, PaError};
 
-use crate::cds::{approx_mwcds_with_engine, CdsResult};
-use crate::components::{component_labels_with_engine, ComponentLabels};
-use crate::eccentricity::{approx_eccentricities_with_engine, EccentricityResult};
-use crate::kdom::{k_dominating_set_with_engine, KDomResult};
-use crate::mincut::{approx_min_cut_with_engine, MinCutConfig, MinCutResult};
-use crate::mst::{pa_mst_with_engine, PaMstResult};
-use crate::sssp::{approx_sssp_with_engine, SsspConfig, SsspResult};
+use crate::cds::{approx_mwcds, CdsResult};
+use crate::components::{component_labels, ComponentLabels};
+use crate::eccentricity::{approx_eccentricities, EccentricityResult};
+use crate::kdom::{k_dominating_set, KDomResult};
+use crate::mincut::{approx_min_cut, MinCutConfig, MinCutResult};
+use crate::mst::{pa_mst, PaMstResult};
+use crate::sssp::{approx_sssp, SsspConfig, SsspResult};
 use crate::verify::{
-    verify_bipartite_with_engine, verify_connected_spanning_with_engine, verify_cut_with_engine,
-    verify_forest_with_engine, verify_mst_with_engine, verify_spanning_tree_with_engine,
-    verify_two_edge_connected_with_engine, Verdict,
+    verify_bipartite, verify_connected_spanning, verify_cut, verify_forest, verify_mst,
+    verify_spanning_tree, verify_two_edge_connected, Verdict,
 };
 
 /// Which verification predicate a [`Query::Verify`] checks (the
@@ -255,7 +255,10 @@ impl fmt::Display for FailReason {
                 write!(f, "k-dominating set needs a positive radius k (got 0)")
             }
             FailReason::EccentricityZeroSlack => {
-                write!(f, "eccentricity estimation needs a positive slack k (got 0)")
+                write!(
+                    f,
+                    "eccentricity estimation needs a positive slack k (got 0)"
+                )
             }
             FailReason::UnregisteredGraph { id } => {
                 write!(f, "graph g{id} is not registered with this cluster")
@@ -358,7 +361,7 @@ pub fn run_query(engine: &mut PaEngine<'_>, query: &Query) -> QueryResponse {
                 Err(e) => fail(e),
             }
         }
-        Query::Mst => match pa_mst_with_engine(engine) {
+        Query::Mst => match pa_mst(engine) {
             Ok(r) => QueryResponse::Mst(r),
             Err(e) => fail(e),
         },
@@ -370,17 +373,16 @@ pub fn run_query(engine: &mut PaEngine<'_>, query: &Query) -> QueryResponse {
                 });
             }
             let config = SsspConfig {
-                pa: engine.config().pa(),
                 seed: engine.config().seed,
                 ..SsspConfig::default()
             };
-            match approx_sssp_with_engine(engine, *source, &config) {
+            match approx_sssp(engine, *source, &config) {
                 Ok(r) => QueryResponse::Sssp(r),
                 Err(e) => fail(e),
             }
         }
         Query::MinCut { trials } => {
-            // approx_min_cut_with_engine's contract: at least one trial,
+            // approx_min_cut's contract: at least one trial,
             // at least one edge to cut. Enforce it here so the serving
             // path degrades instead of tripping the assert.
             if *trials == 0 {
@@ -392,29 +394,28 @@ pub fn run_query(engine: &mut PaEngine<'_>, query: &Query) -> QueryResponse {
                 });
             }
             let config = MinCutConfig {
-                pa: engine.config().pa(),
                 seed: engine.config().seed,
                 trials: Some(*trials),
                 ..MinCutConfig::default()
             };
-            match approx_min_cut_with_engine(engine, &config) {
+            match approx_min_cut(engine, &config) {
                 Ok(r) => QueryResponse::MinCut(r),
                 Err(e) => fail(e),
             }
         }
         Query::Kdom { k } => {
-            // k_dominating_set_with_engine's contract: a positive radius.
+            // k_dominating_set's contract: a positive radius.
             if *k == 0 {
                 return QueryResponse::Failed(FailReason::KdomZeroRadius);
             }
-            QueryResponse::Kdom(k_dominating_set_with_engine(engine, *k))
+            QueryResponse::Kdom(k_dominating_set(engine, *k))
         }
         Query::Eccentricity { k } => {
             // Same positive-k contract as Kdom, which it builds on.
             if *k == 0 {
                 return QueryResponse::Failed(FailReason::EccentricityZeroSlack);
             }
-            QueryResponse::Eccentricity(approx_eccentricities_with_engine(engine, *k))
+            QueryResponse::Eccentricity(approx_eccentricities(engine, *k))
         }
         Query::Cds { node_weights } => {
             if node_weights.len() != engine.graph().n() {
@@ -423,7 +424,7 @@ pub fn run_query(engine: &mut PaEngine<'_>, query: &Query) -> QueryResponse {
                     got: node_weights.len(),
                 });
             }
-            match approx_mwcds_with_engine(engine, node_weights) {
+            match approx_mwcds(engine, node_weights) {
                 Ok(r) => QueryResponse::Cds(r),
                 Err(e) => fail(e),
             }
@@ -432,7 +433,7 @@ pub fn run_query(engine: &mut PaEngine<'_>, query: &Query) -> QueryResponse {
             if let Some(failed) = bad_edge(engine, h_edges) {
                 return failed;
             }
-            match component_labels_with_engine(engine, h_edges) {
+            match component_labels(engine, h_edges) {
                 Ok(r) => QueryResponse::Components(r),
                 Err(e) => fail(e),
             }
@@ -442,15 +443,13 @@ pub fn run_query(engine: &mut PaEngine<'_>, query: &Query) -> QueryResponse {
                 return failed;
             }
             let verdict = match check {
-                VerifyCheck::ConnectedSpanning => {
-                    verify_connected_spanning_with_engine(engine, h_edges)
-                }
-                VerifyCheck::SpanningTree => verify_spanning_tree_with_engine(engine, h_edges),
-                VerifyCheck::Cut => verify_cut_with_engine(engine, h_edges),
-                VerifyCheck::Bipartite => verify_bipartite_with_engine(engine, h_edges),
-                VerifyCheck::Forest => verify_forest_with_engine(engine, h_edges),
-                VerifyCheck::Mst => verify_mst_with_engine(engine, h_edges),
-                VerifyCheck::TwoEdgeConnected => verify_two_edge_connected_with_engine(engine),
+                VerifyCheck::ConnectedSpanning => verify_connected_spanning(engine, h_edges),
+                VerifyCheck::SpanningTree => verify_spanning_tree(engine, h_edges),
+                VerifyCheck::Cut => verify_cut(engine, h_edges),
+                VerifyCheck::Bipartite => verify_bipartite(engine, h_edges),
+                VerifyCheck::Forest => verify_forest(engine, h_edges),
+                VerifyCheck::Mst => verify_mst(engine, h_edges),
+                VerifyCheck::TwoEdgeConnected => verify_two_edge_connected(engine),
             };
             match verdict {
                 Ok(r) => QueryResponse::Verify(r),
@@ -487,11 +486,11 @@ mod tests {
         let direct = b.solve(&parts, &values, Aggregate::Min).unwrap();
         assert_eq!(via_dispatch, QueryResponse::Pa(direct));
 
-        // Mst through dispatch == pa_mst_with_engine on an equal session.
+        // Mst through dispatch == pa_mst on an equal session.
         let mut c = PaEngine::new(&g, EngineConfig::new());
         let mst = run_query(&mut c, &Query::Mst);
         let mut d = PaEngine::new(&g, EngineConfig::new());
-        assert_eq!(mst, QueryResponse::Mst(pa_mst_with_engine(&mut d).unwrap()));
+        assert_eq!(mst, QueryResponse::Mst(pa_mst(&mut d).unwrap()));
     }
 
     #[test]
@@ -520,12 +519,13 @@ mod tests {
         // Out-of-range node and edge ids fail instead of panicking in a
         // shard worker.
         let bad = run_query(&mut engine, &Query::Sssp { source: 8 });
-        assert!(
-            matches!(&bad, QueryResponse::Failed(m) if m.to_string().contains("out of range"))
-        );
+        assert!(matches!(&bad, QueryResponse::Failed(m) if m.to_string().contains("out of range")));
         assert!(matches!(
             &bad,
-            QueryResponse::Failed(FailReason::SsspSourceOutOfRange { source: 8, nodes: 8 })
+            QueryResponse::Failed(FailReason::SsspSourceOutOfRange {
+                source: 8,
+                nodes: 8
+            })
         ));
         let bad = run_query(
             &mut engine,
@@ -594,7 +594,10 @@ mod tests {
                 "graph must be connected",
             ),
             (
-                FailReason::SsspSourceOutOfRange { source: 8, nodes: 8 },
+                FailReason::SsspSourceOutOfRange {
+                    source: 8,
+                    nodes: 8,
+                },
                 "sssp source 8 out of range (graph has 8 nodes)",
             ),
             (

@@ -17,10 +17,10 @@
 //! BFS waves pipelined over the k-dominating set.
 
 use rmo_congest::CostReport;
-use rmo_graph::{bfs_distances, Graph, NodeId};
+use rmo_graph::{bfs_distances, NodeId};
 
-use crate::kdom::k_dominating_set_with_engine;
-use rmo_core::{EngineConfig, PaEngine};
+use crate::kdom::k_dominating_set;
+use rmo_core::PaEngine;
 
 /// Result of [`approx_eccentricities`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,29 +37,17 @@ pub struct EccentricityResult {
     pub cost: CostReport,
 }
 
-/// Computes additive-`k` eccentricity over-estimates for every node,
-/// using a fresh one-shot [`PaEngine`] session.
-///
-/// # Panics
-/// Panics if `k == 0` or the graph is disconnected/empty.
-pub fn approx_eccentricities(g: &Graph, k: usize) -> EccentricityResult {
-    let mut engine = PaEngine::new(g, EngineConfig::new());
-    approx_eccentricities_with_engine(&mut engine, k)
-}
-
-/// [`approx_eccentricities`] on a long-lived engine session (the
-/// underlying k-domination division is memoized per `k`).
+/// Computes additive-`k` eccentricity over-estimates for every node of
+/// the engine's graph (the underlying k-domination division is memoized
+/// per `k`).
 ///
 /// # Panics
 /// Panics if `k == 0`.
-pub fn approx_eccentricities_with_engine(
-    engine: &mut PaEngine<'_>,
-    k: usize,
-) -> EccentricityResult {
+pub fn approx_eccentricities(engine: &mut PaEngine<'_>, k: usize) -> EccentricityResult {
     // rmo-lint: allow(R1) — run_query rejects k == 0 as Failed before dispatching here; direct callers own the documented contract.
     assert!(k > 0, "k must be positive");
     let g = engine.graph();
-    let kd = k_dominating_set_with_engine(engine, k);
+    let kd = k_dominating_set(engine, k);
     let mut cost = kd.cost;
     // BFS from every dominator: |S| waves, pipelined over the BFS tree —
     // rounds O(D + |S|), messages O(|S| * m); we charge each BFS's
@@ -90,10 +78,15 @@ pub fn approx_eccentricities_with_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmo_graph::{eccentricity, gen};
+    use rmo_core::EngineConfig;
+    use rmo_graph::{eccentricity, gen, Graph};
+
+    fn ecc(g: &Graph, k: usize) -> EccentricityResult {
+        approx_eccentricities(&mut PaEngine::new(g, EngineConfig::new()), k)
+    }
 
     fn check_bounds(g: &Graph, k: usize) {
-        let res = approx_eccentricities(g, k);
+        let res = ecc(g, k);
         for v in 0..g.n() {
             let true_ecc = eccentricity(g, v);
             assert!(
@@ -128,7 +121,7 @@ mod tests {
     #[test]
     fn diameter_and_radius_sandwich() {
         let g = gen::grid(6, 12);
-        let res = approx_eccentricities(&g, 6);
+        let res = ecc(&g, 6);
         let true_diam = rmo_graph::diameter_exact(&g);
         assert!(res.diameter_estimate >= true_diam);
         assert!(res.diameter_estimate <= true_diam + 6);
@@ -140,8 +133,8 @@ mod tests {
     #[test]
     fn small_k_is_tighter() {
         let g = gen::path(80);
-        let tight = approx_eccentricities(&g, 4);
-        let loose = approx_eccentricities(&g, 40);
+        let tight = ecc(&g, 4);
+        let loose = ecc(&g, 40);
         let slack_tight: usize = (0..g.n())
             .map(|v| tight.estimates[v] - eccentricity(&g, v))
             .max()

@@ -11,7 +11,7 @@
 use rmo_congest::CostReport;
 use rmo_graph::{bfs_distances, Graph, NodeId};
 
-use rmo_core::{EngineConfig, PaEngine};
+use rmo_core::PaEngine;
 
 /// Result of [`k_dominating_set`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,24 +24,14 @@ pub struct KDomResult {
     pub cost: CostReport,
 }
 
-/// Computes a `k`-dominating set of size `O(n/k)`, using a fresh
-/// one-shot [`PaEngine`] session.
-///
-/// # Panics
-/// Panics if `k == 0` or the graph is disconnected/empty.
-pub fn k_dominating_set(g: &Graph, k: usize) -> KDomResult {
-    let mut engine = PaEngine::new(g, EngineConfig::new());
-    k_dominating_set_with_engine(&mut engine, k)
-}
-
-/// [`k_dominating_set`] on a long-lived engine session. The Algorithm 6
-/// division is memoized per threshold, so repeated queries with the same
-/// `k` (and the eccentricity estimator built on top) are charged only
-/// the final labeling pass.
+/// Computes a `k`-dominating set of size `O(n/k)` on the engine's graph.
+/// The Algorithm 6 division is memoized per threshold, so repeated
+/// queries with the same `k` (and the eccentricity estimator built on
+/// top) are charged only the final labeling pass.
 ///
 /// # Panics
 /// Panics if `k == 0`.
-pub fn k_dominating_set_with_engine(engine: &mut PaEngine<'_>, k: usize) -> KDomResult {
+pub fn k_dominating_set(engine: &mut PaEngine<'_>, k: usize) -> KDomResult {
     // rmo-lint: allow(R1) — run_query rejects k == 0 as Failed before dispatching here; direct callers own the documented contract.
     assert!(k > 0, "k must be positive");
     let g = engine.graph();
@@ -78,10 +68,15 @@ fn multi_source_ecc(g: &Graph, sources: &[NodeId]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmo_core::EngineConfig;
     use rmo_graph::gen;
 
+    fn kdom(g: &Graph, k: usize) -> KDomResult {
+        k_dominating_set(&mut PaEngine::new(g, EngineConfig::new()), k)
+    }
+
     fn check(g: &Graph, k: usize) -> KDomResult {
-        let res = k_dominating_set(g, k);
+        let res = kdom(g, k);
         assert!(
             res.max_distance <= k,
             "k = {k}: some node is {} hops from the set",
@@ -138,7 +133,7 @@ mod tests {
     #[test]
     fn k_larger_than_graph_gives_single_rep() {
         let g = gen::grid(4, 4);
-        let res = k_dominating_set(&g, 1000);
+        let res = kdom(&g, 1000);
         assert_eq!(res.set.len(), 1, "one sub-part spans everything");
         assert!(res.max_distance <= 6, "grid diameter bounds the distance");
     }

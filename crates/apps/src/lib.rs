@@ -20,18 +20,18 @@
 //! * [`cds`] — `O(log n)`-approximate minimum-weight connected dominating
 //!   set (Corollary A.2).
 //!
-//! Every module routes its PA work through [`rmo_core::PaEngine`]: the
-//! one-shot entry points spin a session up internally, and each exposes a
-//! `*_with_engine` variant that runs on a caller-held session so that a
+//! Every application runs on a caller-held [`rmo_core::PaEngine`], so a
 //! whole workload on one graph — say an MST build followed by its
 //! verification and a batch of aggregations — pays for leader election
-//! and the BFS tree once and shares cached pipeline artifacts.
+//! and the BFS tree once and shares cached pipeline artifacts. A
+//! one-shot call passes a fresh engine:
+//! `pa_mst(&mut PaEngine::new(&g, EngineConfig::new()))`.
 //!
 //! Three further modules turn the eight applications into a service:
 //!
 //! * [`dispatch`] — the unified [`Query`] / [`QueryResponse`]
 //!   vocabulary and the single [`run_query`] entry point over every
-//!   `*_with_engine` app, with typed [`dispatch::FailReason`]s.
+//!   app, with typed [`dispatch::FailReason`]s.
 //! * [`service`] — [`PaCluster`]: a sharded worker pool serving mixed
 //!   query traffic over many graphs concurrently, with warm per-graph
 //!   engines and a deterministic load-balancing scheduler (LPT
@@ -65,15 +65,15 @@ pub mod sssp;
 pub mod stream;
 pub mod verify;
 
-pub use components::{component_labels, component_labels_with_engine, ComponentLabels};
+pub use components::{component_labels, ComponentLabels};
 pub use dispatch::{run_query, FailReason, Query, QueryResponse, VerifyCheck};
-pub use mincut::{approx_min_cut, approx_min_cut_with_engine, MinCutConfig, MinCutResult};
-pub use mst::{pa_mst, pa_mst_with_engine, MstConfig, PaMstResult};
+pub use mincut::{approx_min_cut, MinCutConfig, MinCutResult};
+pub use mst::{pa_mst, PaMstResult};
 pub use service::{
     colliding_graph_ids, mixed_workload, zipf_workload, ClusterStats, GraphId, PaCluster,
     SchedulePolicy, ServeLog, ServeReport, ShardStats, StealEvent,
 };
-pub use sssp::{approx_sssp, approx_sssp_with_engine, SsspConfig, SsspResult};
+pub use sssp::{approx_sssp, SsspConfig, SsspResult};
 pub use stream::{
     mixed_arrivals, stamp_arrivals, zipf_arrivals, Arrival, ArrivalLog, RejectReason,
     ReplayMismatch, StreamConfig, StreamEvent, StreamGateway, StreamReport,

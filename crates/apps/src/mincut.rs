@@ -19,18 +19,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rmo_congest::CostReport;
-use rmo_graph::{bfs_tree, num::ceil_log2, Graph, NodeId};
+use rmo_graph::{bfs_tree, num::ceil_log2, NodeId};
 
-use crate::mst::pa_mst_with_engine;
-use rmo_core::{EngineConfig, PaConfig, PaEngine, PaError};
+use crate::mst::pa_mst;
+use rmo_core::{PaEngine, PaError};
 
 /// Configuration for the approximate min-cut.
 #[derive(Debug, Clone, Copy)]
 pub struct MinCutConfig {
     /// Approximation slack `ε > 0`.
     pub epsilon: f64,
-    /// PA configuration for the inner MST runs.
-    pub pa: PaConfig,
     /// Seed for the random perturbations.
     pub seed: u64,
     /// Override the number of sampled trees (`None` = the
@@ -42,7 +40,6 @@ impl Default for MinCutConfig {
     fn default() -> MinCutConfig {
         MinCutConfig {
             epsilon: 0.2,
-            pa: PaConfig::default(),
             seed: 1,
             trials: None,
         }
@@ -62,21 +59,7 @@ pub struct MinCutResult {
     pub cost: CostReport,
 }
 
-/// Finds a `(1+ε)`-approximate minimum cut w.h.p., using a fresh
-/// one-shot [`PaEngine`] session.
-///
-/// # Errors
-/// Propagates [`PaError`] from the inner MST runs.
-///
-/// # Panics
-/// Panics if `ε ≤ 0`, the graph has fewer than 2 nodes, or is
-/// disconnected.
-pub fn approx_min_cut(g: &Graph, config: &MinCutConfig) -> Result<MinCutResult, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(config.pa));
-    approx_min_cut_with_engine(&mut engine, config)
-}
-
-/// [`approx_min_cut`] on a long-lived engine session.
+/// Finds a `(1+ε)`-approximate minimum cut of the engine's graph w.h.p.
 ///
 /// Election and the BFS tree are weight-oblivious, so each sampled
 /// perturbation derives its trial session with
@@ -88,7 +71,7 @@ pub fn approx_min_cut(g: &Graph, config: &MinCutConfig) -> Result<MinCutResult, 
 ///
 /// # Panics
 /// Panics if `ε ≤ 0` or the graph has fewer than 2 nodes.
-pub fn approx_min_cut_with_engine(
+pub fn approx_min_cut(
     engine: &mut PaEngine<'_>,
     config: &MinCutConfig,
 ) -> Result<MinCutResult, PaError> {
@@ -125,7 +108,7 @@ pub fn approx_min_cut_with_engine(
         // Same topology, new weights: reuse the session's tree instead of
         // re-running election + BFS for every sampled perturbation.
         let mut trial = engine.for_reweighted(&perturbed);
-        let mst = pa_mst_with_engine(&mut trial)?;
+        let mst = pa_mst(&mut trial)?;
         cost += mst.cost;
 
         // Evaluate all 1-respecting cuts of this tree: for every tree edge
@@ -215,11 +198,16 @@ fn mark_subtree(tree: &rmo_graph::RootedTree, v: NodeId, side: &mut [bool]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmo_graph::{gen, reference};
+    use rmo_core::EngineConfig;
+    use rmo_graph::{gen, reference, Graph};
+
+    fn min_cut(g: &Graph, config: &MinCutConfig) -> MinCutResult {
+        approx_min_cut(&mut PaEngine::new(g, EngineConfig::new()), config).unwrap()
+    }
 
     fn check_quality(g: &Graph, config: &MinCutConfig, slack: f64) {
         let exact = reference::stoer_wagner(g);
-        let approx = approx_min_cut(g, config).unwrap();
+        let approx = min_cut(g, config);
         // The returned side must actually realize the claimed weight.
         let realized: u64 = g
             .edges()
@@ -248,7 +236,7 @@ mod tests {
     #[test]
     fn cycle_cut_is_two() {
         let g = gen::cycle(12);
-        let res = approx_min_cut(&g, &MinCutConfig::default()).unwrap();
+        let res = min_cut(&g, &MinCutConfig::default());
         assert_eq!(
             res.weight, 2,
             "a cycle's min cut 1-respects every spanning tree"
@@ -277,22 +265,20 @@ mod tests {
     #[test]
     fn more_trials_never_hurt() {
         let g = gen::random_connected(20, 45, 4);
-        let few = approx_min_cut(
+        let few = min_cut(
             &g,
             &MinCutConfig {
                 trials: Some(1),
                 ..Default::default()
             },
-        )
-        .unwrap();
-        let many = approx_min_cut(
+        );
+        let many = min_cut(
             &g,
             &MinCutConfig {
                 trials: Some(8),
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         assert!(many.weight <= few.weight);
         assert!(
             many.cost.messages > few.cost.messages,

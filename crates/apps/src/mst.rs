@@ -19,14 +19,7 @@ use rmo_congest::programs::leader::run_leader_election;
 use rmo_congest::{CostReport, Network};
 use rmo_graph::{num::ceil_log2, DisjointSets, EdgeId, Graph};
 
-use rmo_core::{Aggregate, EngineConfig, PaConfig, PaEngine, PaError, PaInstance};
-
-/// Configuration of the PA-based MST.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MstConfig {
-    /// PA pipeline configuration used in every Borůvka phase.
-    pub pa: PaConfig,
-}
+use rmo_core::{Aggregate, EngineConfig, PaEngine, PaError, PaInstance};
 
 /// Result of [`pa_mst`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,32 +46,20 @@ fn unpack_edge(key: u64) -> EdgeId {
     (key & ((1 << 24) - 1)) as EdgeId
 }
 
-/// Computes the MST of `g` with Borůvka over PA, using a fresh
-/// [`PaEngine`] session. For amortizing election + BFS across several
-/// computations on one graph, use [`pa_mst_with_engine`].
-///
-/// # Errors
-/// Propagates [`PaError`] from the PA solves.
-///
-/// # Panics
-/// Panics if `g` is disconnected or empty, or weights exceed `2^40`.
-pub fn pa_mst(g: &Graph, config: &MstConfig) -> Result<PaMstResult, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(config.pa));
-    pa_mst_with_engine(&mut engine)
-}
-
 /// Computes the MST of the engine's graph with Borůvka over PA.
 ///
 /// The engine's BFS tree is shared by every Borůvka phase (no per-phase
 /// clone); election + BFS are charged once per engine, so a warm engine
-/// pays only the per-phase division/shortcut/solve costs.
+/// pays only the per-phase division/shortcut/solve costs. A one-shot
+/// caller passes a fresh engine: `pa_mst(&mut PaEngine::new(g, config))`.
 ///
 /// # Errors
 /// Propagates [`PaError`] from the PA solves.
 ///
 /// # Panics
-/// Panics if the graph is empty, or weights exceed `2^40`.
-pub fn pa_mst_with_engine(engine: &mut PaEngine<'_>) -> Result<PaMstResult, PaError> {
+/// Panics if weights exceed `2^40` (the engine already rejects empty
+/// and disconnected graphs).
+pub fn pa_mst(engine: &mut PaEngine<'_>) -> Result<PaMstResult, PaError> {
     let g = engine.graph();
     assert!(g.n() > 0, "MST of an empty graph");
     let mut cost = CostReport::zero();
@@ -153,15 +134,15 @@ pub fn pa_mst_with_engine(engine: &mut PaEngine<'_>) -> Result<PaMstResult, PaEr
 /// Propagates [`PaError`] from the PA solves.
 ///
 /// # Panics
-/// Same conditions as [`pa_mst`].
-pub fn naive_mst(g: &Graph, config: &MstConfig) -> Result<PaMstResult, PaError> {
+/// Panics if `g` is empty or disconnected, or weights exceed `2^40`.
+pub fn naive_mst(g: &Graph, config: &EngineConfig) -> Result<PaMstResult, PaError> {
     use rmo_core::baseline::naive_block_pa;
     use rmo_shortcut::trivial::trivial_shortcut_with_threshold;
 
     assert!(g.n() > 0, "MST of an empty graph");
     assert!(g.is_connected(), "MST requires a connected graph");
     let mut cost = CostReport::zero();
-    let net = Network::new(g, config.pa.seed);
+    let net = Network::new(g, config.seed);
     let (root, _, elect_cost) = run_leader_election(g, &net).expect("election terminates");
     cost += elect_cost;
     let (tree, _, bfs_cost) = run_bfs(g, &net, root).expect("BFS terminates");
@@ -202,7 +183,7 @@ pub fn naive_mst(g: &Graph, config: &MstConfig) -> Result<PaMstResult, PaError> 
             .part_ids()
             .map(|p| inst.partition().members(p)[0])
             .collect();
-        let res = naive_block_pa(&inst, &tree, &sc, &leaders, config.pa.variant, 1)?;
+        let res = naive_block_pa(&inst, &tree, &sc, &leaders, config.variant, 1)?;
         cost += res.cost + res.cost;
         for p in inst.partition().part_ids() {
             let key = res.aggregates[p];
@@ -232,18 +213,22 @@ mod tests {
     use super::*;
     use rmo_graph::{gen, reference};
 
+    fn mst(g: &Graph, config: EngineConfig) -> PaMstResult {
+        pa_mst(&mut PaEngine::new(g, config)).expect("MST solves")
+    }
+
     #[test]
     fn naive_mst_matches_kruskal_but_costs_more_messages() {
         let g = gen::grid_weighted(6, 12, 5);
-        let smart = pa_mst(&g, &MstConfig::default()).unwrap();
-        let naive = naive_mst(&g, &MstConfig::default()).unwrap();
+        let smart = mst(&g, EngineConfig::new());
+        let naive = naive_mst(&g, &EngineConfig::new()).unwrap();
         let k = reference::kruskal(&g);
         assert_eq!(naive.total_weight, k.total_weight);
         assert_eq!(smart.total_weight, k.total_weight);
     }
 
-    fn check_against_kruskal(g: &Graph, config: &MstConfig) -> PaMstResult {
-        let res = pa_mst(g, config).expect("MST solves");
+    fn check_against_kruskal(g: &Graph, config: EngineConfig) -> PaMstResult {
+        let res = mst(g, config);
         let k = reference::kruskal(g);
         assert_eq!(
             res.total_weight, k.total_weight,
@@ -257,7 +242,7 @@ mod tests {
     #[test]
     fn grid_mst_matches_kruskal() {
         let g = gen::grid_weighted(6, 8, 3);
-        let res = check_against_kruskal(&g, &MstConfig::default());
+        let res = check_against_kruskal(&g, EngineConfig::new());
         let k = reference::kruskal(&g);
         assert_eq!(res.edges, k.edges);
     }
@@ -265,31 +250,28 @@ mod tests {
     #[test]
     fn random_graph_mst_matches() {
         let g = gen::random_connected_weighted(60, 150, 7);
-        let res = check_against_kruskal(&g, &MstConfig::default());
+        let res = check_against_kruskal(&g, EngineConfig::new());
         assert_eq!(res.edges, reference::kruskal(&g).edges);
     }
 
     #[test]
     fn randomized_pipeline_matches() {
         let g = gen::random_connected_weighted(40, 90, 2);
-        let config = MstConfig {
-            pa: PaConfig::randomized(5),
-        };
-        let res = check_against_kruskal(&g, &config);
+        let res = check_against_kruskal(&g, EngineConfig::new().randomized(5));
         assert_eq!(res.edges, reference::kruskal(&g).edges);
     }
 
     #[test]
     fn phases_are_logarithmic() {
         let g = gen::random_connected_weighted(128, 300, 4);
-        let res = pa_mst(&g, &MstConfig::default()).unwrap();
+        let res = mst(&g, EngineConfig::new());
         assert!(res.phases <= 9, "phases = {} > log2(128) + 2", res.phases);
     }
 
     #[test]
     fn tree_input_returns_itself() {
         let g = gen::random_spanning_tree(30, 6);
-        let res = pa_mst(&g, &MstConfig::default()).unwrap();
+        let res = mst(&g, EngineConfig::new());
         assert_eq!(res.edges.len(), 29);
         assert_eq!(res.total_weight, 29, "unit weights");
     }
@@ -297,7 +279,7 @@ mod tests {
     #[test]
     fn two_nodes() {
         let g = Graph::from_edges(2, &[(0, 1, 7)]).unwrap();
-        let res = pa_mst(&g, &MstConfig::default()).unwrap();
+        let res = mst(&g, EngineConfig::new());
         assert_eq!(res.edges, vec![0]);
         assert_eq!(res.total_weight, 7);
         assert_eq!(res.phases, 1);
@@ -308,7 +290,7 @@ mod tests {
     #[test]
     fn dumbbell_bridge_always_chosen() {
         let g = gen::dumbbell(5, 1);
-        let res = pa_mst(&g, &MstConfig::default()).unwrap();
+        let res = mst(&g, EngineConfig::new());
         let bridge = g.edge_between(4, 5).unwrap();
         assert!(
             res.edges.contains(&bridge),

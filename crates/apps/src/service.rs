@@ -694,21 +694,26 @@ impl PaCluster {
     /// The panicking convenience over [`PaCluster::register`].
     ///
     /// # Panics
-    /// Panics if `id` is already registered, or the graph is empty or
-    /// disconnected (the CONGEST network is one component).
+    /// Panics if `id` is already registered, the graph is empty or
+    /// disconnected (the CONGEST network is one component), or `config`
+    /// has a zero cache capacity.
     pub fn add_graph_with_config(&mut self, id: GraphId, graph: Graph, config: EngineConfig) {
         self.register(id, graph, config)
             .unwrap_or_else(|e| panic!("graph {id} rejected: {e}"));
     }
 
-    /// Registers `graph` under `id`, validating it **once** for the
-    /// session's whole lifetime: the graph must be non-empty and
-    /// connected (the CONGEST network is one component). Downstream
+    /// Registers `graph` under `id`, validating it and its config **once**
+    /// for the session's whole lifetime: the graph must be non-empty and
+    /// connected (the CONGEST network is one component), and the
+    /// artifact cache must hold at least one partition. Downstream
     /// engine construction and [`PaEngine::pipeline_for`] then never
-    /// trip over a disconnected fleet graph mid-batch.
+    /// trip over a bad fleet entry mid-batch.
     ///
     /// # Errors
-    /// [`PaError::Disconnected`] for an empty or disconnected graph.
+    /// [`PaError::Disconnected`] for an empty or disconnected graph;
+    /// [`PaError::ZeroCacheCapacity`] for a `config` whose
+    /// `cache_capacity` is zero (the fields are public, so the builder's
+    /// own check can be bypassed).
     ///
     /// # Panics
     /// Panics if `id` is already registered (a programmer error, unlike
@@ -721,6 +726,9 @@ impl PaCluster {
     ) -> Result<(), PaError> {
         if graph.n() == 0 || !graph.is_connected() {
             return Err(PaError::Disconnected);
+        }
+        if config.cache_capacity == 0 {
+            return Err(PaError::ZeroCacheCapacity);
         }
         let prev = self.slots.insert(id, GraphSlot { graph, config });
         assert!(prev.is_none(), "graph {id} registered twice");
@@ -1365,12 +1373,7 @@ impl PaCluster {
         let (shard_groups, _, _) = self.plan(queries);
         shard_groups
             .into_iter()
-            .map(|groups| {
-                groups
-                    .into_iter()
-                    .flat_map(|group| group.indices)
-                    .collect()
-            })
+            .map(|groups| groups.into_iter().flat_map(|group| group.indices).collect())
             .collect()
     }
 }
@@ -1897,6 +1900,15 @@ mod tests {
         assert!(cluster
             .register(GraphId(9), empty, EngineConfig::new())
             .is_err());
+        // A zero-capacity config would panic the first batch's engine.
+        let no_cache = EngineConfig {
+            cache_capacity: 0,
+            ..EngineConfig::new()
+        };
+        let err = cluster
+            .register(GraphId(9), gen::path(5), no_cache)
+            .unwrap_err();
+        assert_eq!(err, PaError::ZeroCacheCapacity);
         // The rejected id stays free for a valid registration.
         cluster
             .register(GraphId(9), gen::path(5), EngineConfig::new())

@@ -22,9 +22,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 use rmo_congest::CostReport;
-use rmo_graph::{Graph, NodeId, Partition};
+use rmo_graph::{NodeId, Partition};
 
-use rmo_core::{Aggregate, EngineConfig, PaConfig, PaEngine, PaError};
+use rmo_core::{Aggregate, PaEngine, PaError};
 
 /// Configuration for approximate SSSP.
 #[derive(Debug, Clone, Copy)]
@@ -32,19 +32,13 @@ pub struct SsspConfig {
     /// The LDD parameter `β ∈ (0, 1)`: cluster radius is
     /// `O(log n / β)` hops.
     pub beta: f64,
-    /// PA configuration for quotient-graph relaxations.
-    pub pa: PaConfig,
     /// Seed for the random shifts.
     pub seed: u64,
 }
 
 impl Default for SsspConfig {
     fn default() -> SsspConfig {
-        SsspConfig {
-            beta: 0.4,
-            pa: PaConfig::default(),
-            seed: 1,
-        }
+        SsspConfig { beta: 0.4, seed: 1 }
     }
 }
 
@@ -61,29 +55,17 @@ pub struct SsspResult {
     pub cost: CostReport,
 }
 
-/// Computes approximate SSSP distances from `source`, using a fresh
-/// one-shot [`PaEngine`] session.
+/// Computes approximate SSSP distances from `source` on the engine's
+/// graph; the quotient relaxations run as PA calls on the engine.
+/// Repeated queries with the same `β`/`seed` reuse the cached
+/// cluster-partition pipeline.
 ///
 /// # Errors
 /// Propagates [`PaError`] from the quotient relaxations.
 ///
 /// # Panics
 /// Panics if `β ∉ (0, 1]` or the graph is disconnected/empty.
-pub fn approx_sssp(g: &Graph, source: NodeId, config: &SsspConfig) -> Result<SsspResult, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(config.pa));
-    approx_sssp_with_engine(&mut engine, source, config)
-}
-
-/// [`approx_sssp`] on a long-lived engine session (the engine's PA
-/// configuration takes precedence over `config.pa`). Repeated queries
-/// with the same `β`/`seed` reuse the cached cluster-partition pipeline.
-///
-/// # Errors
-/// Propagates [`PaError`] from the quotient relaxations.
-///
-/// # Panics
-/// Panics if `β ∉ (0, 1]` or the graph is disconnected/empty.
-pub fn approx_sssp_with_engine(
+pub fn approx_sssp(
     engine: &mut PaEngine<'_>,
     source: NodeId,
     config: &SsspConfig,
@@ -238,11 +220,16 @@ pub fn approx_sssp_with_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmo_graph::{gen, reference};
+    use rmo_core::EngineConfig;
+    use rmo_graph::{gen, reference, Graph};
+
+    fn sssp(g: &Graph, source: NodeId, config: &SsspConfig) -> SsspResult {
+        approx_sssp(&mut PaEngine::new(g, EngineConfig::new()), source, config).unwrap()
+    }
 
     fn check_bounds(g: &Graph, source: NodeId, config: &SsspConfig, max_ratio: f64) {
         let truth = reference::dijkstra(g, source);
-        let res = approx_sssp(g, source, config).unwrap();
+        let res = sssp(g, source, config);
         for v in 0..g.n() {
             assert!(
                 res.estimates[v] >= truth[v],
@@ -265,7 +252,7 @@ mod tests {
     #[test]
     fn source_estimate_is_zero() {
         let g = gen::grid(5, 5);
-        let res = approx_sssp(&g, 12, &SsspConfig::default()).unwrap();
+        let res = sssp(&g, 12, &SsspConfig::default());
         assert_eq!(res.estimates[12], 0);
     }
 
@@ -285,24 +272,22 @@ mod tests {
     #[test]
     fn larger_beta_means_smaller_clusters() {
         let g = gen::grid(8, 8);
-        let tight = approx_sssp(
+        let tight = sssp(
             &g,
             0,
             &SsspConfig {
                 beta: 0.9,
                 ..Default::default()
             },
-        )
-        .unwrap();
-        let loose = approx_sssp(
+        );
+        let loose = sssp(
             &g,
             0,
             &SsspConfig {
                 beta: 0.1,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         assert!(
             tight.clusters >= loose.clusters,
             "beta=0.9 gives {} clusters, beta=0.1 gives {}",
@@ -320,8 +305,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let g = gen::grid(5, 7);
-        let a = approx_sssp(&g, 0, &SsspConfig::default()).unwrap();
-        let b = approx_sssp(&g, 0, &SsspConfig::default()).unwrap();
+        let a = sssp(&g, 0, &SsspConfig::default());
+        let b = sssp(&g, 0, &SsspConfig::default());
         assert_eq!(a.estimates, b.estimates);
         assert_eq!(a.cost, b.cost);
     }

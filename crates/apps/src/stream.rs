@@ -83,9 +83,7 @@ use rand::{Rng, SeedableRng};
 use rmo_core::{word_fingerprint, EngineStats};
 
 use crate::dispatch::{Query, QueryResponse};
-use crate::service::{
-    mixed_workload, zipf_workload, ExecMode, GraphId, PaCluster, ServeLog,
-};
+use crate::service::{mixed_workload, zipf_workload, ExecMode, GraphId, PaCluster, ServeLog};
 
 /// One query entering the gateway: *when* (a logical tick), *where*
 /// (the target graph), *what* (the query). Ticks must be monotone
@@ -353,7 +351,11 @@ pub struct StreamReport {
 impl StreamReport {
     /// Modeled latencies of the admitted queries, sorted ascending.
     pub fn latencies(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.outcomes.iter().filter_map(StreamOutcome::latency).collect();
+        let mut out: Vec<u64> = self
+            .outcomes
+            .iter()
+            .filter_map(StreamOutcome::latency)
+            .collect();
         out.sort_unstable();
         out
     }
@@ -550,7 +552,12 @@ impl<'a> Session<'a> {
         }
     }
 
-    fn reject(&mut self, arrival: Arrival, reason: RejectReason, sink: &mut dyn FnMut(StreamEvent)) {
+    fn reject(
+        &mut self,
+        arrival: Arrival,
+        reason: RejectReason,
+        sink: &mut dyn FnMut(StreamEvent),
+    ) {
         let seq = self.outcomes.len();
         sink(StreamEvent::Rejected {
             seq,
@@ -628,7 +635,9 @@ impl<'a> Session<'a> {
             // Placeholder until the batch serves; every admitted query
             // is served before the report is assembled (or the run
             // aborts into a ReplayMismatch and the report is dropped).
-            result: Ok(QueryResponse::Failed(crate::dispatch::FailReason::NeverScheduled)),
+            result: Ok(QueryResponse::Failed(
+                crate::dispatch::FailReason::NeverScheduled,
+            )),
             batch: None,
             done_tick: None,
         });
@@ -677,7 +686,12 @@ impl<'a> Session<'a> {
     }
 
     /// Moves the open batch onto the closed queue.
-    fn close_open(&mut self, close_tick: u64, closed_by: BatchClose, sink: &mut dyn FnMut(StreamEvent)) {
+    fn close_open(
+        &mut self,
+        close_tick: u64,
+        closed_by: BatchClose,
+        sink: &mut dyn FnMut(StreamEvent),
+    ) {
         if self.open.is_empty() {
             return;
         }
@@ -746,10 +760,7 @@ impl<'a> Session<'a> {
             let Some(rec) = log.batches.get(batch.index) else {
                 self.mismatch = Some(ReplayMismatch {
                     batch: Some(batch.index),
-                    detail: format!(
-                        "the recorded log has only {} batches",
-                        log.batches.len()
-                    ),
+                    detail: format!("the recorded log has only {} batches", log.batches.len()),
                 });
                 return;
             };
@@ -1078,11 +1089,7 @@ impl StreamGateway {
 /// of arrivals land in a burst at gap 0, the rest draw uniformly from
 /// `1..=2·mean_gap`). `mean_gap = 0` puts the whole trace on tick 0.
 /// Fully deterministic in `(queries, seed, mean_gap)`.
-pub fn stamp_arrivals(
-    queries: Vec<(GraphId, Query)>,
-    seed: u64,
-    mean_gap: u64,
-) -> Vec<Arrival> {
+pub fn stamp_arrivals(queries: Vec<(GraphId, Query)>, seed: u64, mean_gap: u64) -> Vec<Arrival> {
     let mut rng = StdRng::seed_from_u64(word_fingerprint([seed, 0x57A3, mean_gap]));
     let mut tick = 0u64;
     queries
@@ -1101,12 +1108,7 @@ pub fn stamp_arrivals(
 
 /// [`mixed_workload`] stamped with deterministic arrival ticks — the
 /// one trace generator the stream harness and the tests share.
-pub fn mixed_arrivals(
-    cluster: &PaCluster,
-    count: usize,
-    seed: u64,
-    mean_gap: u64,
-) -> Vec<Arrival> {
+pub fn mixed_arrivals(cluster: &PaCluster, count: usize, seed: u64, mean_gap: u64) -> Vec<Arrival> {
     stamp_arrivals(mixed_workload(cluster, count, seed), seed, mean_gap)
 }
 
@@ -1119,7 +1121,11 @@ pub fn zipf_arrivals(
     exponent: f64,
     mean_gap: u64,
 ) -> Vec<Arrival> {
-    stamp_arrivals(zipf_workload(cluster, count, seed, exponent), seed, mean_gap)
+    stamp_arrivals(
+        zipf_workload(cluster, count, seed, exponent),
+        seed,
+        mean_gap,
+    )
 }
 
 #[cfg(test)]
@@ -1145,7 +1151,9 @@ mod tests {
 
     #[test]
     fn size_close_splits_a_burst() {
-        let config = StreamConfig::new().with_max_batch(2).with_max_wait_ticks(100);
+        let config = StreamConfig::new()
+            .with_max_batch(2)
+            .with_max_wait_ticks(100);
         let mut gateway = StreamGateway::new(small_cluster(2), config);
         let trace: Vec<Arrival> = (0..5).map(|i| mst_at(i, 1 + i % 2)).collect();
         let report = gateway.run(&trace);
@@ -1163,7 +1171,9 @@ mod tests {
 
     #[test]
     fn deadline_close_bounds_a_trickle() {
-        let config = StreamConfig::new().with_max_batch(100).with_max_wait_ticks(10);
+        let config = StreamConfig::new()
+            .with_max_batch(100)
+            .with_max_wait_ticks(10);
         let mut gateway = StreamGateway::new(small_cluster(2), config);
         // Two arrivals inside one window, a straggler far past it.
         let trace = vec![mst_at(0, 1), mst_at(4, 2), mst_at(50, 1)];
@@ -1228,7 +1238,7 @@ mod tests {
         let trace = vec![
             mst_at(0, 1),
             mst_at(0, 1),
-            mst_at(1, 1), // burst tail: depth still 2 (batch in flight)
+            mst_at(1, 1),         // burst tail: depth still 2 (batch in flight)
             mst_at(1_000_000, 1), // long after the batch drains
         ];
         let report = gateway.run(&trace);
@@ -1294,8 +1304,20 @@ mod tests {
         for (x, y) in a.log.batches.iter().zip(&b.log.batches) {
             assert_eq!(x.queries, y.queries);
             assert_eq!(
-                (x.open_tick, x.close_tick, x.closed_by, x.start_tick, x.done_tick),
-                (y.open_tick, y.close_tick, y.closed_by, y.start_tick, y.done_tick)
+                (
+                    x.open_tick,
+                    x.close_tick,
+                    x.closed_by,
+                    x.start_tick,
+                    x.done_tick
+                ),
+                (
+                    y.open_tick,
+                    y.close_tick,
+                    y.closed_by,
+                    y.start_tick,
+                    y.done_tick
+                )
             );
         }
     }
@@ -1303,7 +1325,9 @@ mod tests {
     #[test]
     fn replay_reproduces_a_threaded_run_bit_for_bit() {
         let trace = mixed_arrivals(&small_cluster(3), 48, 23, 4);
-        let config = StreamConfig::new().with_max_batch(8).with_max_wait_ticks(12);
+        let config = StreamConfig::new()
+            .with_max_batch(8)
+            .with_max_wait_ticks(12);
         let mut gateway = StreamGateway::new(small_cluster(3), config);
         let mut events = Vec::new();
         let report = gateway.run_with(&trace, &mut |e| events.push(e));

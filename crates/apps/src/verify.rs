@@ -7,18 +7,16 @@
 //! call) plus `O(1)` tree aggregations, exactly as in the paper's
 //! Appendix A.2.
 //!
-//! Every verifier comes in two forms: a one-shot wrapper taking
-//! `(g, …, &PaConfig)` that spins up a fresh [`PaEngine`], and a
-//! `*_with_engine` form that runs on a caller-held session so that
-//! repeated queries on one network reuse the BFS tree and the cached
+//! Every verifier runs on a caller-held [`PaEngine`], so repeated
+//! queries on one network reuse the BFS tree and the cached
 //! per-partition artifacts (the intended shape for serving many
-//! verification queries).
+//! verification queries). A one-shot check passes a fresh engine.
 
 use rmo_congest::CostReport;
-use rmo_graph::{num::ceil_log2, EdgeId, Graph};
+use rmo_graph::{num::ceil_log2, EdgeId};
 
-use crate::components::component_labels_with_engine;
-use rmo_core::{EngineConfig, PaConfig, PaEngine, PaError};
+use crate::components::component_labels;
+use rmo_core::{PaEngine, PaError};
 
 /// A verification verdict plus its measured cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,23 +32,10 @@ pub struct Verdict {
 /// # Errors
 /// Propagates [`PaError`].
 pub fn verify_connected_spanning(
-    g: &Graph,
-    h_edges: &[EdgeId],
-    config: &PaConfig,
-) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
-    verify_connected_spanning_with_engine(&mut engine, h_edges)
-}
-
-/// [`verify_connected_spanning`] on a long-lived engine session.
-///
-/// # Errors
-/// Propagates [`PaError`].
-pub fn verify_connected_spanning_with_engine(
     engine: &mut PaEngine<'_>,
     h_edges: &[EdgeId],
 ) -> Result<Verdict, PaError> {
-    let labels = component_labels_with_engine(engine, h_edges)?;
+    let labels = component_labels(engine, h_edges)?;
     // One more tree aggregation (Or over "label differs from neighbor")
     // is dominated by the PA cost; charge a broadcast's worth.
     let cost = labels.cost + CostReport::new(2, 2 * engine.graph().n() as u64);
@@ -66,24 +51,11 @@ pub fn verify_connected_spanning_with_engine(
 /// # Errors
 /// Propagates [`PaError`].
 pub fn verify_spanning_tree(
-    g: &Graph,
-    h_edges: &[EdgeId],
-    config: &PaConfig,
-) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
-    verify_spanning_tree_with_engine(&mut engine, h_edges)
-}
-
-/// [`verify_spanning_tree`] on a long-lived engine session.
-///
-/// # Errors
-/// Propagates [`PaError`].
-pub fn verify_spanning_tree_with_engine(
     engine: &mut PaEngine<'_>,
     h_edges: &[EdgeId],
 ) -> Result<Verdict, PaError> {
     let g = engine.graph();
-    let conn = verify_connected_spanning_with_engine(engine, h_edges)?;
+    let conn = verify_connected_spanning(engine, h_edges)?;
     let mut set: Vec<EdgeId> = h_edges.to_vec();
     set.sort_unstable();
     set.dedup();
@@ -98,25 +70,13 @@ pub fn verify_spanning_tree_with_engine(
 ///
 /// # Errors
 /// Propagates [`PaError`].
-pub fn verify_cut(g: &Graph, h_edges: &[EdgeId], config: &PaConfig) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
-    verify_cut_with_engine(&mut engine, h_edges)
-}
-
-/// [`verify_cut`] on a long-lived engine session.
-///
-/// # Errors
-/// Propagates [`PaError`].
-pub fn verify_cut_with_engine(
-    engine: &mut PaEngine<'_>,
-    h_edges: &[EdgeId],
-) -> Result<Verdict, PaError> {
+pub fn verify_cut(engine: &mut PaEngine<'_>, h_edges: &[EdgeId]) -> Result<Verdict, PaError> {
     let g = engine.graph();
     let keep: Vec<EdgeId> = {
         let h: std::collections::HashSet<EdgeId> = h_edges.iter().copied().collect();
         (0..g.m()).filter(|e| !h.contains(e)).collect()
     };
-    let labels = component_labels_with_engine(engine, &keep)?;
+    let labels = component_labels(engine, &keep)?;
     Ok(Verdict {
         holds: labels.num_components > 1,
         cost: labels.cost + CostReport::new(2, 2 * g.n() as u64),
@@ -132,25 +92,9 @@ pub fn verify_cut_with_engine(
 ///
 /// # Errors
 /// Propagates [`PaError`].
-pub fn verify_bipartite(
-    g: &Graph,
-    h_edges: &[EdgeId],
-    config: &PaConfig,
-) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
-    verify_bipartite_with_engine(&mut engine, h_edges)
-}
-
-/// [`verify_bipartite`] on a long-lived engine session.
-///
-/// # Errors
-/// Propagates [`PaError`].
-pub fn verify_bipartite_with_engine(
-    engine: &mut PaEngine<'_>,
-    h_edges: &[EdgeId],
-) -> Result<Verdict, PaError> {
+pub fn verify_bipartite(engine: &mut PaEngine<'_>, h_edges: &[EdgeId]) -> Result<Verdict, PaError> {
     let g = engine.graph();
-    let labels = component_labels_with_engine(engine, h_edges)?;
+    let labels = component_labels(engine, h_edges)?;
     // 2-color every H-component by BFS parity (the component spanning
     // trees of footnote 4), then test all H-edges.
     let mut color = vec![u8::MAX; g.n()];
@@ -192,21 +136,9 @@ pub fn verify_bipartite_with_engine(
 ///
 /// # Errors
 /// Propagates [`PaError`].
-pub fn verify_forest(g: &Graph, h_edges: &[EdgeId], config: &PaConfig) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
-    verify_forest_with_engine(&mut engine, h_edges)
-}
-
-/// [`verify_forest`] on a long-lived engine session.
-///
-/// # Errors
-/// Propagates [`PaError`].
-pub fn verify_forest_with_engine(
-    engine: &mut PaEngine<'_>,
-    h_edges: &[EdgeId],
-) -> Result<Verdict, PaError> {
+pub fn verify_forest(engine: &mut PaEngine<'_>, h_edges: &[EdgeId]) -> Result<Verdict, PaError> {
     let g = engine.graph();
-    let labels = component_labels_with_engine(engine, h_edges)?;
+    let labels = component_labels(engine, h_edges)?;
     let mut nodes_per = std::collections::HashMap::new();
     let mut edges_per = std::collections::HashMap::new();
     for v in 0..g.n() {
@@ -232,27 +164,12 @@ pub fn verify_forest_with_engine(
 /// # Errors
 /// Propagates [`PaError`].
 pub fn verify_st_connectivity(
-    g: &Graph,
-    h_edges: &[EdgeId],
-    s: usize,
-    t: usize,
-    config: &PaConfig,
-) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
-    verify_st_connectivity_with_engine(&mut engine, h_edges, s, t)
-}
-
-/// [`verify_st_connectivity`] on a long-lived engine session.
-///
-/// # Errors
-/// Propagates [`PaError`].
-pub fn verify_st_connectivity_with_engine(
     engine: &mut PaEngine<'_>,
     h_edges: &[EdgeId],
     s: usize,
     t: usize,
 ) -> Result<Verdict, PaError> {
-    let labels = component_labels_with_engine(engine, h_edges)?;
+    let labels = component_labels(engine, h_edges)?;
     Ok(Verdict {
         holds: labels.labels[s] == labels.labels[t],
         cost: labels.cost + CostReport::new(2, 2 * engine.graph().n() as u64),
@@ -273,21 +190,9 @@ pub fn verify_st_connectivity_with_engine(
 ///
 /// # Errors
 /// Propagates [`PaError`].
-pub fn verify_mst(g: &Graph, h_edges: &[EdgeId], config: &PaConfig) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
-    verify_mst_with_engine(&mut engine, h_edges)
-}
-
-/// [`verify_mst`] on a long-lived engine session.
-///
-/// # Errors
-/// Propagates [`PaError`].
-pub fn verify_mst_with_engine(
-    engine: &mut PaEngine<'_>,
-    h_edges: &[EdgeId],
-) -> Result<Verdict, PaError> {
+pub fn verify_mst(engine: &mut PaEngine<'_>, h_edges: &[EdgeId]) -> Result<Verdict, PaError> {
     let g = engine.graph();
-    let tree_check = verify_spanning_tree_with_engine(engine, h_edges)?;
+    let tree_check = verify_spanning_tree(engine, h_edges)?;
     if !tree_check.holds {
         return Ok(tree_check);
     }
@@ -341,22 +246,11 @@ pub fn verify_mst_with_engine(
 ///
 /// # Errors
 /// Propagates [`PaError`].
-pub fn verify_two_edge_connected(g: &Graph, config: &PaConfig) -> Result<Verdict, PaError> {
-    let mut engine = PaEngine::new(g, EngineConfig::from(*config));
-    verify_two_edge_connected_with_engine(&mut engine)
-}
-
-/// [`verify_two_edge_connected`] on a long-lived engine session.
-///
-/// # Errors
-/// Propagates [`PaError`].
-pub fn verify_two_edge_connected_with_engine(
-    engine: &mut PaEngine<'_>,
-) -> Result<Verdict, PaError> {
+pub fn verify_two_edge_connected(engine: &mut PaEngine<'_>) -> Result<Verdict, PaError> {
     let g = engine.graph();
     // Cost: one component labeling (the sparse-certificate pass).
     let all: Vec<EdgeId> = (0..g.m()).collect();
-    let labels = component_labels_with_engine(engine, &all)?;
+    let labels = component_labels(engine, &all)?;
     let holds = rmo_graph::is_two_edge_connected(g);
     let log_n = ceil_log2(g.n().max(2)) as u64;
     Ok(Verdict {
@@ -368,13 +262,18 @@ pub fn verify_two_edge_connected_with_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmo_graph::{gen, reference};
+    use rmo_core::EngineConfig;
+    use rmo_graph::{gen, reference, Graph};
+
+    fn fresh(g: &Graph) -> PaEngine<'_> {
+        PaEngine::new(g, EngineConfig::new())
+    }
 
     #[test]
     fn spanning_tree_accepted() {
         let g = gen::grid_weighted(5, 5, 2);
         let mst = reference::kruskal(&g);
-        let v = verify_spanning_tree(&g, &mst.edges, &PaConfig::default()).unwrap();
+        let v = verify_spanning_tree(&mut fresh(&g), &mst.edges).unwrap();
         assert!(v.holds);
     }
 
@@ -383,7 +282,7 @@ mod tests {
         let g = gen::grid_weighted(5, 5, 2);
         let mut edges = reference::kruskal(&g).edges;
         edges.pop();
-        let v = verify_spanning_tree(&g, &edges, &PaConfig::default()).unwrap();
+        let v = verify_spanning_tree(&mut fresh(&g), &edges).unwrap();
         assert!(!v.holds);
     }
 
@@ -393,7 +292,7 @@ mod tests {
         let mut edges = reference::kruskal(&g).edges;
         let extra = (0..g.m()).find(|e| !edges.contains(e)).unwrap();
         edges.push(extra);
-        let v = verify_spanning_tree(&g, &edges, &PaConfig::default()).unwrap();
+        let v = verify_spanning_tree(&mut fresh(&g), &edges).unwrap();
         assert!(!v.holds, "n edges cannot be a tree");
     }
 
@@ -402,13 +301,13 @@ mod tests {
         let g = gen::path(10);
         let all: Vec<EdgeId> = (0..g.m()).collect();
         assert!(
-            verify_connected_spanning(&g, &all, &PaConfig::default())
+            verify_connected_spanning(&mut fresh(&g), &all)
                 .unwrap()
                 .holds
         );
         let missing_middle: Vec<EdgeId> = (0..g.m()).filter(|&e| e != 4).collect();
         assert!(
-            !verify_connected_spanning(&g, &missing_middle, &PaConfig::default())
+            !verify_connected_spanning(&mut fresh(&g), &missing_middle)
                 .unwrap()
                 .holds
         );
@@ -418,18 +317,10 @@ mod tests {
     fn cut_verification() {
         let g = gen::dumbbell(4, 1);
         let bridge = g.edge_between(3, 4).unwrap();
-        assert!(
-            verify_cut(&g, &[bridge], &PaConfig::default())
-                .unwrap()
-                .holds
-        );
+        assert!(verify_cut(&mut fresh(&g), &[bridge]).unwrap().holds);
         // A non-cut: one intra-clique edge.
         let inner = g.edge_between(0, 1).unwrap();
-        assert!(
-            !verify_cut(&g, &[inner], &PaConfig::default())
-                .unwrap()
-                .holds
-        );
+        assert!(!verify_cut(&mut fresh(&g), &[inner]).unwrap().holds);
     }
 
     #[test]
@@ -438,48 +329,39 @@ mod tests {
         let even = gen::cycle(8);
         let all_even: Vec<EdgeId> = (0..even.m()).collect();
         assert!(
-            verify_bipartite(&even, &all_even, &PaConfig::default())
+            verify_bipartite(&mut fresh(&even), &all_even)
                 .unwrap()
                 .holds
         );
         let odd = gen::cycle(9);
         let all_odd: Vec<EdgeId> = (0..odd.m()).collect();
-        assert!(
-            !verify_bipartite(&odd, &all_odd, &PaConfig::default())
-                .unwrap()
-                .holds
-        );
+        assert!(!verify_bipartite(&mut fresh(&odd), &all_odd).unwrap().holds);
     }
 
     #[test]
     fn bipartite_on_forest_always_holds() {
         let g = gen::grid(4, 6);
         let mst = reference::kruskal(&g);
-        assert!(
-            verify_bipartite(&g, &mst.edges, &PaConfig::default())
-                .unwrap()
-                .holds
-        );
+        assert!(verify_bipartite(&mut fresh(&g), &mst.edges).unwrap().holds);
     }
 
     #[test]
     fn forest_verification() {
         let g = gen::grid_weighted(5, 5, 1);
-        let cfg = PaConfig::default();
         let mst = reference::kruskal(&g).edges;
         assert!(
-            verify_forest(&g, &mst, &cfg).unwrap().holds,
+            verify_forest(&mut fresh(&g), &mst).unwrap().holds,
             "a tree is a forest"
         );
         let mut partial = mst.clone();
         partial.truncate(10);
         assert!(
-            verify_forest(&g, &partial, &cfg).unwrap().holds,
+            verify_forest(&mut fresh(&g), &partial).unwrap().holds,
             "subforests are forests"
         );
         let all: Vec<EdgeId> = (0..g.m()).collect();
         assert!(
-            !verify_forest(&g, &all, &cfg).unwrap().holds,
+            !verify_forest(&mut fresh(&g), &all).unwrap().holds,
             "grids have cycles"
         );
     }
@@ -487,17 +369,24 @@ mod tests {
     #[test]
     fn st_connectivity() {
         let g = gen::path(10);
-        let cfg = PaConfig::default();
         let left: Vec<EdgeId> = (0..4).collect(); // connects 0..=4
-        assert!(verify_st_connectivity(&g, &left, 0, 4, &cfg).unwrap().holds);
-        assert!(!verify_st_connectivity(&g, &left, 0, 9, &cfg).unwrap().holds);
+        assert!(
+            verify_st_connectivity(&mut fresh(&g), &left, 0, 4)
+                .unwrap()
+                .holds
+        );
+        assert!(
+            !verify_st_connectivity(&mut fresh(&g), &left, 0, 9)
+                .unwrap()
+                .holds
+        );
     }
 
     #[test]
     fn mst_verification_accepts_true_mst() {
         let g = gen::grid_weighted(5, 6, 3);
         let mst = reference::kruskal(&g).edges;
-        assert!(verify_mst(&g, &mst, &PaConfig::default()).unwrap().holds);
+        assert!(verify_mst(&mut fresh(&g), &mst).unwrap().holds);
     }
 
     #[test]
@@ -536,7 +425,7 @@ mod tests {
             .expect("MST path has a lighter edge than the non-tree edge");
         let mut worse: Vec<EdgeId> = mst.iter().copied().filter(|&e| e != lighter).collect();
         worse.push(non_tree);
-        let verdict = verify_mst(&g, &worse, &PaConfig::default()).unwrap();
+        let verdict = verify_mst(&mut fresh(&g), &worse).unwrap();
         assert!(!verdict.holds, "swapped-in heavier edge must be detected");
     }
 
@@ -545,29 +434,28 @@ mod tests {
         let g = gen::grid_weighted(4, 4, 1);
         let mut edges = reference::kruskal(&g).edges;
         edges.pop();
-        assert!(!verify_mst(&g, &edges, &PaConfig::default()).unwrap().holds);
+        assert!(!verify_mst(&mut fresh(&g), &edges).unwrap().holds);
     }
 
     #[test]
     fn two_edge_connectivity() {
-        let cfg = PaConfig::default();
         assert!(
-            verify_two_edge_connected(&gen::cycle(8), &cfg)
+            verify_two_edge_connected(&mut fresh(&gen::cycle(8)))
                 .unwrap()
                 .holds
         );
         assert!(
-            verify_two_edge_connected(&gen::grid(4, 4), &cfg)
+            verify_two_edge_connected(&mut fresh(&gen::grid(4, 4)))
                 .unwrap()
                 .holds
         );
         assert!(
-            !verify_two_edge_connected(&gen::dumbbell(4, 1), &cfg)
+            !verify_two_edge_connected(&mut fresh(&gen::dumbbell(4, 1)))
                 .unwrap()
                 .holds
         );
         assert!(
-            !verify_two_edge_connected(&gen::path(5), &cfg)
+            !verify_two_edge_connected(&mut fresh(&gen::path(5)))
                 .unwrap()
                 .holds
         );

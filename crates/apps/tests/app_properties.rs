@@ -5,10 +5,10 @@
 use proptest::prelude::*;
 
 use rmo_apps::kdom::k_dominating_set;
-use rmo_apps::mst::{pa_mst, MstConfig};
+use rmo_apps::mst::pa_mst;
 use rmo_apps::sssp::{approx_sssp, SsspConfig};
 use rmo_apps::{component_labels, ComponentLabels};
-use rmo_core::PaConfig;
+use rmo_core::{EngineConfig, PaEngine};
 use rmo_graph::{gen, reference, DisjointSets, EdgeId};
 
 proptest! {
@@ -22,7 +22,7 @@ proptest! {
     ) {
         let m = (n - 1 + extra).min(n * (n - 1) / 2);
         let g = gen::random_connected_weighted(n, m, seed);
-        let ours = pa_mst(&g, &MstConfig::default()).expect("solves");
+        let ours = pa_mst(&mut PaEngine::new(&g, EngineConfig::new())).expect("solves");
         let oracle = reference::kruskal(&g);
         prop_assert_eq!(ours.total_weight, oracle.total_weight);
         prop_assert_eq!(ours.edges, oracle.edges);
@@ -40,8 +40,9 @@ proptest! {
         let m = (n - 1 + extra).min(n * (n - 1) / 2);
         let g = gen::random_connected_weighted(n, m, seed);
         let source = src % n;
-        let cfg = SsspConfig { beta: beta_pick as f64 / 10.0, seed, ..Default::default() };
-        let res = approx_sssp(&g, source, &cfg).expect("solves");
+        let cfg = SsspConfig { beta: beta_pick as f64 / 10.0, seed };
+        let res = approx_sssp(&mut PaEngine::new(&g, EngineConfig::new()), source, &cfg)
+            .expect("solves");
         let truth = reference::dijkstra(&g, source);
         prop_assert_eq!(res.estimates[source], 0);
         for v in 0..n {
@@ -61,7 +62,7 @@ proptest! {
         let g = gen::random_connected(n, m, seed);
         let h: Vec<EdgeId> = (0..g.m()).filter(|e| e % keep_mod == 0).collect();
         let out: ComponentLabels =
-            component_labels(&g, &h, &PaConfig::default()).expect("solves");
+            component_labels(&mut PaEngine::new(&g, EngineConfig::new()), &h).expect("solves");
         let mut dsu = DisjointSets::new(n);
         for &e in &h {
             let (u, v) = g.endpoints(e);
@@ -84,7 +85,7 @@ proptest! {
     ) {
         let m = (n - 1 + extra).min(n * (n - 1) / 2);
         let g = gen::random_connected(n, m, seed);
-        let res = k_dominating_set(&g, k);
+        let res = k_dominating_set(&mut PaEngine::new(&g, EngineConfig::new()), k);
         prop_assert!(res.max_distance <= k, "distance {} > k {}", res.max_distance, k);
         prop_assert!(
             res.set.len() <= 6 * n / k + 1,

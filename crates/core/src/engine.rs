@@ -55,7 +55,7 @@ use rmo_graph::{Graph, Partition, RootedTree};
 use crate::aggregate::Aggregate;
 use crate::batch::{batch_on, BatchResult};
 use crate::instance::{PaError, PaInstance};
-use crate::pipeline::{build_artifacts, PaConfig, PipelineArtifacts, ShortcutStrategy};
+use crate::pipeline::{build_artifacts, PipelineArtifacts, ShortcutStrategy};
 use crate::solve::{solve_with, PaResult, SolveScratch, Variant};
 use crate::subparts_det::{deterministic_division, DetDivisionResult};
 
@@ -71,12 +71,15 @@ pub enum DivisionStrategy {
     Randomized,
 }
 
-/// Builder-style configuration of a [`PaEngine`] session.
+/// Builder-style configuration of a [`PaEngine`] session — the one
+/// configuration type of a PA run.
 ///
-/// Subsumes the old `PaConfig` constructors: `EngineConfig::new()` is the
-/// paper's deterministic headline, [`EngineConfig::randomized`] and
-/// [`EngineConfig::trivial`] switch whole profiles, and the narrow
-/// setters ([`shortcut`](EngineConfig::shortcut),
+/// The three ablation axes (Algorithm 1 variant, shortcut construction,
+/// sub-part division) plus the master seed and the cache bound:
+/// `EngineConfig::new()` is the paper's deterministic headline,
+/// [`EngineConfig::randomized`] and [`EngineConfig::trivial`] switch
+/// whole profiles, and the narrow setters
+/// ([`shortcut`](EngineConfig::shortcut),
 /// [`division`](EngineConfig::division), [`seed`](EngineConfig::seed),
 /// [`cache_capacity`](EngineConfig::cache_capacity)) tweak one axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,33 +174,6 @@ impl EngineConfig {
         assert!(capacity > 0, "the artifact cache needs room for one entry");
         self.cache_capacity = capacity;
         self
-    }
-
-    /// The equivalent one-shot [`PaConfig`] (what the legacy pipeline
-    /// entry points consume).
-    pub fn pa(&self) -> PaConfig {
-        PaConfig {
-            variant: self.variant,
-            shortcut: self.shortcut,
-            deterministic_division: self.division == DivisionStrategy::Deterministic,
-            seed: self.seed,
-        }
-    }
-}
-
-impl From<PaConfig> for EngineConfig {
-    fn from(config: PaConfig) -> EngineConfig {
-        EngineConfig {
-            variant: config.variant,
-            shortcut: config.shortcut,
-            division: if config.deterministic_division {
-                DivisionStrategy::Deterministic
-            } else {
-                DivisionStrategy::Randomized
-            },
-            seed: config.seed,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-        }
     }
 }
 
@@ -323,7 +299,6 @@ struct CacheEntry {
 /// graph it was built against and refuses rehydration onto any other.
 pub struct EngineCore {
     config: EngineConfig,
-    pa: PaConfig,
     net: Network,
     /// Stage 1 (leader election + BFS tree) and its cost, built on first
     /// use so sessions that never need the tree (k-domination's
@@ -390,7 +365,6 @@ impl EngineCore {
         }
         EngineCore {
             config: self.config,
-            pa: self.pa,
             net: self.net.clone(),
             stage1,
             base_charged: true,
@@ -510,18 +484,16 @@ impl<'g> PaEngine<'g> {
     ///
     /// # Panics
     /// Panics if the graph is empty or disconnected (the CONGEST network
-    /// is one component).
+    /// is one component), or if `config.cache_capacity` is zero.
     pub fn new(graph: &'g Graph, config: EngineConfig) -> PaEngine<'g> {
         assert!(graph.n() > 0, "PaEngine needs a non-empty graph");
         assert!(graph.is_connected(), "PaEngine needs a connected graph");
         assert!(config.cache_capacity > 0, "cache capacity must be >= 1");
-        let pa = config.pa();
         let net = Network::new(graph, config.seed);
         PaEngine {
             graph,
             core: EngineCore {
                 config,
-                pa,
                 net,
                 stage1: OnceLock::new(),
                 base_charged: false,
@@ -673,7 +645,7 @@ impl<'g> PaEngine<'g> {
         self.core.stats.misses += 1;
         let artifacts = {
             let tree = &self.stage1().0;
-            build_artifacts(inst, &self.core.pa, tree)
+            build_artifacts(inst, &self.core.config, tree)
         };
         if self.core.cache.len() >= self.core.config.cache_capacity {
             if let Some((&lru, _)) = self.core.cache.iter().min_by_key(|(_, e)| e.last_used) {
@@ -795,7 +767,7 @@ impl<'g> PaEngine<'g> {
         let key = self.ensure_artifacts(inst);
         let setup_cost = self.take_pending_setup(key);
         let extra = self.incremental_cost(setup_cost);
-        let variant = self.core.pa.variant;
+        let variant = self.core.config.variant;
         let _ = self.tree(); // force stage 1 before the split borrows below
         let core = &mut self.core;
         // rmo-lint: allow(P1) — ensure_artifacts inserted this key above
@@ -838,7 +810,7 @@ impl<'g> PaEngine<'g> {
         let key = self.ensure_artifacts(&inst);
         let setup_cost = self.take_pending_setup(key);
         let extra = self.incremental_cost(setup_cost);
-        let variant = self.core.pa.variant;
+        let variant = self.core.config.variant;
         let entry = &self.core.cache[&key];
         let mut result = batch_on(
             &inst,
@@ -884,7 +856,7 @@ fn same_topology(a: &Graph, b: &Graph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::solve_pa;
+    use crate::solve::solve_on;
     use rmo_graph::gen;
 
     fn grid_instance() -> (Graph, Partition, Vec<u64>) {
@@ -892,6 +864,19 @@ mod tests {
         let parts = Partition::new(&g, gen::grid_row_partition(6, 8)).unwrap();
         let values: Vec<u64> = (0..g.n() as u64).map(|v| (v * 31) % 97).collect();
         (g, parts, values)
+    }
+
+    /// Every stage rebuilt for one call: a fresh network, tree,
+    /// artifacts, wave plan and solve scratch.
+    fn from_scratch(inst: &PaInstance<'_>, config: &EngineConfig) -> PaResult {
+        let g = inst.graph();
+        let net = Network::new(g, config.seed);
+        let (root, _, elect_cost) = run_leader_election(g, &net).unwrap();
+        let (tree, _, bfs_cost) = run_bfs(g, &net, root).unwrap();
+        let artifacts = build_artifacts(inst, config, &tree);
+        let mut result = solve_on(inst, &artifacts.setup(&tree), config.variant).unwrap();
+        result.cost += artifacts.setup_cost + elect_cost + bfs_cost;
+        result
     }
 
     #[test]
@@ -907,7 +892,7 @@ mod tests {
                 PaInstance::from_partition(&g, parts.clone(), values.clone(), Aggregate::Min)
                     .unwrap();
             let ours = engine.solve(&parts, &values, Aggregate::Min).unwrap();
-            let legacy = solve_pa(&inst, &config.pa()).unwrap();
+            let legacy = from_scratch(&inst, &config);
             assert_eq!(ours.aggregates, legacy.aggregates, "{config:?}");
             assert_eq!(ours.node_values, legacy.node_values);
             assert_eq!(ours.cost, legacy.cost, "first solve pays full setup");
@@ -1197,15 +1182,5 @@ mod tests {
         let line = merged.to_string();
         assert!(line.contains("hits/misses/evictions 1/2/0"), "{line}");
         assert!(line.contains("3 solves"), "{line}");
-    }
-
-    #[test]
-    fn config_roundtrips_through_paconfig() {
-        let cfg = EngineConfig::new().randomized(9).cache_capacity(3);
-        let back: EngineConfig = cfg.pa().into();
-        assert_eq!(back.variant, cfg.variant);
-        assert_eq!(back.shortcut, cfg.shortcut);
-        assert_eq!(back.division, cfg.division);
-        assert_eq!(back.seed, cfg.seed);
     }
 }

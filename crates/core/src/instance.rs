@@ -19,6 +19,9 @@ pub enum PaError {
     /// budget — the supplied shortcut's block parameter is too large
     /// (this is exactly what Algorithm 2 detects).
     BlockBudgetExceeded { part: usize, budget: usize },
+    /// An engine configuration whose artifact cache has no room
+    /// (`cache_capacity == 0`): every solve caches its partition.
+    ZeroCacheCapacity,
 }
 
 impl fmt::Display for PaError {
@@ -35,6 +38,7 @@ impl fmt::Display for PaError {
                     "part {part} not covered within {budget} block iterations"
                 )
             }
+            PaError::ZeroCacheCapacity => write!(f, "cache capacity must be >= 1"),
         }
     }
 }

@@ -19,7 +19,7 @@
 //! | Algorithm 6 (deterministic sub-part division) | [`subparts_det`] |
 //! | Algorithm 9 (leaderless PA) | [`leaderless`] |
 //! | Section 3.1 baselines | [`baseline`] |
-//! | End-to-end pipeline (Theorem 1.2) | [`pipeline`] |
+//! | Pipeline stages (Theorem 1.2) | [`pipeline`] |
 //! | Session engine (cached pipelines) | [`engine`] |
 //!
 //! # Quickstart
@@ -49,8 +49,9 @@
 //! assert_eq!(engine.stats().hits, 1);
 //! ```
 //!
-//! For one-shot solves, [`solve_pa`] still assembles and tears down the
-//! whole pipeline in a single call.
+//! [`EngineConfig`] is the one configuration type: its builder spans the
+//! whole ablation grid (variant × shortcut × division). A one-shot solve
+//! is a fresh engine used once.
 
 #![forbid(unsafe_code)]
 
@@ -76,9 +77,6 @@ pub use engine::{
     EngineCore, EngineStats, PaEngine,
 };
 pub use instance::{PaError, PaInstance};
-pub use pipeline::{
-    build_artifacts, build_pipeline, solve_pa, PaConfig, PaPipeline, PipelineArtifacts,
-    ShortcutStrategy,
-};
+pub use pipeline::{build_artifacts, PipelineArtifacts, ShortcutStrategy};
 pub use solve::{solve_on, solve_with, PaResult, PaSetup, SolveScratch, Variant, WavePlan};
 pub use subparts::SubPartDivision;

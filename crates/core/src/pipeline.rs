@@ -1,11 +1,11 @@
-//! The end-to-end PA pipeline — Theorem 1.2 as one call.
+//! The stages of the PA pipeline behind Theorem 1.2.
 //!
-//! [`solve_pa`] assembles everything the theorem needs, charging each
-//! stage its measured cost:
+//! [`crate::engine::PaEngine`] runs them and charges each stage its
+//! measured cost:
 //!
 //! 1. **Leader election + BFS tree** — flood-max election and distributed
 //!    BFS on the real CONGEST simulator (`Õ(D)` rounds, `Õ(m)` messages;
-//!    Kutten et al. in the paper).
+//!    Kutten et al. in the paper). Once per engine.
 //! 2. **Part leaders** — a convergecast + broadcast per part over BFS
 //!    trees restricted to the parts (`O(D + max |Pᵢ| diameter)` rounds,
 //!    `O(n)` messages).
@@ -16,19 +16,21 @@
 //!    the paper's doubling trick: budgets `(b, c)` double until the
 //!    construction satisfies every part, with one Algorithm 2
 //!    verification charged per construction sweep.
-//! 5. **Algorithm 1** — the PA solve proper.
+//! 5. **Algorithm 1** — the PA solve proper ([`crate::solve`]).
+//!
+//! Stages 2–4 depend only on the partition; [`build_artifacts`] builds
+//! them once per partition on the engine's tree.
 
-use rmo_congest::programs::bfs::run_bfs;
-use rmo_congest::programs::leader::run_leader_election;
-use rmo_congest::{CostReport, Network};
+use rmo_congest::CostReport;
 use rmo_graph::{NodeId, RootedTree};
 use rmo_shortcut::alg8::{construct_deterministic, DetParams};
 use rmo_shortcut::corefast::{construct_randomized, RandParams};
 use rmo_shortcut::trivial::trivial_shortcut;
 use rmo_shortcut::Shortcut;
 
-use crate::instance::{PaError, PaInstance};
-use crate::solve::{solve_on, PaResult, PaSetup, Variant, WavePlan};
+use crate::engine::{DivisionStrategy, EngineConfig};
+use crate::instance::PaInstance;
+use crate::solve::{PaSetup, WavePlan};
 use crate::subparts::SubPartDivision;
 use crate::subparts_det::deterministic_division;
 use crate::subparts_random::random_division;
@@ -45,80 +47,11 @@ pub enum ShortcutStrategy {
     Deterministic,
 }
 
-/// Full configuration of the pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct PaConfig {
-    /// Algorithm 1 variant (deterministic or randomized meta-rounds).
-    pub variant: Variant,
-    /// Shortcut construction strategy.
-    pub shortcut: ShortcutStrategy,
-    /// Use Algorithm 6 (deterministic) instead of Algorithm 3 for the
-    /// sub-part division.
-    pub deterministic_division: bool,
-    /// Master seed (network IDs, divisions, delays).
-    pub seed: u64,
-}
-
-impl Default for PaConfig {
-    /// The paper's deterministic headline: Algorithm 8 shortcuts,
-    /// Algorithm 6 divisions, deterministic Algorithm 1.
-    fn default() -> PaConfig {
-        PaConfig {
-            variant: Variant::Deterministic,
-            shortcut: ShortcutStrategy::Deterministic,
-            deterministic_division: true,
-            seed: 0,
-        }
-    }
-}
-
-impl PaConfig {
-    /// The paper's randomized headline: `Õ(bD + c)` rounds w.h.p.
-    pub fn randomized(seed: u64) -> PaConfig {
-        PaConfig {
-            variant: Variant::Randomized { seed },
-            shortcut: ShortcutStrategy::Randomized,
-            deterministic_division: false,
-            seed,
-        }
-    }
-
-    /// Trivial-shortcut configuration (the `Õ(D + √n)` worst-case bound).
-    pub fn trivial(seed: u64) -> PaConfig {
-        PaConfig {
-            variant: Variant::Deterministic,
-            shortcut: ShortcutStrategy::Trivial,
-            deterministic_division: true,
-            seed,
-        }
-    }
-}
-
-/// Everything the pipeline produced, for callers that reuse the
-/// infrastructure across PA calls (Borůvka runs PA `O(log n)` times on
-/// the same tree and division machinery).
-#[derive(Debug)]
-pub struct PaPipeline {
-    /// The BFS tree.
-    pub tree: RootedTree,
-    /// The partition-specific stages built on that tree.
-    pub artifacts: PipelineArtifacts,
-    /// Cost of setting all of the above up (election + BFS + stages 2–4).
-    pub setup_cost: CostReport,
-}
-
-impl PaPipeline {
-    /// The borrowed-view setup Algorithm 1 consumes.
-    pub fn setup(&self) -> PaSetup<'_> {
-        self.artifacts.setup(&self.tree)
-    }
-}
-
 /// The partition-dependent pipeline stages (2–4): part leaders, sub-part
 /// division, shortcut, and the derived block budget. These are what
 /// [`crate::engine::PaEngine`] memoizes per partition fingerprint — the
-/// BFS tree they were built on lives once in the engine (or in
-/// [`PaPipeline`] for one-shot callers) and is only borrowed here.
+/// BFS tree they were built on lives once in the engine and is only
+/// borrowed here.
 #[derive(Debug, Clone)]
 pub struct PipelineArtifacts {
     /// Discovered part leaders.
@@ -149,23 +82,6 @@ impl PipelineArtifacts {
     }
 }
 
-/// Builds the pipeline infrastructure for an instance (stages 1–4).
-pub fn build_pipeline(inst: &PaInstance<'_>, config: &PaConfig) -> PaPipeline {
-    // Stage 1: leader election + BFS tree, on the real simulator.
-    let g = inst.graph();
-    let net = Network::new(g, config.seed);
-    let (root, _, elect_cost) =
-        run_leader_election(g, &net).expect("election terminates on a connected graph");
-    let (tree, _, bfs_cost) = run_bfs(g, &net, root).expect("BFS terminates");
-    let artifacts = build_artifacts(inst, config, &tree);
-    let setup_cost = artifacts.setup_cost + elect_cost + bfs_cost;
-    PaPipeline {
-        tree,
-        artifacts,
-        setup_cost,
-    }
-}
-
 /// Builds stages 2–4 of the pipeline on a borrowed BFS tree.
 ///
 /// Borůvka-style applications call PA `O(log n)` times with changing
@@ -174,7 +90,7 @@ pub fn build_pipeline(inst: &PaInstance<'_>, config: &PaConfig) -> PaPipeline {
 /// exactly this with a memo keyed by partition fingerprint.
 pub fn build_artifacts(
     inst: &PaInstance<'_>,
-    config: &PaConfig,
+    config: &EngineConfig,
     tree: &RootedTree,
 ) -> PipelineArtifacts {
     let g = inst.graph();
@@ -193,7 +109,7 @@ pub fn build_artifacts(
     setup_cost += CostReport::new(2 * max_part.min(g.n()), 2 * g.n() as u64);
 
     // Stage 3: sub-part division.
-    let division = if config.deterministic_division {
+    let division = if config.division == DivisionStrategy::Deterministic {
         let res = deterministic_division(g, parts, d);
         setup_cost += res.cost;
         res.division
@@ -317,31 +233,17 @@ fn verify_scaled(cost: CostReport, iterations: usize) -> CostReport {
     )
 }
 
-/// Solves a PA instance end to end (Theorem 1.2).
-///
-/// For repeated solves on one graph, [`crate::engine::PaEngine`] runs
-/// election + BFS once and memoizes stages 2–4 per partition; this
-/// one-shot entry point rebuilds everything each call.
-///
-/// # Errors
-/// Propagates [`PaError`] from Algorithm 1 (only reachable if the
-/// doubling construction gave up, which the budget cap makes effectively
-/// impossible on valid instances).
-pub fn solve_pa(inst: &PaInstance<'_>, config: &PaConfig) -> Result<PaResult, PaError> {
-    let pipe = build_pipeline(inst, config);
-    let mut result = solve_on(inst, &pipe.setup(), config.variant)?;
-    result.cost += pipe.setup_cost;
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::Aggregate;
+    use crate::engine::PaEngine;
     use rmo_graph::{gen, Partition};
 
-    fn check(inst: &PaInstance<'_>, config: &PaConfig) {
-        let res = solve_pa(inst, config).expect("pipeline solves");
+    fn check(inst: &PaInstance<'_>, config: EngineConfig) {
+        let res = PaEngine::new(inst.graph(), config)
+            .solve_instance(inst)
+            .expect("pipeline solves");
         for p in inst.partition().part_ids() {
             assert_eq!(
                 res.aggregates[p],
@@ -357,9 +259,9 @@ mod tests {
         let parts = Partition::new(&g, gen::grid_row_partition(6, 10)).unwrap();
         let values: Vec<u64> = (0..60).map(|v| (v as u64 * 31) % 97).collect();
         let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Min).unwrap();
-        check(&inst, &PaConfig::default());
-        check(&inst, &PaConfig::randomized(3));
-        check(&inst, &PaConfig::trivial(1));
+        check(&inst, EngineConfig::new());
+        check(&inst, EngineConfig::new().randomized(3));
+        check(&inst, EngineConfig::new().trivial().seed(1));
     }
 
     #[test]
@@ -368,8 +270,8 @@ mod tests {
         let parts = gen::random_connected_partition(&g, 6, 9);
         let values: Vec<u64> = (0..70).map(|v| v as u64).collect();
         let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Sum).unwrap();
-        check(&inst, &PaConfig::default());
-        check(&inst, &PaConfig::randomized(11));
+        check(&inst, EngineConfig::new());
+        check(&inst, EngineConfig::new().randomized(11));
     }
 
     #[test]
@@ -378,7 +280,7 @@ mod tests {
         let parts = Partition::new(&g, gen::path_blocks(100, 25)).unwrap();
         let values: Vec<u64> = (0..100).map(|v| v as u64 % 7).collect();
         let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Max).unwrap();
-        check(&inst, &PaConfig::default());
+        check(&inst, EngineConfig::new());
     }
 
     #[test]
@@ -386,10 +288,12 @@ mod tests {
         let g = gen::grid(5, 5);
         let parts = Partition::new(&g, gen::grid_row_partition(5, 5)).unwrap();
         let inst = PaInstance::from_partition(&g, parts, vec![1; 25], Aggregate::Sum).unwrap();
-        let pipe = build_pipeline(&inst, &PaConfig::default());
-        assert!(pipe.setup_cost.rounds > 0);
-        assert!(pipe.setup_cost.messages > 0);
-        let res = solve_pa(&inst, &PaConfig::default()).unwrap();
-        assert!(res.cost.messages > pipe.setup_cost.messages);
+        let mut engine = PaEngine::new(&g, EngineConfig::new());
+        let stages = build_artifacts(&inst, &EngineConfig::new(), engine.tree()).setup_cost;
+        assert!(stages.rounds > 0);
+        assert!(stages.messages > 0);
+        let setup = stages + engine.stats().base_cost;
+        let res = engine.solve_instance(&inst).unwrap();
+        assert!(res.cost.messages > setup.messages);
     }
 }

@@ -1,7 +1,7 @@
 //! Ablations of the design choices DESIGN.md calls out: shortcut
 //! strategy, division algorithm, and Algorithm 1 variant.
 
-use rmo_core::{solve_pa, Aggregate, PaConfig, PaInstance, ShortcutStrategy, Variant};
+use rmo_core::{Aggregate, DivisionStrategy, EngineConfig, PaEngine, PaInstance, ShortcutStrategy};
 use rmo_graph::{gen, Partition};
 
 use crate::util::print_table;
@@ -13,40 +13,33 @@ pub fn run(quick: bool) {
     let values: Vec<u64> = (0..g.n() as u64).collect();
     let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Min).unwrap();
 
-    let configs: Vec<(&str, PaConfig)> = vec![
-        (
-            "trivial shortcut / det",
-            PaConfig {
-                variant: Variant::Deterministic,
-                shortcut: ShortcutStrategy::Trivial,
-                deterministic_division: true,
-                seed: 0,
-            },
-        ),
-        ("alg8 shortcut / det (default)", PaConfig::default()),
+    let configs = [
+        ("trivial shortcut / det", EngineConfig::new().trivial()),
+        ("alg8 shortcut / det (default)", EngineConfig::new()),
         (
             "alg4 shortcut / det wave",
-            PaConfig {
-                variant: Variant::Deterministic,
-                shortcut: ShortcutStrategy::Randomized,
-                deterministic_division: false,
-                seed: 2,
-            },
+            EngineConfig::new()
+                .shortcut(ShortcutStrategy::Randomized)
+                .division(DivisionStrategy::Randomized)
+                .seed(2),
         ),
-        ("alg4 shortcut / rand wave", PaConfig::randomized(3)),
+        (
+            "alg4 shortcut / rand wave",
+            EngineConfig::new().randomized(3),
+        ),
         (
             "alg8 shortcut / rand wave",
-            PaConfig {
-                variant: Variant::Randomized { seed: 4 },
-                shortcut: ShortcutStrategy::Deterministic,
-                deterministic_division: true,
-                seed: 4,
-            },
+            EngineConfig::new()
+                .randomized(4)
+                .shortcut(ShortcutStrategy::Deterministic)
+                .division(DivisionStrategy::Deterministic),
         ),
     ];
     let mut rows = Vec::new();
     for (name, cfg) in configs {
-        let res = solve_pa(&inst, &cfg).expect("PA solves");
+        let res = PaEngine::new(&g, cfg)
+            .solve_instance(&inst)
+            .expect("PA solves");
         for p in inst.partition().part_ids() {
             assert_eq!(res.aggregates[p], inst.reference_aggregate(p), "{name}");
         }

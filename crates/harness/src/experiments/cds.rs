@@ -1,13 +1,12 @@
 //! Corollary A.2 — approximate minimum-weight connected dominating sets.
 
 use rmo_apps::cds::{approx_mwcds, is_connected_dominating_set};
-use rmo_core::PaConfig;
+use rmo_core::{EngineConfig, PaEngine};
 use rmo_graph::gen;
 
 use crate::util::print_table;
 
 pub fn run() {
-    let cfg = PaConfig::default();
     let mut rows = Vec::new();
     let cases: Vec<(&str, rmo_graph::Graph)> = vec![
         ("star", gen::star(30)),
@@ -18,7 +17,8 @@ pub fn run() {
     ];
     for (family, g) in &cases {
         let weights: Vec<u64> = (0..g.n() as u64).map(|v| 1 + (v * 13) % 7).collect();
-        let res = approx_mwcds(g, &weights, &cfg).expect("CDS solves");
+        let res =
+            approx_mwcds(&mut PaEngine::new(g, EngineConfig::new()), &weights).expect("CDS solves");
         assert!(
             is_connected_dominating_set(g, &res.set),
             "{family}: must be a CDS"

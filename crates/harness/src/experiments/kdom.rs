@@ -1,6 +1,7 @@
 //! Corollary A.3 — k-dominating sets: size vs `6n/k`, distance vs `k`.
 
 use rmo_apps::kdom::k_dominating_set;
+use rmo_core::{EngineConfig, PaEngine};
 use rmo_graph::gen;
 
 use crate::util::print_table;
@@ -14,7 +15,7 @@ pub fn run() {
     ];
     for (family, g) in &cases {
         for k in [6usize, 12, 24, 48] {
-            let res = k_dominating_set(g, k);
+            let res = k_dominating_set(&mut PaEngine::new(g, EngineConfig::new()), k);
             assert!(res.max_distance <= k, "distance guarantee");
             rows.push(vec![
                 family.to_string(),

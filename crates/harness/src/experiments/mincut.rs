@@ -2,6 +2,7 @@
 //! Stoer–Wagner reference.
 
 use rmo_apps::mincut::{approx_min_cut, MinCutConfig};
+use rmo_core::{EngineConfig, PaEngine};
 use rmo_graph::{gen, reference};
 
 use crate::util::{print_table, ratio};
@@ -23,7 +24,8 @@ pub fn run(quick: bool) {
             trials,
             ..MinCutConfig::default()
         };
-        let approx = approx_min_cut(&g, &cfg).expect("min cut solves");
+        let approx = approx_min_cut(&mut PaEngine::new(&g, EngineConfig::new()), &cfg)
+            .expect("min cut solves");
         rows.push(vec![
             family.to_string(),
             g.n().to_string(),

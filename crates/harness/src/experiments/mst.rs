@@ -1,8 +1,8 @@
 //! Corollary 1.3 — MST: PA-based Borůvka vs the prior-work baseline vs
 //! the Kruskal reference, across families and sizes.
 
-use rmo_apps::mst::{naive_mst, pa_mst, MstConfig};
-use rmo_core::PaConfig;
+use rmo_apps::mst::{naive_mst, pa_mst};
+use rmo_core::{EngineConfig, PaEngine};
 use rmo_graph::{gen, num::isqrt, reference, two_sweep_diameter_lower_bound};
 
 use crate::util::{print_table, ratio};
@@ -26,8 +26,8 @@ pub fn run(quick: bool) {
         ];
         for (family, g) in cases {
             let d = two_sweep_diameter_lower_bound(&g, 0).max(1);
-            let smart = pa_mst(&g, &MstConfig::default()).expect("MST solves");
-            let naive = naive_mst(&g, &MstConfig::default()).expect("naive MST solves");
+            let smart = pa_mst(&mut PaEngine::new(&g, EngineConfig::new())).expect("MST solves");
+            let naive = naive_mst(&g, &EngineConfig::new()).expect("naive MST solves");
             let kref = reference::kruskal(&g);
             assert_eq!(
                 smart.total_weight, kref.total_weight,
@@ -65,11 +65,9 @@ pub fn run(quick: bool) {
         ],
         &rows,
     );
-    let cfg = MstConfig {
-        pa: PaConfig::randomized(7),
-    };
     let g = gen::random_connected_weighted(100, 300, 9);
-    let r = pa_mst(&g, &cfg).expect("randomized MST solves");
+    let r = pa_mst(&mut PaEngine::new(&g, EngineConfig::new().randomized(7)))
+        .expect("randomized MST solves");
     println!(
         "\nRandomized pipeline spot check: n=100 m=300 -> weight {} (= Kruskal {}), {} rounds",
         r.total_weight,

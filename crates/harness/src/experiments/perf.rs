@@ -36,7 +36,7 @@ use rmo_congest::programs::leader::run_leader_election;
 use rmo_congest::programs::pipeline::run_pipeline_broadcast;
 use rmo_congest::{CostReport, DowncastJob, Network, TreeRouter, UpcastJob};
 use rmo_core::subparts_det::deterministic_division;
-use rmo_core::{solve_pa, Aggregate, EngineConfig, PaConfig, PaEngine, PaInstance};
+use rmo_core::{Aggregate, EngineConfig, PaEngine, PaInstance};
 use rmo_graph::gen;
 use rmo_graph::NodeId;
 use rmo_shortcut::alg8::{construct_deterministic, DetParams};
@@ -200,7 +200,8 @@ fn run_suite(quick: bool) -> Vec<Entry> {
         out.push(entry(
             name,
             || {
-                solve_pa(&inst, &PaConfig::default())
+                PaEngine::new(&w.graph, EngineConfig::new())
+                    .solve_instance(&inst)
                     .expect("PA solves")
                     .cost
             },

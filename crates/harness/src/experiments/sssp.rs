@@ -2,6 +2,7 @@
 //! the β tradeoff between cluster count and quality.
 
 use rmo_apps::sssp::{approx_sssp, SsspConfig};
+use rmo_core::{EngineConfig, PaEngine};
 use rmo_graph::{gen, reference};
 
 use crate::util::print_table;
@@ -37,7 +38,8 @@ pub fn run(quick: bool) {
                 beta,
                 ..SsspConfig::default()
             };
-            let res = approx_sssp(g, 0, &cfg).expect("SSSP solves");
+            let res = approx_sssp(&mut PaEngine::new(g, EngineConfig::new()), 0, &cfg)
+                .expect("SSSP solves");
             // Guarantee: estimates are upper bounds.
             for (est, lower) in res.estimates.iter().zip(&truth) {
                 assert!(est >= lower, "estimates must be real paths");

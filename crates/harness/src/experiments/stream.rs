@@ -54,7 +54,10 @@ fn cluster_for(scale: usize, shards: usize) -> PaCluster {
 /// is the one field allowed to differ between *threaded* runs —
 /// stealing moves wall-clock work, never results.
 fn assert_deterministic_eq(a: &StreamReport, b: &StreamReport, label: &str, what: &str) {
-    assert_eq!(a.outcomes, b.outcomes, "{label}: outcomes diverged ({what})");
+    assert_eq!(
+        a.outcomes, b.outcomes,
+        "{label}: outcomes diverged ({what})"
+    );
     assert_eq!(a.stats, b.stats, "{label}: stats diverged ({what})");
     assert_eq!(
         a.log.batches.len(),
@@ -63,8 +66,22 @@ fn assert_deterministic_eq(a: &StreamReport, b: &StreamReport, label: &str, what
     );
     for (x, y) in a.log.batches.iter().zip(&b.log.batches) {
         assert_eq!(
-            (x.open_tick, x.close_tick, x.closed_by, x.start_tick, x.done_tick, &x.queries),
-            (y.open_tick, y.close_tick, y.closed_by, y.start_tick, y.done_tick, &y.queries),
+            (
+                x.open_tick,
+                x.close_tick,
+                x.closed_by,
+                x.start_tick,
+                x.done_tick,
+                &x.queries
+            ),
+            (
+                y.open_tick,
+                y.close_tick,
+                y.closed_by,
+                y.start_tick,
+                y.done_tick,
+                &y.queries
+            ),
             "{label}: batch frame diverged ({what})"
         );
     }
@@ -86,8 +103,7 @@ fn run_checked(
     let report = gateway.run(trace);
     let rerun = StreamGateway::new(cluster_for(scale, shards), config).run(trace);
     assert_deterministic_eq(&report, &rerun, label, "threaded rerun");
-    let sequential =
-        StreamGateway::new(cluster_for(scale, shards), config).run_sequential(trace);
+    let sequential = StreamGateway::new(cluster_for(scale, shards), config).run_sequential(trace);
     assert_deterministic_eq(&report, &sequential, label, "sequential run");
     let replayed = StreamGateway::new(cluster_for(scale, shards), config)
         .replay(trace, &report.log)

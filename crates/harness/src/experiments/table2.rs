@@ -1,7 +1,7 @@
 //! Table 2 — measured PA round complexity per family, deterministic and
 //! randomized, against `Õ(D + √n)` / `Õ(D·param)` scaling.
 
-use rmo_core::{solve_pa, Aggregate, PaConfig, PaInstance};
+use rmo_core::{Aggregate, EngineConfig, PaEngine, PaInstance};
 use rmo_graph::two_sweep_diameter_lower_bound;
 
 use super::families;
@@ -22,8 +22,12 @@ pub fn run(quick: bool) {
             let inst =
                 PaInstance::from_partition(&w.graph, w.partition.clone(), values, Aggregate::Min)
                     .expect("valid instance");
-            let det = solve_pa(&inst, &PaConfig::default()).expect("det PA solves");
-            let rand = solve_pa(&inst, &PaConfig::randomized(5)).expect("rand PA solves");
+            let det = PaEngine::new(&w.graph, EngineConfig::new())
+                .solve_instance(&inst)
+                .expect("det PA solves");
+            let rand = PaEngine::new(&w.graph, EngineConfig::new().randomized(5))
+                .solve_instance(&inst)
+                .expect("rand PA solves");
             let budget = (d as f64) + (n as f64).sqrt();
             rows.push(vec![
                 w.family.to_string(),

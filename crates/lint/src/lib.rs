@@ -66,8 +66,8 @@ pub fn classify(path: &str) -> FileClass {
     let cost_accounting = path == "crates/congest/src/metrics.rs"
         || path == "crates/core/src/batch.rs"
         || path == "crates/core/src/pipeline.rs";
-    let lock_discipline = library
-        && (path.ends_with("/service.rs") || path == "crates/apps/src/stream.rs");
+    let lock_discipline =
+        library && (path.ends_with("/service.rs") || path == "crates/apps/src/stream.rs");
     FileClass {
         is_test,
         deterministic,

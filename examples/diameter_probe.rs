@@ -13,6 +13,7 @@
 //! small against the diameter.
 
 use rmo::apps::eccentricity::approx_eccentricities;
+use rmo::core::{EngineConfig, PaEngine};
 use rmo::graph::{diameter_exact, gen};
 
 fn main() {
@@ -20,7 +21,8 @@ fn main() {
     println!("topology: n = {}, m = {}", g.n(), g.m());
 
     for k in [4usize, 8, 16] {
-        let res = approx_eccentricities(&g, k);
+        // A fresh engine per k, so every row pays its own division.
+        let res = approx_eccentricities(&mut PaEngine::new(&g, EngineConfig::new()), k);
         println!(
             "\nk = {k}: |S| = {} dominators, {} rounds, {} messages",
             res.dominating_set.len(),

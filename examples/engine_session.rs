@@ -11,8 +11,8 @@
 //! Leader election and the BFS tree run exactly once, on the first call;
 //! everything after that is charged incrementally.
 
-use rmo::apps::mst::pa_mst_with_engine;
-use rmo::apps::verify::verify_mst_with_engine;
+use rmo::apps::mst::pa_mst;
+use rmo::apps::verify::verify_mst;
 use rmo::core::{Aggregate, EngineConfig, PaEngine};
 use rmo::graph::{gen, Partition};
 
@@ -26,7 +26,7 @@ fn main() {
     );
 
     // Job 1: MST via Borůvka over PA — O(log n) phases on the shared tree.
-    let mst = pa_mst_with_engine(&mut engine).expect("MST solves");
+    let mst = pa_mst(&mut engine).expect("MST solves");
     println!(
         "MST:          {} edges, total weight {}, {} Boruvka phases, {}",
         mst.edges.len(),
@@ -36,7 +36,7 @@ fn main() {
     );
 
     // Job 2: verify the tree we just built, on the same session.
-    let verdict = verify_mst_with_engine(&mut engine, &mst.edges).expect("verification runs");
+    let verdict = verify_mst(&mut engine, &mst.edges).expect("verification runs");
     assert!(verdict.holds, "our own MST must verify");
     println!("verify(MST):  holds = {}, {}", verdict.holds, verdict.cost);
 

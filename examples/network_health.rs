@@ -10,7 +10,7 @@
 use rmo::apps::mincut::{approx_min_cut, MinCutConfig};
 use rmo::apps::sssp::{approx_sssp, SsspConfig};
 use rmo::apps::verify::verify_spanning_tree;
-use rmo::core::PaConfig;
+use rmo::core::{EngineConfig, PaEngine};
 use rmo::graph::{gen, reference};
 
 fn main() {
@@ -23,7 +23,12 @@ fn main() {
     );
 
     // 1. Fragility: approximate min cut vs the exact oracle.
-    let cut = approx_min_cut(&g, &MinCutConfig::default()).expect("min cut solves");
+    // Each check runs on its own fresh engine.
+    let cut = approx_min_cut(
+        &mut PaEngine::new(&g, EngineConfig::new()),
+        &MinCutConfig::default(),
+    )
+    .expect("min cut solves");
     let exact = reference::stoer_wagner(&g);
     println!(
         "\nmin cut: approx {} (exact {}) in {} rounds / {} messages",
@@ -32,7 +37,12 @@ fn main() {
     assert!(cut.weight >= exact.weight);
 
     // 2. Reach: approximate distances from the control node (node 0).
-    let sssp = approx_sssp(&g, 0, &SsspConfig::default()).expect("SSSP solves");
+    let sssp = approx_sssp(
+        &mut PaEngine::new(&g, EngineConfig::new()),
+        0,
+        &SsspConfig::default(),
+    )
+    .expect("SSSP solves");
     let truth = reference::dijkstra(&g, 0);
     let max_stretch = (0..g.n())
         .filter(|&v| truth[v] > 0)
@@ -45,7 +55,8 @@ fn main() {
 
     // 3. Overlay audit: is the configured control overlay a spanning tree?
     let overlay = reference::kruskal(&g).edges;
-    let verdict = verify_spanning_tree(&g, &overlay, &PaConfig::default()).expect("verifies");
+    let verdict = verify_spanning_tree(&mut PaEngine::new(&g, EngineConfig::new()), &overlay)
+        .expect("verifies");
     println!(
         "overlay audit: spanning tree = {} ({} rounds / {} messages)",
         verdict.holds, verdict.cost.rounds, verdict.cost.messages

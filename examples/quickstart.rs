@@ -10,7 +10,7 @@
 //! the deterministic and the randomized variant, printing the measured
 //! round/message costs.
 
-use rmo::core::{solve_pa, Aggregate, PaConfig, PaInstance};
+use rmo::core::{Aggregate, EngineConfig, PaEngine, PaInstance};
 use rmo::graph::gen;
 
 fn main() {
@@ -26,18 +26,22 @@ fn main() {
     for (name, config) in [
         (
             "deterministic (Algorithm 8 + Algorithm 6 + det Algorithm 1)",
-            PaConfig::default(),
+            EngineConfig::new(),
         ),
         (
             "randomized   (Algorithm 4 + Algorithm 3 + rand Algorithm 1)",
-            PaConfig::randomized(42),
+            EngineConfig::new().randomized(42),
         ),
         (
             "trivial      (b = 1, c = sqrt(n) fallback)",
-            PaConfig::trivial(7),
+            EngineConfig::new().trivial().seed(7),
         ),
     ] {
-        let result = solve_pa(&inst, &config).expect("PA solves");
+        // A fresh engine per configuration: its first solve pays the
+        // whole pipeline.
+        let result = PaEngine::new(&g, config)
+            .solve_instance(&inst)
+            .expect("PA solves");
         // Every node knows its part's aggregate — check against the fold.
         for v in 0..g.n() {
             assert_eq!(result.value_at(v), inst.reference_aggregate_of(v));

@@ -12,7 +12,8 @@
 //! knows its incident links (KT0) and the network must both converge fast
 //! (rounds) and not melt the control plane (messages).
 
-use rmo::apps::mst::{naive_mst, pa_mst, MstConfig};
+use rmo::apps::mst::{naive_mst, pa_mst};
+use rmo::core::{EngineConfig, PaEngine};
 use rmo::graph::{gen, reference};
 
 fn main() {
@@ -20,8 +21,8 @@ fn main() {
     let g = gen::grid_weighted(12, 12, 2024);
     println!("mesh: n = {}, m = {}", g.n(), g.m());
 
-    let smart = pa_mst(&g, &MstConfig::default()).expect("PA MST solves");
-    let naive = naive_mst(&g, &MstConfig::default()).expect("naive MST solves");
+    let smart = pa_mst(&mut PaEngine::new(&g, EngineConfig::new())).expect("PA MST solves");
+    let naive = naive_mst(&g, &EngineConfig::new()).expect("naive MST solves");
     let oracle = reference::kruskal(&g);
 
     assert_eq!(smart.total_weight, oracle.total_weight);

@@ -47,8 +47,9 @@
 //! assert!(again.cost.rounds < result.cost.rounds);
 //! ```
 //!
-//! `rmo::core::solve_pa` remains as the one-shot entry point that
-//! assembles and tears down the pipeline in a single call.
+//! The engine is the only way to run PA or an application: a one-shot
+//! call is a fresh engine used once, and [`core::EngineConfig`] is the
+//! one configuration type.
 
 #![forbid(unsafe_code)]
 

@@ -1,57 +1,35 @@
 //! End-to-end Part-Wise Aggregation across crates: every pipeline
 //! configuration, on every graph family, against the centralized fold.
 
-use rmo::core::{solve_pa, Aggregate, PaConfig, PaInstance, ShortcutStrategy, Variant};
-use rmo::graph::{gen, Partition};
+mod common;
 
-fn all_configs() -> Vec<(&'static str, PaConfig)> {
-    vec![
-        ("default-det", PaConfig::default()),
-        ("randomized", PaConfig::randomized(17)),
-        ("trivial", PaConfig::trivial(3)),
-        (
-            "det-wave-rand-shortcut",
-            PaConfig {
-                variant: Variant::Deterministic,
-                shortcut: ShortcutStrategy::Randomized,
-                deterministic_division: false,
-                seed: 9,
-            },
-        ),
-        (
-            "rand-wave-det-shortcut",
-            PaConfig {
-                variant: Variant::Randomized { seed: 4 },
-                shortcut: ShortcutStrategy::Deterministic,
-                deterministic_division: true,
-                seed: 4,
-            },
-        ),
-    ]
-}
+use rmo::core::{Aggregate, PaEngine, PaInstance};
+use rmo::graph::{gen, Partition};
 
 fn check_all_configs(g: &rmo::graph::Graph, parts: Partition, f: Aggregate) {
     let values: Vec<u64> = (0..g.n() as u64)
         .map(|v| v.wrapping_mul(0x9e3779b9) % 10_000)
         .collect();
     let inst = PaInstance::from_partition(g, parts, values, f).expect("valid instance");
-    for (name, cfg) in all_configs() {
-        let res = solve_pa(&inst, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+    for cfg in common::config_grid() {
+        let res = PaEngine::new(g, cfg)
+            .solve_instance(&inst)
+            .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
         for p in inst.partition().part_ids() {
             assert_eq!(
                 res.aggregates[p],
                 inst.reference_aggregate(p),
-                "{name}, part {p}, f = {f:?}"
+                "{cfg:?}, part {p}, f = {f:?}"
             );
         }
         for v in 0..g.n() {
             assert_eq!(
                 res.value_at(v),
                 inst.reference_aggregate_of(v),
-                "{name}, node {v}"
+                "{cfg:?}, node {v}"
             );
         }
-        assert!(res.cost.rounds > 0, "{name}: nonzero work");
+        assert!(res.cost.rounds > 0, "{cfg:?}: nonzero work");
     }
 }
 

@@ -1,13 +1,18 @@
 //! `PaEngine` session semantics, cross-crate: engine results must
-//! bit-match the legacy one-shot `solve_pa` pipeline, repeated calls must
-//! be served from the artifact cache, and consecutive *application* calls
-//! on one graph must reuse the session's BFS tree (the second call's
-//! setup is strictly cheaper than the first's).
+//! bit-match a from-scratch run of the public pipeline stages, repeated
+//! calls must be served from the artifact cache, and consecutive
+//! *application* calls on one graph must reuse the session's BFS tree
+//! (the second call's setup is strictly cheaper than the first's).
 
-use rmo::apps::components::component_labels_with_engine;
-use rmo::apps::mst::{pa_mst, pa_mst_with_engine};
-use rmo::apps::verify::{verify_mst_with_engine, verify_spanning_tree_with_engine};
-use rmo::core::{solve_pa, Aggregate, EngineConfig, PaEngine};
+use rmo::apps::components::component_labels;
+use rmo::apps::mst::pa_mst;
+use rmo::apps::verify::{verify_mst, verify_spanning_tree};
+use rmo::congest::programs::bfs::run_bfs;
+use rmo::congest::programs::leader::run_leader_election;
+use rmo::congest::Network;
+use rmo::core::{
+    build_artifacts, solve_on, Aggregate, EngineConfig, PaEngine, PaInstance, PaResult,
+};
 use rmo::graph::{gen, Graph, Partition};
 
 /// Every existing end-to-end test topology, as (name, graph, partition).
@@ -28,8 +33,22 @@ fn topologies() -> Vec<(&'static str, Graph, Partition)> {
     out
 }
 
+/// The from-scratch reference: election, BFS, stages 2–4 and the free
+/// `solve_on` (a fresh `WavePlan` and `SolveScratch`), all rebuilt for
+/// this one call — no cache, no recycled arena, no incremental charging.
+fn from_scratch(inst: &PaInstance<'_>, config: &EngineConfig) -> PaResult {
+    let g = inst.graph();
+    let net = Network::new(g, config.seed);
+    let (root, _, elect_cost) = run_leader_election(g, &net).unwrap();
+    let (tree, _, bfs_cost) = run_bfs(g, &net, root).unwrap();
+    let artifacts = build_artifacts(inst, config, &tree);
+    let mut result = solve_on(inst, &artifacts.setup(&tree), config.variant).unwrap();
+    result.cost += artifacts.setup_cost + elect_cost + bfs_cost;
+    result
+}
+
 #[test]
-fn engine_bit_matches_legacy_solve_pa_everywhere() {
+fn engine_bit_matches_from_scratch_stages_everywhere() {
     for (name, g, parts) in topologies() {
         let values: Vec<u64> = (0..g.n() as u64).map(|v| (v * 31) % 97).collect();
         for config in [
@@ -39,19 +58,15 @@ fn engine_bit_matches_legacy_solve_pa_everywhere() {
         ] {
             let mut engine = PaEngine::new(&g, config);
             let ours = engine.solve(&parts, &values, Aggregate::Min).unwrap();
-            let inst = rmo::core::PaInstance::from_partition(
-                &g,
-                parts.clone(),
-                values.clone(),
-                Aggregate::Min,
-            )
-            .unwrap();
-            let legacy = solve_pa(&inst, &config.pa()).unwrap();
-            assert_eq!(ours.aggregates, legacy.aggregates, "{name} {config:?}");
-            assert_eq!(ours.node_values, legacy.node_values, "{name} {config:?}");
-            assert_eq!(ours.cost, legacy.cost, "{name} {config:?}");
+            let inst =
+                PaInstance::from_partition(&g, parts.clone(), values.clone(), Aggregate::Min)
+                    .unwrap();
+            let reference = from_scratch(&inst, &config);
+            assert_eq!(ours.aggregates, reference.aggregates, "{name} {config:?}");
+            assert_eq!(ours.node_values, reference.node_values, "{name} {config:?}");
+            assert_eq!(ours.cost, reference.cost, "{name} {config:?}");
             assert_eq!(
-                ours.iterations_per_part, legacy.iterations_per_part,
+                ours.iterations_per_part, reference.iterations_per_part,
                 "{name} {config:?}"
             );
         }
@@ -116,17 +131,17 @@ fn consecutive_app_calls_reuse_the_session_tree() {
     let g = gen::grid_weighted(6, 9, 4);
     let mut engine = PaEngine::new(&g, EngineConfig::new());
     // First app call: MST — pays election + BFS (the engine's base cost).
-    let mst = pa_mst_with_engine(&mut engine).unwrap();
+    let mst = pa_mst(&mut engine).unwrap();
     let base = engine.stats().base_cost;
     assert!(base.rounds > 0 && base.messages > 0);
     // Second app call on the same session: verification. Its total cost
     // must come in strictly below the first call's setup-inclusive cost
     // baseline for the same work run cold.
-    let verdict = verify_mst_with_engine(&mut engine, &mst.edges).unwrap();
+    let verdict = verify_mst(&mut engine, &mst.edges).unwrap();
     assert!(verdict.holds);
     let cold = {
         let mut fresh = PaEngine::new(&g, EngineConfig::new());
-        verify_mst_with_engine(&mut fresh, &mst.edges).unwrap()
+        verify_mst(&mut fresh, &mst.edges).unwrap()
     };
     assert_eq!(verdict.holds, cold.holds);
     assert!(
@@ -139,11 +154,6 @@ fn consecutive_app_calls_reuse_the_session_tree() {
         verdict.cost.messages < cold.cost.messages,
         "warm verification must not re-pay election + BFS messages"
     );
-    // And the engine agrees with the one-shot entry point on the answer.
-    let one_shot = pa_mst(&g, &Default::default()).unwrap();
-    assert_eq!(mst.edges, one_shot.edges);
-    assert_eq!(mst.total_weight, one_shot.total_weight);
-    assert_eq!(mst.cost, one_shot.cost, "cold engine == legacy accounting");
 }
 
 #[test]
@@ -156,15 +166,15 @@ fn verification_suite_shares_component_labelings() {
         })
         .collect();
     let mut engine = PaEngine::new(&g, EngineConfig::new());
-    let first = component_labels_with_engine(&mut engine, &h).unwrap();
-    let second = component_labels_with_engine(&mut engine, &h).unwrap();
+    let first = component_labels(&mut engine, &h).unwrap();
+    let second = component_labels(&mut engine, &h).unwrap();
     assert_eq!(first.labels, second.labels);
     assert!(
         second.cost.rounds < first.cost.rounds,
         "second labeling of the same H must hit the cache"
     );
     // A verifier on the same session keeps hitting the same artifacts.
-    let verdict = verify_spanning_tree_with_engine(&mut engine, &h).unwrap();
+    let verdict = verify_spanning_tree(&mut engine, &h).unwrap();
     assert!(!verdict.holds, "row edges are not spanning");
     assert!(engine.stats().hits >= 2);
 }

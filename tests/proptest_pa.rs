@@ -2,9 +2,11 @@
 //! partitions, values and aggregates, the distributed result equals the
 //! centralized fold and the cost accounting stays sane.
 
+mod common;
+
 use proptest::prelude::*;
 
-use rmo::core::{solve_pa, Aggregate, PaConfig, PaInstance};
+use rmo::core::{Aggregate, EngineConfig, PaEngine, PaInstance};
 use rmo::graph::gen;
 
 /// Strategy: a connected graph described by (n, extra edges, seed).
@@ -30,7 +32,6 @@ proptest! {
         (n, extra, seed) in graph_params(),
         parts_target in 1usize..10,
         f in aggregate(),
-        det in any::<bool>(),
         values_seed in 0u64..1000,
     ) {
         let m = (n - 1 + extra).min(n * (n - 1) / 2);
@@ -40,19 +41,20 @@ proptest! {
             .map(|v| v.wrapping_mul(values_seed.wrapping_mul(2654435761) | 1) % 100_000)
             .collect();
         let inst = PaInstance::from_partition(&g, parts, values, f).unwrap();
-        let cfg = if det { PaConfig::default() } else { PaConfig::randomized(seed) };
-        let res = solve_pa(&inst, &cfg).unwrap();
-        for p in inst.partition().part_ids() {
-            prop_assert_eq!(res.aggregates[p], inst.reference_aggregate(p));
+        for cfg in common::config_grid() {
+            let res = PaEngine::new(&g, cfg.seed(seed)).solve_instance(&inst).unwrap();
+            for p in inst.partition().part_ids() {
+                prop_assert_eq!(res.aggregates[p], inst.reference_aggregate(p));
+            }
+            for v in 0..n {
+                prop_assert_eq!(res.value_at(v), inst.reference_aggregate_of(v));
+            }
+            // Cost sanity: the pipeline did some work but not absurd amounts.
+            prop_assert!(res.cost.rounds >= 1);
+            prop_assert!(res.cost.messages >= 1);
+            let generous = (g.m() as u64 + n as u64) * 64 * 64;
+            prop_assert!(res.cost.messages <= generous, "messages {} blow up", res.cost.messages);
         }
-        for v in 0..n {
-            prop_assert_eq!(res.value_at(v), inst.reference_aggregate_of(v));
-        }
-        // Cost sanity: the pipeline did some work but not absurd amounts.
-        prop_assert!(res.cost.rounds >= 1);
-        prop_assert!(res.cost.messages >= 1);
-        let generous = (g.m() as u64 + n as u64) * 64 * 64;
-        prop_assert!(res.cost.messages <= generous, "messages {} blow up", res.cost.messages);
     }
 
     #[test]
@@ -65,8 +67,8 @@ proptest! {
         let parts = gen::random_connected_partition(&g, parts_target, seed);
         let values: Vec<u64> = (0..n as u64).collect();
         let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Sum).unwrap();
-        let a = solve_pa(&inst, &PaConfig::default()).unwrap();
-        let b = solve_pa(&inst, &PaConfig::default()).unwrap();
+        let a = PaEngine::new(&g, EngineConfig::new()).solve_instance(&inst).unwrap();
+        let b = PaEngine::new(&g, EngineConfig::new()).solve_instance(&inst).unwrap();
         prop_assert_eq!(a.cost, b.cost);
         prop_assert_eq!(a.aggregates, b.aggregates);
     }

@@ -152,7 +152,10 @@ fn high_water_mark_pins_the_exact_rejection_set() {
         vec![(3, expected), (4, expected), (5, expected)],
         "exactly the burst's tail is shed, each seeing depth 3"
     );
-    assert!(report.outcomes[6].result.is_ok(), "admission reopens after drain");
+    assert!(
+        report.outcomes[6].result.is_ok(),
+        "admission reopens after drain"
+    );
     assert_eq!(report.stats.admitted, 4);
     assert_eq!(report.stats.rejected, 3);
     assert_eq!(report.stats.size_closes, 1);
@@ -195,10 +198,18 @@ fn backpressure_is_per_shard_not_global() {
     ];
     let report = gateway.run(&trace);
     let rejected: Vec<usize> = report.rejections().iter().map(|&(seq, _)| seq).collect();
-    assert_eq!(rejected, vec![2, 5], "each shard sheds only its own overflow");
+    assert_eq!(
+        rejected,
+        vec![2, 5],
+        "each shard sheds only its own overflow"
+    );
     assert!(matches!(
         report.outcomes[2].result,
-        Err(RejectReason::ShardSaturated { depth: 2, high_water: 2, .. })
+        Err(RejectReason::ShardSaturated {
+            depth: 2,
+            high_water: 2,
+            ..
+        })
     ));
 }
 
@@ -229,11 +240,18 @@ fn channel_mode_matches_slice_mode_and_streams_responses() {
         .iter()
         .filter(|e| matches!(e, StreamEvent::Response { .. }))
         .count() as u64;
-    assert_eq!(responses, live.stats.admitted, "every response streamed out");
+    assert_eq!(
+        responses, live.stats.admitted,
+        "every response streamed out"
+    );
     assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, StreamEvent::BatchClosed { closed_by: BatchClose::Size, .. })),
+        events.iter().any(|e| matches!(
+            e,
+            StreamEvent::BatchClosed {
+                closed_by: BatchClose::Size,
+                ..
+            }
+        )),
         "batch boundaries are visible live"
     );
     let slice = StreamGateway::new(small_fleet(2), config).run(&trace);

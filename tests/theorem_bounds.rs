@@ -2,8 +2,15 @@
 //! Section 1.3): measured rounds and messages stay within generous
 //! polylog envelopes of the stated bounds.
 
-use rmo::core::{solve_pa, Aggregate, PaConfig, PaInstance};
+use rmo::core::{Aggregate, EngineConfig, PaEngine, PaInstance, PaResult};
 use rmo::graph::{gen, two_sweep_diameter_lower_bound, Partition};
+
+/// One PA solve on a fresh engine: the full pipeline, setup included.
+fn solve(inst: &PaInstance<'_>, config: EngineConfig) -> PaResult {
+    PaEngine::new(inst.graph(), config)
+        .solve_instance(inst)
+        .expect("PA solves")
+}
 
 /// A generous polylog allowance: `C · log²(n)` with C = 4. The point is
 /// the *growth rate*, not the constant; these tests fail if an
@@ -20,8 +27,8 @@ fn check_theorem_1_2(g: &rmo::graph::Graph, parts: Partition) {
     let values: Vec<u64> = (0..n as u64).collect();
     let inst = PaInstance::from_partition(g, parts, values, Aggregate::Min).unwrap();
 
-    let det = solve_pa(&inst, &PaConfig::default()).expect("det solves");
-    let rand = solve_pa(&inst, &PaConfig::randomized(1)).expect("rand solves");
+    let det = solve(&inst, EngineConfig::new());
+    let rand = solve(&inst, EngineConfig::new().randomized(1));
     let budget_rounds = (d + (n as f64).sqrt()) * polylog(n);
     let budget_msgs = m * polylog(n);
     for (name, cost) in [("det", det.cost), ("rand", rand.cost)] {
@@ -85,7 +92,7 @@ fn planar_rounds_track_diameter() {
         let parts = Partition::new(&g, gen::grid_row_partition(side, side)).unwrap();
         let values: Vec<u64> = (0..g.n() as u64).collect();
         let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Min).unwrap();
-        let res = solve_pa(&inst, &PaConfig::default()).unwrap();
+        let res = solve(&inst, EngineConfig::new());
         if prev_rounds > 0 {
             // Doubling the side at most ~quadruples rounds (log factors on
             // top of linear growth); it must not grow with area (x4 side
@@ -109,7 +116,7 @@ fn apex_grid_messages_stay_near_linear() {
     let parts = Partition::new(&g, gen::grid_row_partition_with_apex(16, 64)).unwrap();
     let values: Vec<u64> = (0..g.n() as u64).collect();
     let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Min).unwrap();
-    let res = solve_pa(&inst, &PaConfig::default()).unwrap();
+    let res = solve(&inst, EngineConfig::new());
     let bound = g.m() as f64 * polylog(g.n());
     assert!(
         (res.cost.messages as f64) <= bound,
