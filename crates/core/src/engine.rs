@@ -92,7 +92,8 @@ pub struct EngineConfig {
     pub division: DivisionStrategy,
     /// Master seed (network IDs, divisions, delays).
     pub seed: u64,
-    /// LRU bound on cached partitions (≥ 1).
+    /// LRU bound on cached partitions, and separately on memoized
+    /// whole-graph divisions (≥ 1).
     pub cache_capacity: usize,
 }
 
@@ -188,7 +189,8 @@ pub struct EngineStats {
     pub hits: u64,
     /// Artifact-cache misses (stages 2–4 built).
     pub misses: u64,
-    /// Entries evicted by the LRU bound.
+    /// Artifact-cache entries evicted by the LRU bound (a division memo
+    /// eviction shows up only as a later division miss).
     pub evictions: u64,
     /// Hits on the whole-graph division memo
     /// ([`PaEngine::whole_graph_division`] — a separate cache from the
@@ -307,7 +309,9 @@ pub struct EngineCore {
     stage1: OnceLock<(RootedTree, CostReport)>,
     base_charged: bool,
     cache: BTreeMap<u64, CacheEntry>,
-    division_cache: BTreeMap<usize, DetDivisionResult>,
+    /// Whole-graph divisions by completion threshold, each with its
+    /// last-used `clock` stamp; LRU-bounded like `cache`.
+    division_cache: BTreeMap<usize, (DetDivisionResult, u64)>,
     /// Recycled per-solve arenas: once warmed up to the workload size, a
     /// cache-hit [`PaEngine::solve_on`] performs zero heap allocations.
     scratch: SolveScratch,
@@ -647,11 +651,10 @@ impl<'g> PaEngine<'g> {
             let tree = &self.stage1().0;
             build_artifacts(inst, &self.core.config, tree)
         };
-        if self.core.cache.len() >= self.core.config.cache_capacity {
-            if let Some((&lru, _)) = self.core.cache.iter().min_by_key(|(_, e)| e.last_used) {
-                self.core.cache.remove(&lru);
-                self.core.stats.evictions += 1;
-            }
+        if self.core.cache.len() >= self.core.config.cache_capacity
+            && evict_lru(&mut self.core.cache, |e| e.last_used)
+        {
+            self.core.stats.evictions += 1;
         }
         self.core.cache.insert(
             key,
@@ -827,21 +830,41 @@ impl<'g> PaEngine<'g> {
     /// threshold `completion`, memoized per threshold (Corollary A.3:
     /// k-dominating sets are "a simple generalization of our sub-part
     /// division algorithm"). The cached cost is charged on the miss only.
+    /// The memo holds at most [`EngineConfig::cache_capacity`]
+    /// thresholds and evicts the least recently used one, as the artifact
+    /// cache does; an evicted threshold counts as a miss when asked again.
     ///
     /// Returns the division result and the cost to charge this call.
     pub fn whole_graph_division(&mut self, completion: usize) -> (&DetDivisionResult, CostReport) {
-        if self.core.division_cache.contains_key(&completion) {
+        self.core.clock += 1;
+        let clock = self.core.clock;
+        let mut cost = CostReport::zero();
+        if let Some((_, last_used)) = self.core.division_cache.get_mut(&completion) {
+            *last_used = clock;
             self.core.stats.division_hits += 1;
-            return (&self.core.division_cache[&completion], CostReport::zero());
+        } else {
+            self.core.stats.division_misses += 1;
+            let parts = Partition::whole(self.graph).expect("engine graph is connected");
+            let res = deterministic_division(self.graph, &parts, completion);
+            cost = res.cost;
+            self.core.stats.charged += cost;
+            if self.core.division_cache.len() >= self.core.config.cache_capacity {
+                evict_lru(&mut self.core.division_cache, |&(_, last_used)| last_used);
+            }
+            self.core.division_cache.insert(completion, (res, clock));
         }
-        self.core.stats.division_misses += 1;
-        let parts = Partition::whole(self.graph).expect("engine graph is connected");
-        let res = deterministic_division(self.graph, &parts, completion);
-        let cost = res.cost;
-        self.core.stats.charged += cost;
-        self.core.division_cache.insert(completion, res);
-        (&self.core.division_cache[&completion], cost)
+        (&self.core.division_cache[&completion].0, cost)
     }
+}
+
+/// Removes the entry of `cache` with the oldest `last_used` stamp — the
+/// LRU rule of both engine caches. Returns whether an entry was removed.
+fn evict_lru<K: Ord + Copy, V>(cache: &mut BTreeMap<K, V>, last_used: impl Fn(&V) -> u64) -> bool {
+    let lru = cache
+        .iter()
+        .min_by_key(|(_, e)| last_used(e))
+        .map(|(&key, _)| key);
+    lru.is_some_and(|key| cache.remove(&key).is_some())
 }
 
 /// Same node count and identical edge lists (endpoints, not weights).
@@ -1120,6 +1143,20 @@ mod tests {
             (0, 0),
             "division memo has its own counters"
         );
+
+        // The memo is LRU-bounded like the artifact cache: `capacity` more
+        // thresholds push threshold 4 out, so asking again rebuilds it.
+        let capacity = engine.config().cache_capacity;
+        for completion in 5..5 + capacity {
+            engine.whole_graph_division(completion);
+        }
+        let misses = engine.stats().division_misses;
+        let mut fresh = PaEngine::new(&g, EngineConfig::new());
+        let (expected, expected_cost) = fresh.whole_graph_division(4);
+        let (res, cost) = engine.whole_graph_division(4);
+        assert_eq!(res.division, expected.division);
+        assert_eq!((res.iterations, cost), (expected.iterations, expected_cost));
+        assert_eq!(engine.stats().division_misses, misses + 1, "evicted");
     }
 
     #[test]

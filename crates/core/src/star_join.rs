@@ -90,11 +90,23 @@ pub fn star_joining(out_edge: &[Option<usize>], ids: &[u64]) -> StarJoining {
     // Step 2: 3-color the remaining paths/cycles.
     let remaining: Vec<usize> = (0..n).filter(|&i| present[i]).collect();
     if !remaining.is_empty() {
-        let index: std::collections::BTreeMap<usize, usize> =
-            remaining.iter().enumerate().map(|(k, &i)| (i, k)).collect();
+        // Position in `remaining` by item; only present items are read.
+        let mut index = vec![usize::MAX; n];
+        for (k, &i) in remaining.iter().enumerate() {
+            if let Some(slot) = index.get_mut(i) {
+                *slot = k;
+            }
+        }
         let succ: Vec<Option<usize>> = remaining
             .iter()
-            .map(|&i| out_edge[i].filter(|t| present[*t]).map(|t| index[&t]))
+            .map(|&i| {
+                out_edge
+                    .get(i)
+                    .copied()
+                    .flatten()
+                    .filter(|&t| present.get(t) == Some(&true))
+                    .and_then(|t| index.get(t).copied())
+            })
             .collect();
         let initial: Vec<u64> = remaining.iter().map(|&i| ids[i]).collect();
         let coloring = three_color(&succ, &initial);

@@ -13,13 +13,15 @@
 //! the contact node hangs onto the receiver — the "star" shape is what
 //! keeps the diameter growth additive (Lemma 6.4's core argument).
 
-use std::collections::BTreeMap;
-
 use rmo_congest::CostReport;
 use rmo_graph::{num::ceil_log2, Graph, NodeId, Partition};
 
 use crate::star_join::star_joining;
 use crate::subparts::SubPartDivision;
+
+/// "No node": the end of a member chain, a depth not yet known, a
+/// sub-part outside this round's star joining.
+const NONE: usize = usize::MAX;
 
 /// Result of the deterministic division.
 #[derive(Debug, Clone)]
@@ -32,6 +34,152 @@ pub struct DetDivisionResult {
     pub iterations: usize,
 }
 
+/// The division under construction, flat over node ids.
+///
+/// A sub-part's id is the node that founded it, and that node stays its
+/// tree root, its representative and the head of its member chain: a
+/// merge keeps the receiver's id and re-roots only the joiner. So every
+/// per-sub-part array has length `n`, and `len[s] == 0` marks an id that
+/// merged away. `live` lists the other ids in ascending order, the order
+/// every cost sum and merge sequence follows.
+struct Division {
+    sub_of: Vec<usize>,
+    parent: Vec<Option<NodeId>>,
+    /// Member chains: `next[v]` follows `v` in its sub-part (`NONE` ends
+    /// it); `tail[s]` is the last member, so a merge splices in O(1).
+    next: Vec<NodeId>,
+    tail: Vec<NodeId>,
+    len: Vec<usize>,
+    complete: Vec<bool>,
+    live: Vec<usize>,
+    /// Tree depth per node, memoized within one [`Division::max_depth`]
+    /// pass (`NONE` = not yet known).
+    depth: Vec<usize>,
+    path: Vec<NodeId>,
+}
+
+/// The members of the chain starting at `first`.
+fn chain(first: NodeId, next: &[NodeId]) -> impl Iterator<Item = NodeId> + '_ {
+    std::iter::successors(Some(first), move |&w| {
+        next.get(w).copied().filter(|&x| x != NONE)
+    })
+}
+
+impl Division {
+    /// Every node its own sub-part.
+    fn singletons(n: usize) -> Division {
+        Division {
+            sub_of: (0..n).collect(),
+            parent: vec![None; n],
+            next: vec![NONE; n],
+            tail: (0..n).collect(),
+            len: vec![1; n],
+            complete: vec![false; n],
+            live: (0..n).collect(),
+            depth: vec![NONE; n],
+            path: Vec::new(),
+        }
+    }
+
+    fn size(&self, s: usize) -> usize {
+        self.len.get(s).copied().unwrap_or(0)
+    }
+
+    fn is_complete(&self, s: usize) -> bool {
+        self.complete.get(s).copied().unwrap_or(false)
+    }
+
+    fn mark_complete(&mut self, s: usize) {
+        if let Some(c) = self.complete.get_mut(s) {
+            *c = true;
+        }
+    }
+
+    fn sub_of(&self, v: NodeId) -> usize {
+        self.sub_of.get(v).copied().unwrap_or(NONE)
+    }
+
+    /// Drops merged-away ids from `live` and marks the rest complete by
+    /// size: a sub-part spanning its entire part is complete by
+    /// definition; a sub-part reaching `d` nodes is complete by size.
+    fn settle(&mut self, d: usize, parts: &Partition) {
+        let Division {
+            len,
+            complete,
+            live,
+            ..
+        } = self;
+        live.retain(|&s| len.get(s).is_some_and(|&l| l > 0));
+        for &s in live.iter() {
+            let l = len.get(s).copied().unwrap_or(0);
+            if l >= d || l == parts.part_size(parts.part_of(s)) {
+                if let Some(c) = complete.get_mut(s) {
+                    *c = true;
+                }
+            }
+        }
+    }
+
+    /// Re-roots sub-part `j` at contact node `u`, hangs it below `v`, and
+    /// appends its members to `target`'s.
+    fn merge_into(&mut self, j: usize, u: NodeId, v: NodeId, target: usize) {
+        // Flip parents along u -> old root, then hang u below v.
+        let mut prev = Some(v);
+        let mut cur = Some(u);
+        while let Some(w) = cur {
+            let Some(slot) = self.parent.get_mut(w) else {
+                break;
+            };
+            cur = std::mem::replace(slot, prev);
+            prev = Some(w);
+        }
+        for w in chain(j, &self.next) {
+            if let Some(s) = self.sub_of.get_mut(w) {
+                *s = target;
+            }
+        }
+        let joiner_tail = self.tail.get(j).copied().unwrap_or(j);
+        if let Some(t) = self.tail.get_mut(target) {
+            if let Some(link) = self.next.get_mut(*t) {
+                *link = j;
+            }
+            *t = joiner_tail;
+        }
+        let joiner_len = self.len.get_mut(j).map_or(0, std::mem::take);
+        if let Some(len) = self.len.get_mut(target) {
+            *len += joiner_len;
+        }
+    }
+
+    /// Max depth of any current sub-part tree (for round accounting):
+    /// one pass that climbs from each node only to the first ancestor
+    /// whose depth this pass already knows.
+    fn max_depth(&mut self) -> usize {
+        self.depth.fill(NONE);
+        let mut best = 0;
+        for v in 0..self.parent.len() {
+            self.path.clear();
+            let mut base = 0;
+            let mut cur = Some(v);
+            while let Some(w) = cur {
+                if let Some(&d) = self.depth.get(w).filter(|&&d| d != NONE) {
+                    base = d + 1;
+                    break;
+                }
+                self.path.push(w);
+                cur = self.parent.get(w).copied().flatten();
+            }
+            for (d, &w) in (base..).zip(self.path.iter().rev()) {
+                if let Some(slot) = self.depth.get_mut(w) {
+                    *slot = d;
+                }
+                best = best.max(d);
+            }
+        }
+        best
+    }
+}
+
 /// Runs Algorithm 6 with size threshold `d`.
 ///
 /// # Panics
@@ -41,78 +189,24 @@ pub struct DetDivisionResult {
 pub fn deterministic_division(g: &Graph, parts: &Partition, d: usize) -> DetDivisionResult {
     assert!(d > 0, "size threshold must be positive");
     let n = g.n();
-    // Mutable sub-part state, ids from a global counter.
-    let mut sub_of: Vec<usize> = (0..n).collect();
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut members: BTreeMap<usize, Vec<NodeId>> = (0..n).map(|v| (v, vec![v])).collect();
-    let mut rep: BTreeMap<usize, NodeId> = (0..n).map(|v| (v, v)).collect();
-    let mut complete: BTreeMap<usize, bool> = (0..n).map(|v| (v, false)).collect();
-
-    // A sub-part spanning its entire part is complete by definition; a
-    // sub-part reaching d nodes is complete by size.
-    let finalize = |s: usize,
-                    members: &BTreeMap<usize, Vec<NodeId>>,
-                    complete: &mut BTreeMap<usize, bool>,
-                    parts: &Partition| {
-        let ms = &members[&s];
-        if ms.len() >= d || ms.len() == parts.part_size(parts.part_of(ms[0])) {
-            complete.insert(s, true);
-        }
-    };
-    for v in 0..n {
-        finalize(v, &members, &mut complete, parts);
-    }
+    let mut div = Division::singletons(n);
+    div.settle(d, parts);
 
     let mut rounds = 0usize;
     let mut messages = 0u64;
     let max_iters = 4 * ceil_log2(n.max(2)) + 8;
     let mut iterations = 0usize;
 
-    // Re-roots sub-part `j` at contact node `u` and hangs it below `v`.
-    // The five trailing parameters are one mutable view of the division
-    // under construction; threading them beats a premature struct for a
-    // function-local helper.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_into(
-        j: usize,
-        u: NodeId,
-        v: NodeId,
-        target: usize,
-        sub_of: &mut [usize],
-        parent: &mut [Option<NodeId>],
-        members: &mut BTreeMap<usize, Vec<NodeId>>,
-        rep: &mut BTreeMap<usize, NodeId>,
-        complete: &mut BTreeMap<usize, bool>,
-    ) {
-        // Flip parents along u -> old rep.
-        let mut path = vec![u];
-        let mut cur = u;
-        while let Some(p) = parent[cur] {
-            path.push(p);
-            cur = p;
-        }
-        for w in path.windows(2) {
-            parent[w[1]] = Some(w[0]);
-        }
-        parent[u] = Some(v);
-        let moved = members.remove(&j).expect("joiner exists");
-        for &w in &moved {
-            sub_of[w] = target;
-        }
-        members
-            .get_mut(&target)
-            .expect("receiver exists")
-            .extend(moved);
-        rep.remove(&j);
-        complete.remove(&j);
-    }
+    // Per-iteration state, recycled: the incomplete sub-parts, the ones
+    // still holding a chosen edge as `(s, u, v)` in ascending `s`, and
+    // their positions in Phase B's star joining.
+    let mut incomplete: Vec<usize> = Vec::new();
+    let mut chosen: Vec<(usize, NodeId, NodeId)> = Vec::new();
+    let mut index: Vec<usize> = vec![NONE; n];
 
     loop {
-        let incomplete: Vec<usize> = complete
-            .iter()
-            .filter(|&(_, &c)| !c)
-            .map(|(&s, _)| s)
-            .collect();
+        incomplete.clear();
+        incomplete.extend(div.live.iter().copied().filter(|&s| !div.is_complete(s)));
         if incomplete.is_empty() {
             break;
         }
@@ -121,150 +215,108 @@ pub fn deterministic_division(g: &Graph, parts: &Partition, d: usize) -> DetDivi
             iterations <= max_iters,
             "Algorithm 6 failed to converge in {max_iters} iterations"
         );
-        let max_depth = current_max_depth(&members, &parent);
+        let max_depth = div.max_depth();
         // --- Choose edges (one intra-sub-part convergecast each). ---
-        let mut chosen: BTreeMap<usize, (NodeId, NodeId)> = BTreeMap::new();
+        chosen.clear();
         for &s in &incomplete {
-            let part = parts.part_of(members[&s][0]);
+            let part = parts.part_of(s);
             let mut best: Option<(bool, NodeId, NodeId)> = None; // (target_complete, u, v)
-            for &u in &members[&s] {
+            for u in chain(s, &div.next) {
                 for (v, _) in g.neighbors(u) {
-                    if parts.part_of(v) != part || sub_of[v] == s {
+                    let t = div.sub_of(v);
+                    if parts.part_of(v) != part || t == s {
                         continue;
                     }
-                    let cand = (complete[&sub_of[v]], u, v);
+                    let cand = (div.is_complete(t), u, v);
                     if best.is_none_or(|b| cand < b) {
                         best = Some(cand);
                     }
                 }
             }
             match best {
-                Some((_, u, v)) => {
-                    chosen.insert(s, (u, v));
-                }
+                Some((_, u, v)) => chosen.push((s, u, v)),
                 None => {
                     // No external edge: the sub-part spans its whole part.
-                    complete.insert(s, true);
+                    div.mark_complete(s);
                 }
             }
         }
         rounds += 2 * max_depth + 1;
-        messages += incomplete
-            .iter()
-            .map(|s| members[s].len() as u64)
-            .sum::<u64>();
+        messages += incomplete.iter().map(|&s| div.size(s) as u64).sum::<u64>();
 
         // --- Phase A: merge into complete targets, cascading. ---
         let mut changed = true;
         while changed {
             changed = false;
-            let current: Vec<usize> = chosen.keys().copied().collect();
-            for s in current {
-                if complete.get(&s).copied().unwrap_or(true) {
-                    chosen.remove(&s);
-                    continue;
+            chosen.retain(|&(s, u, v)| {
+                if div.size(s) == 0 || div.is_complete(s) {
+                    return false;
                 }
-                let (u, v) = chosen[&s];
-                let target = sub_of[v];
-                if target != s && complete[&target] {
-                    merge_into(
-                        s,
-                        u,
-                        v,
-                        target,
-                        &mut sub_of,
-                        &mut parent,
-                        &mut members,
-                        &mut rep,
-                        &mut complete,
-                    );
-                    chosen.remove(&s);
-                    messages += members[&target].len() as u64; // leader/rep broadcast
+                let target = div.sub_of(v);
+                if target != s && div.is_complete(target) {
+                    div.merge_into(s, u, v, target);
+                    messages += div.size(target) as u64; // leader/rep broadcast
                     changed = true;
+                    return false;
                 }
-            }
+                true
+            });
         }
         rounds += 2 * max_depth + 1;
 
         // --- Phase B: star joining among remaining incomplete sub-parts. ---
-        let remaining: Vec<usize> = chosen.keys().copied().collect();
-        if !remaining.is_empty() {
-            let index: BTreeMap<usize, usize> =
-                remaining.iter().enumerate().map(|(k, &s)| (s, k)).collect();
-            let out_edge: Vec<Option<usize>> = remaining
+        if !chosen.is_empty() {
+            for (k, &(s, _, _)) in chosen.iter().enumerate() {
+                if let Some(slot) = index.get_mut(s) {
+                    *slot = k;
+                }
+            }
+            let out_edge: Vec<Option<usize>> = chosen
                 .iter()
-                .map(|s| {
-                    let (_, v) = chosen[s];
-                    index.get(&sub_of[v]).copied()
-                })
+                .map(|&(_, _, v)| index.get(div.sub_of(v)).copied().filter(|&k| k != NONE))
                 .collect();
-            let ids: Vec<u64> = remaining.iter().map(|&s| rep[&s] as u64 + 1).collect();
+            // A sub-part's representative is its id.
+            let ids: Vec<u64> = chosen.iter().map(|&(s, _, _)| s as u64 + 1).collect();
             let sj = star_joining(&out_edge, &ids);
             rounds += sj.steps * (2 * max_depth + 1);
             messages += (sj.steps as u64)
-                * remaining
+                * chosen
                     .iter()
-                    .map(|s| members[s].len() as u64)
+                    .map(|&(s, _, _)| div.size(s) as u64)
                     .sum::<u64>();
-            for (k, join) in sj.joins.iter().enumerate() {
-                if let Some(rk) = join {
-                    let s = remaining[k];
-                    let (u, v) = chosen[&s];
-                    let target = remaining[*rk];
-                    // The receiver may itself have been... receivers never
-                    // join (star property), so target is alive.
-                    merge_into(
-                        s,
-                        u,
-                        v,
-                        target,
-                        &mut sub_of,
-                        &mut parent,
-                        &mut members,
-                        &mut rep,
-                        &mut complete,
-                    );
-                    messages += members[&target].len() as u64;
+            for (&(s, u, v), join) in chosen.iter().zip(&sj.joins) {
+                // Receivers never join (star property), so target is alive.
+                let Some(&(target, _, _)) = join.and_then(|rk| chosen.get(rk)) else {
+                    continue;
+                };
+                div.merge_into(s, u, v, target);
+                messages += div.size(target) as u64;
+            }
+            for &(s, _, _) in &chosen {
+                if let Some(slot) = index.get_mut(s) {
+                    *slot = NONE;
                 }
             }
         }
         // Completeness by size after the merges.
-        let ids_now: Vec<usize> = complete.keys().copied().collect();
-        for s in ids_now {
-            finalize(s, &members, &mut complete, parts);
-        }
-        rounds += 2 * current_max_depth(&members, &parent) + 1;
+        div.settle(d, parts);
+        rounds += 2 * div.max_depth() + 1;
     }
 
-    // Compact ids and build the validated division.
-    let live: Vec<usize> = members.keys().copied().collect();
-    let remap: BTreeMap<usize, usize> = live.iter().enumerate().map(|(k, &s)| (s, k)).collect();
-    let subpart_of: Vec<usize> = sub_of.iter().map(|s| remap[s]).collect();
-    let reps: Vec<NodeId> = live.iter().map(|s| rep[s]).collect();
-    let division = SubPartDivision::new(g, parts, subpart_of, parent, reps)
+    // Compact ids (a sub-part's rank in the ascending `live` list) and
+    // build the validated division.
+    let subpart_of: Vec<usize> = div
+        .sub_of
+        .iter()
+        .map(|s| div.live.binary_search(s).unwrap_or(NONE))
+        .collect();
+    let division = SubPartDivision::new(g, parts, subpart_of, div.parent, div.live)
         .expect("Algorithm 6 maintains the division invariants");
     DetDivisionResult {
         division,
         cost: CostReport::new(rounds, messages),
         iterations,
     }
-}
-
-/// Max depth of any current sub-part tree (for round accounting).
-fn current_max_depth(members: &BTreeMap<usize, Vec<NodeId>>, parent: &[Option<NodeId>]) -> usize {
-    let mut best = 0;
-    for ms in members.values() {
-        for &v in ms {
-            let mut depth = 0;
-            let mut cur = v;
-            while let Some(p) = parent[cur] {
-                depth += 1;
-                cur = p;
-            }
-            best = best.max(depth);
-        }
-    }
-    best
 }
 
 #[cfg(test)]

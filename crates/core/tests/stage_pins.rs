@@ -6,12 +6,16 @@
 //! every stage's round/message counts and routed values bit-identical.
 //! Wall time is the only thing allowed to change.
 //!
-//! Three workload shapes: a grid with row parts (wide, shallow), a path
-//! with block parts (deep, maximally contended), and a random connected
-//! graph with random regions (irregular). For each: stage 1
-//! (election + BFS), stage 3 (deterministic division), stage 4
-//! (Algorithm 8 shortcut), Lemma 4.2 routing (upcast + downcast, with
-//! value fingerprints), and the engine end-to-end (cold build + warm
+//! Four workload shapes: a grid with row parts (wide, shallow), a path
+//! with block parts (deep, maximally contended), a random connected
+//! graph with random regions (irregular), and a 3000-node version of
+//! the last (the size the serving benchmark misses on, where Algorithm
+//! 6 runs several merge iterations over hundreds of sub-parts). For
+//! each: stage 1 (election + BFS), stage 3 (deterministic division: its
+//! cost, and its exact shape — sub-part of every node, tree parents,
+//! representatives — with its iteration count), stage 4 (Algorithm 8
+//! shortcut), Lemma 4.2 routing (upcast + downcast, with value
+//! fingerprints), and the engine end-to-end (cold build + warm
 //! cache-hit solve).
 
 use rmo_congest::programs::bfs::run_bfs;
@@ -32,6 +36,9 @@ fn workloads() -> Vec<(&'static str, Graph, Partition)> {
     let g = gen::random_connected(60, 150, 5);
     let parts = gen::random_connected_partition(&g, 6, 11);
     out.push(("gnp", g, parts));
+    let g = gen::random_connected(3000, 4500, 5);
+    let parts = gen::random_connected_partition(&g, 24, 11);
+    out.push(("gnp3000", g, parts));
     out
 }
 
@@ -59,6 +66,15 @@ fn stage_counts() -> Vec<(String, usize, u64)> {
             format!("{label}/division"),
             div.cost.rounds,
             div.cost.messages,
+        ));
+        let dv = &div.division;
+        out.push((
+            format!("{label}/division_shape"),
+            div.iterations,
+            fp((0..g.n())
+                .map(|v| dv.subpart_of(v) as u64)
+                .chain((0..g.n()).map(|v| dv.parent_of(v).map_or(u64::MAX, |p| p as u64)))
+                .chain((0..dv.num_subparts()).map(|s| dv.rep_of_subpart(s) as u64))),
         ));
 
         let terminals: Vec<Vec<NodeId>> = parts
@@ -172,6 +188,7 @@ fn pipeline_stage_counts_are_pinned() {
 const EXPECTED: &[(&str, usize, u64)] = &[
     ("grid/stage1", 24, 1131),
     ("grid/division", 129, 1960),
+    ("grid/division_shape", 3, 11188309455230937869),
     ("grid/shortcut", 35, 150),
     ("grid/upcast", 11, 223),
     ("grid/upcast_agg", 0, 11809336925340121701),
@@ -186,6 +203,7 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     // so part memberships (and thus division work and routed values)
     // are identical node-id sets.
     ("path/division", 129, 1960),
+    ("path/division_shape", 3, 11188309455230937869),
     ("path/shortcut", 129, 232),
     ("path/upcast", 38, 1066),
     ("path/upcast_agg", 0, 11809336925340121701),
@@ -196,6 +214,7 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("path/engine_warm", 93, 540),
     ("gnp/stage1", 12, 1291),
     ("gnp/division", 53, 922),
+    ("gnp/division_shape", 2, 13795475112051269341),
     ("gnp/shortcut", 26, 145),
     ("gnp/upcast", 8, 115),
     ("gnp/upcast_agg", 0, 16471472808482471931),
@@ -204,4 +223,17 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("gnp/engine_cold", 212, 3049),
     ("gnp/engine_values", 0, 10697206274894757293),
     ("gnp/engine_warm", 42, 420),
+    // The serving benchmark's sparse-graph size: a 24-part miss runs
+    // five Algorithm 6 iterations over 142 final sub-parts.
+    ("gnp3000/stage1", 28, 62503),
+    ("gnp3000/division", 405, 109804),
+    ("gnp3000/division_shape", 5, 4077044527841241285),
+    ("gnp3000/shortcut", 221, 6420),
+    ("gnp3000/upcast", 32, 7849),
+    ("gnp3000/upcast_agg", 0, 2807121434061145243),
+    ("gnp3000/downcast", 34, 5263),
+    ("gnp3000/downcast_recv", 0, 2986965710965414323),
+    ("gnp3000/engine_cold", 4854, 265838),
+    ("gnp3000/engine_values", 0, 13373790033412595723),
+    ("gnp3000/engine_warm", 261, 12684),
 ];
