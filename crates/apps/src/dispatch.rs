@@ -151,8 +151,7 @@ impl Query {
     ///
     /// The serving scheduler uses this to size *graph groups* before any
     /// query has run; once a graph has demand history (observed response
-    /// costs, or [`rmo_core::EngineStats::mean_solve_work`] on its parked
-    /// engine), the history supersedes the estimate. The estimate only
+    /// costs), the history supersedes the estimate. The estimate only
     /// has to rank workloads correctly — a wave over the graph costs
     /// `Θ(n + m)` messages, and each application runs a known number of
     /// wave-like phases (Borůvka runs `O(log n)` PA calls, min-cut one
@@ -228,8 +227,9 @@ pub enum FailReason {
         /// The raw graph id.
         id: u64,
     },
-    /// Internal invariant violation: the batch finished without the
-    /// scheduler ever placing this query.
+    /// The batch finished without the scheduler ever placing this
+    /// query: an internal invariant violation, or a replay log that
+    /// does not fit the batch.
     NeverScheduled,
 }
 

@@ -71,7 +71,7 @@ pub use mincut::{approx_min_cut, MinCutConfig, MinCutResult};
 pub use mst::{pa_mst, PaMstResult};
 pub use service::{
     colliding_graph_ids, mixed_workload, zipf_workload, ClusterStats, GraphId, PaCluster,
-    SchedulePolicy, ServeLog, ServeReport, ShardStats, StealEvent,
+    SchedulePolicy, ServeLog, ServeReport, StealEvent,
 };
 pub use sssp::{approx_sssp, SsspConfig, SsspResult};
 pub use stream::{

@@ -45,9 +45,9 @@
 //! shard executes a group can affect only wall-clock timing, never
 //! results or per-query [`rmo_congest::CostReport`]s. On top of that,
 //! [`PaCluster::serve_replay`] fed a threaded run's [`ServeLog`]
-//! reproduces the identical *final assignment* (steals included), so
-//! even the per-shard placement bookkeeping bit-matches. The
-//! `tests/cluster_serve.rs` suite pins both levels.
+//! reproduces the identical *final assignment*, stolen groups included,
+//! and the replay of a sequential run's log equals that run as a whole
+//! [`ServeReport`]. The `tests/cluster_serve.rs` suite pins both levels.
 //!
 //! ```rust
 //! use rmo_apps::service::{GraphId, PaCluster};
@@ -101,7 +101,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::{mpsc, Mutex};
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -253,31 +252,11 @@ pub struct ServeLog {
     pub forks: Vec<ReplicaEvent>,
 }
 
-/// Per-shard serving counters for one batch.
-///
-/// Deliberately not `PartialEq`: `busy` is wall-clock and never
-/// reproducible, so equality on this type would be timing-flaky.
-/// Determinism assertions compare [`ClusterStats::engine`], the
-/// responses, and the [`ServeLog`] instead.
-#[derive(Debug, Clone, Default)]
-pub struct ShardStats {
-    /// Queries this shard served.
-    pub queries: u64,
-    /// Graphs this shard executed, in execution order (mirrors the
-    /// batch's [`ServeLog::assignments`] entry).
-    pub graph_ids: Vec<GraphId>,
-    /// Graph groups this shard stole from other shards' queues.
-    pub stolen: u64,
-    /// Replica chunks (pieces of a split hot group) this shard ran.
-    pub replicas: u64,
-    /// Time the worker spent serving (from first job to last).
-    pub busy: Duration,
-}
-
 /// Aggregated cluster counters: the whole fleet's engine economics plus
-/// per-shard utilization. (Not `PartialEq` — see [`ShardStats`]; the
-/// deterministic slice is [`ClusterStats::engine`].)
-#[derive(Debug, Clone, Default)]
+/// lifetime steal, fork and replica-run counts. Every field is
+/// deterministic except `steals`, which counts threaded run-time steals;
+/// where each group of a batch ran is the batch's [`ServeLog`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Queries served over the cluster lifetime.
     pub queries: u64,
@@ -298,9 +277,6 @@ pub struct ClusterStats {
     pub warm_graphs: usize,
     /// Every engine's counters, merged ([`EngineStats::merge`]).
     pub engine: EngineStats,
-    /// Per-shard counters for the most recent batch (empty until the
-    /// first batch).
-    pub per_shard: Vec<ShardStats>,
 }
 
 impl fmt::Display for ClusterStats {
@@ -323,40 +299,19 @@ impl fmt::Display for ClusterStats {
     }
 }
 
-/// The outcome of one [`PaCluster::serve`] batch.
-#[derive(Debug)]
+/// The outcome of one [`PaCluster::serve`] batch. Only a threaded run's
+/// steals (the events, the placement they moved, and the lifetime
+/// `stats.steals`) depend on timing, so a sequential run and the replay
+/// of its log compare `==`. Wall time is the caller's to measure.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeReport {
     /// One response per submitted query, in submission order.
     pub responses: Vec<QueryResponse>,
-    /// Cluster counters after this batch (lifetime engine stats,
-    /// per-shard numbers for this batch).
+    /// Cluster counters after this batch (lifetime).
     pub stats: ClusterStats,
     /// Where every graph group executed (feed back through
     /// [`PaCluster::serve_replay`] to reproduce the placement).
     pub log: ServeLog,
-    /// Wall-clock time of the batch.
-    pub wall: Duration,
-}
-
-impl ServeReport {
-    /// Mean shard utilization in `[0, 1]`: serving time summed over
-    /// shards, divided by `shards × wall`. 1.0 means every worker was
-    /// busy the whole batch.
-    pub fn utilization(&self) -> f64 {
-        let shards = self.stats.per_shard.len().max(1);
-        let busy: f64 = self
-            .stats
-            .per_shard
-            .iter()
-            .map(|s| s.busy.as_secs_f64())
-            .sum();
-        let denom = shards as f64 * self.wall.as_secs_f64();
-        if denom == 0.0 {
-            0.0
-        } else {
-            (busy / denom).min(1.0)
-        }
-    }
 }
 
 /// What `std::thread::JoinHandle::join` / `catch_unwind` hand back from
@@ -399,7 +354,6 @@ struct SchedState {
     /// Warm cores banked as each group finishes, tagged with their
     /// replica index (survives worker panics in *other* groups).
     finished: Vec<(GraphId, usize, EngineCore)>,
-    stats: Vec<ShardStats>,
 }
 
 impl SchedState {
@@ -416,22 +370,19 @@ impl SchedState {
             assignments: vec![Vec::new(); shards],
             replica_indices: vec![Vec::new(); shards],
             finished: Vec::new(),
-            stats: vec![ShardStats::default(); shards],
         }
     }
 
-    /// Replica bookkeeping for a chunk `worker` is about to execute:
-    /// the replica index (aligned with the assignment push) and the
-    /// per-shard replica counter. Shared by the pop and steal paths of
+    /// Records that `worker` executes `group`: the final assignment and
+    /// the aligned replica index. Shared by the pop and steal paths of
     /// [`SchedState::next_group`].
-    fn note_replica(&mut self, worker: usize, group: &Group) {
-        if let Some(indices) = self.replica_indices.get_mut(worker) {
+    fn note_executed(&mut self, worker: usize, group: &Group) {
+        if let (Some(ids), Some(indices)) = (
+            self.assignments.get_mut(worker),
+            self.replica_indices.get_mut(worker),
+        ) {
+            ids.push(group.id);
             indices.push(group.replica);
-        }
-        if group.replicas > 1 {
-            if let Some(stats) = self.stats.get_mut(worker) {
-                stats.replicas += 1;
-            }
         }
     }
 
@@ -444,8 +395,7 @@ impl SchedState {
     fn next_group(&mut self, worker: usize, steal: bool) -> Option<Group> {
         if let Some(group) = self.queues[worker].pop_front() {
             self.loads[worker] -= group.weight;
-            self.assignments[worker].push(group.id);
-            self.note_replica(worker, &group);
+            self.note_executed(worker, &group);
             return Some(group);
         }
         if !steal {
@@ -462,9 +412,7 @@ impl SchedState {
             from: victim,
             to: worker,
         });
-        self.stats[worker].stolen += 1;
-        self.assignments[worker].push(group.id);
-        self.note_replica(worker, &group);
+        self.note_executed(worker, &group);
         Some(group)
     }
 }
@@ -476,55 +424,46 @@ fn lock(state: &Mutex<SchedState>) -> std::sync::MutexGuard<'_, SchedState> {
     state.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// Rearranges a batch's groups into a previously recorded final
-/// assignment (cores travel with their groups).
-///
-/// # Panics
-/// Panics if the log's shard count differs from the cluster's, or its
-/// assignments do not cover this batch's graph groups exactly.
-fn apply_log(shard_groups: Vec<Vec<Group>>, log: &ServeLog) -> Vec<Vec<Group>> {
-    assert_eq!(
-        log.assignments.len(),
-        shard_groups.len(),
-        "replay log was recorded on {} shards, this cluster has {}",
-        log.assignments.len(),
-        shard_groups.len()
-    );
+/// Rearranges a batch's planned groups into a previously recorded
+/// final assignment, or `None` when the log does not fit the batch: a
+/// different shard count, a group it names that this batch lacks, or a
+/// group of this batch it leaves out.
+fn apply_log(shard_groups: Vec<Vec<Group>>, log: &ServeLog) -> Option<Vec<Vec<Group>>> {
+    if log.assignments.len() != shard_groups.len() {
+        return None;
+    }
     let mut pool: BTreeMap<(GraphId, usize), Group> = shard_groups
         .into_iter()
         .flatten()
         .map(|group| ((group.id, group.replica), group))
         .collect();
-    let out: Vec<Vec<Group>> = log
-        .assignments
+    let mut out = Vec::with_capacity(log.assignments.len());
+    for (shard, ids) in log.assignments.iter().enumerate() {
+        let mut queue = Vec::with_capacity(ids.len());
+        for (i, id) in ids.iter().enumerate() {
+            // Hand-built logs may omit replica indices; a missing entry
+            // replays as replica 0 (always the right answer for unsplit
+            // groups).
+            let replica = log
+                .replica_indices
+                .get(shard)
+                .and_then(|v| v.get(i))
+                .copied()
+                .unwrap_or(0);
+            queue.push(pool.remove(&(*id, replica))?);
+        }
+        out.push(queue);
+    }
+    pool.is_empty().then_some(out)
+}
+
+/// Each shard's batch-local query indices in queue order: the pre-steal
+/// plan that [`PaCluster::planned_execution`] reports.
+fn planned_indices(shard_groups: &[Vec<Group>]) -> Vec<Vec<usize>> {
+    shard_groups
         .iter()
-        .enumerate()
-        .map(|(shard, ids)| {
-            ids.iter()
-                .enumerate()
-                .map(|(i, id)| {
-                    // Hand-built logs may omit replica indices; a missing
-                    // entry replays as replica 0 (always the right answer
-                    // for unsplit groups).
-                    let replica = log
-                        .replica_indices
-                        .get(shard)
-                        .and_then(|v| v.get(i))
-                        .copied()
-                        .unwrap_or(0);
-                    pool.remove(&(*id, replica)).unwrap_or_else(|| {
-                        panic!("replay log names graph {id}, which has no group in this batch")
-                    })
-                })
-                .collect()
-        })
-        .collect();
-    assert!(
-        pool.is_empty(),
-        "replay log does not place every graph group of this batch (missing {:?})",
-        pool.keys().collect::<Vec<_>>()
-    );
-    out
+        .map(|groups| groups.iter().flat_map(|g| &g.indices).copied().collect())
+        .collect()
 }
 
 /// Numerator/denominator of the per-batch demand decay: every batch,
@@ -623,7 +562,6 @@ pub struct PaCluster {
     stolen_total: u64,
     forks_total: u64,
     replicas_total: u64,
-    last_shard_stats: Vec<ShardStats>,
 }
 
 impl PaCluster {
@@ -654,7 +592,6 @@ impl PaCluster {
             stolen_total: 0,
             forks_total: 0,
             replicas_total: 0,
-            last_shard_stats: Vec::new(),
         }
     }
 
@@ -663,42 +600,28 @@ impl PaCluster {
         self.policy
     }
 
-    /// Switches the scheduling policy for subsequent batches (warm
-    /// engines and demand history are kept — placement does not affect
-    /// responses, so this is always safe).
-    pub fn set_policy(&mut self, policy: SchedulePolicy) {
-        self.policy = policy;
-    }
-
     /// The active replica policy (see [`ReplicaPolicy`]).
     pub fn replica_policy(&self) -> ReplicaPolicy {
         self.replica_policy
     }
 
-    /// Switches the replica policy for subsequent batches. Like
-    /// [`PaCluster::set_policy`], always safe: splitting moves *where*
-    /// queries execute (and which fork of a warm engine serves them),
-    /// never what they answer. Splitting only happens under
-    /// [`SchedulePolicy::Balanced`].
+    /// Switches the replica policy for subsequent batches. Always safe:
+    /// splitting moves *where* queries execute (and which fork of a warm
+    /// engine serves them), never what they answer. Splitting only
+    /// happens under [`SchedulePolicy::Balanced`].
     pub fn set_replica_policy(&mut self, policy: ReplicaPolicy) {
         self.replica_policy = policy;
     }
 
     /// Registers `graph` under `id` with the default (deterministic)
-    /// engine profile. See [`PaCluster::add_graph_with_config`].
-    pub fn add_graph(&mut self, id: GraphId, graph: Graph) {
-        self.add_graph_with_config(id, graph, EngineConfig::new());
-    }
-
-    /// Registers `graph` under `id`; its session will run with `config`.
-    /// The panicking convenience over [`PaCluster::register`].
+    /// engine profile: the panicking convenience over
+    /// [`PaCluster::register`].
     ///
     /// # Panics
-    /// Panics if `id` is already registered, the graph is empty or
-    /// disconnected (the CONGEST network is one component), or `config`
-    /// has a zero cache capacity.
-    pub fn add_graph_with_config(&mut self, id: GraphId, graph: Graph, config: EngineConfig) {
-        self.register(id, graph, config)
+    /// Panics if `id` is already registered or the graph is empty or
+    /// disconnected (the CONGEST network is one component).
+    pub fn add_graph(&mut self, id: GraphId, graph: Graph) {
+        self.register(id, graph, EngineConfig::new())
             .unwrap_or_else(|e| panic!("graph {id} rejected: {e}"));
     }
 
@@ -761,8 +684,7 @@ impl PaCluster {
         self.slots.get(&id).map(|s| &s.graph)
     }
 
-    /// Current cluster counters (lifetime queries + all warm engines,
-    /// per-shard numbers from the most recent batch).
+    /// Current cluster counters (lifetime queries + all warm engines).
     pub fn stats(&self) -> ClusterStats {
         let mut engine = EngineStats::default();
         // BTreeMap-ordered graph walk: deterministic merge order.
@@ -780,7 +702,6 @@ impl PaCluster {
             replicas: self.replicas_total,
             warm_graphs: self.cores.len(),
             engine,
-            per_shard: self.last_shard_stats.clone(),
         }
     }
 
@@ -1022,8 +943,6 @@ impl PaCluster {
         queries: &[(GraphId, Query)],
         emit: &mut dyn FnMut(usize, QueryResponse),
     ) -> Option<PanicPayload> {
-        // rmo-lint: allow(D3) — wall-clock feeds per-shard busy-time stats only, never a scheduling decision.
-        let start = Instant::now();
         let mut first_panic: Option<PanicPayload> = None;
         loop {
             let next = lock(state).next_group(shard, steal);
@@ -1043,18 +962,12 @@ impl PaCluster {
                 engine.into_core()
             }));
             match result {
-                Ok(core) => {
-                    let mut st = lock(state);
-                    st.finished.push((group.id, group.replica, core));
-                    st.stats[shard].queries += group.indices.len() as u64;
-                }
+                Ok(core) => lock(state).finished.push((group.id, group.replica, core)),
                 Err(payload) => {
                     first_panic.get_or_insert(payload);
                 }
             }
         }
-        let busy = start.elapsed();
-        lock(state).stats[shard].busy = busy;
         first_panic
     }
 
@@ -1143,7 +1056,13 @@ impl PaCluster {
     /// out parked cores into their groups, execute (the one step that
     /// differs), bank everything back, update demand history. Keeping
     /// this in one place is part of the determinism story — no mode can
-    /// drift from another's bookkeeping.
+    /// drift from another's bookkeeping. Returns the report and the
+    /// pre-steal plan ([`PaCluster::planned_execution`]), which the
+    /// streaming front-end models completion ticks against.
+    ///
+    /// A replay log that does not fit the batch runs nothing and leaves
+    /// the cluster untouched: every query answers
+    /// [`FailReason::NeverScheduled`] and the report's log is empty.
     ///
     /// Panic safety: panics are contained per *group* (see
     /// [`PaCluster::run_worker`]) — every healthy group still serves,
@@ -1159,10 +1078,21 @@ impl PaCluster {
         queries: &[(GraphId, Query)],
         mode: ExecMode<'_>,
         mut hook: Option<ResponseHook<'_>>,
-    ) -> ServeReport {
-        // rmo-lint: allow(D3) — wall-clock measures the batch for ServeReport::wall only; no control flow reads it.
-        let start = Instant::now();
+    ) -> (ServeReport, Vec<Vec<usize>>) {
         let (mut shard_groups, mut responses, forks) = self.plan(queries);
+        let plan = planned_indices(&shard_groups);
+        if let ExecMode::Replay(log) = mode {
+            let Some(placed) = apply_log(shard_groups, log) else {
+                let failed = QueryResponse::Failed(FailReason::NeverScheduled);
+                let report = ServeReport {
+                    responses: vec![failed; queries.len()],
+                    stats: self.stats(),
+                    log: ServeLog::default(),
+                };
+                return (report, plan);
+            };
+            shard_groups = placed;
+        }
         // Plan-time failures (unregistered graphs) are final the moment
         // the batch is planned; streaming callers hear about them before
         // any execution.
@@ -1196,9 +1126,6 @@ impl PaCluster {
                     self.cores.remove(&group.id)
                 };
             }
-        }
-        if let ExecMode::Replay(log) = mode {
-            shard_groups = apply_log(shard_groups, log);
         }
         let steal = matches!(mode, ExecMode::Threaded) && self.policy == SchedulePolicy::Balanced;
         let state = Mutex::new(SchedState::new(shard_groups));
@@ -1259,17 +1186,14 @@ impl PaCluster {
             steals: state.steals,
             forks,
         };
-        let mut per_shard = state.stats;
-        for (shard, stats) in per_shard.iter_mut().enumerate() {
-            stats.graph_ids = log.assignments[shard].clone();
-        }
-        self.last_shard_stats = per_shard;
         self.stolen_total += log.steals.len() as u64;
-        self.replicas_total += self
-            .last_shard_stats
+        // Every executed chunk of a split graph is one replica run.
+        self.replicas_total += log
+            .assignments
             .iter()
-            .map(|stats| stats.replicas)
-            .sum::<u64>();
+            .flatten()
+            .filter(|&&id| log.forks.iter().any(|event| event.graph == id))
+            .count() as u64;
         let answered = responses.iter().flatten();
         self.served += answered.clone().count() as u64;
         self.failed += answered.filter(|r| !r.is_ok()).count() as u64;
@@ -1300,12 +1224,12 @@ impl PaCluster {
             .into_iter()
             .map(|r| r.unwrap_or(QueryResponse::Failed(FailReason::NeverScheduled)))
             .collect();
-        ServeReport {
+        let report = ServeReport {
             stats: self.stats(),
             responses,
             log,
-            wall: start.elapsed(),
-        }
+        };
+        (report, plan)
     }
 
     /// Serves a batch concurrently: one worker thread per shard, each
@@ -1326,34 +1250,37 @@ impl PaCluster {
     /// post-panic cluster state is deterministic). Unregistered graphs
     /// do *not* panic; they answer [`QueryResponse::Failed`] per query.
     pub fn serve(&mut self, queries: &[(GraphId, Query)]) -> ServeReport {
-        self.run_batch(queries, ExecMode::Threaded, None)
+        self.run_batch(queries, ExecMode::Threaded, None).0
     }
 
     /// Serves a batch on the calling thread: the *same* plan as
     /// [`PaCluster::serve`], executed shard by shard with no steals. The
     /// deterministic reference mode — responses and engine counters
     /// bit-match the threaded mode; only wall-clock timing and (when
-    /// steals happened) the per-shard placement differ.
+    /// steals happened) the placement log differ.
     ///
     /// # Panics
     /// Panics if a group panics (contained and re-raised like
     /// [`PaCluster::serve`]).
     pub fn serve_sequential(&mut self, queries: &[(GraphId, Query)]) -> ServeReport {
-        self.run_batch(queries, ExecMode::Sequential, None)
+        self.run_batch(queries, ExecMode::Sequential, None).0
     }
 
     /// Serves a batch on the calling thread with the groups pre-placed
     /// by `log` — typically a prior [`PaCluster::serve`]'s
     /// [`ServeReport::log`] on an identically prepared cluster. The
     /// replay reproduces the recorded run bit-for-bit: responses,
-    /// engine counters, *and* per-shard placement (queries served,
-    /// graphs executed, execution order), steals included.
+    /// engine counters, *and* the final assignment (graphs executed per
+    /// shard, in order), stolen groups included. A log that does not fit
+    /// the batch (another shard count, or other graph groups) runs
+    /// nothing: every query answers [`FailReason::NeverScheduled`] and
+    /// the report's log is empty.
     ///
     /// # Panics
-    /// Panics if the log does not match this batch's graph groups or
-    /// shard count, or if a group panics.
+    /// Panics if a group panics (contained and re-raised like
+    /// [`PaCluster::serve`]).
     pub fn serve_replay(&mut self, queries: &[(GraphId, Query)], log: &ServeLog) -> ServeReport {
-        self.run_batch(queries, ExecMode::Replay(log), None)
+        self.run_batch(queries, ExecMode::Replay(log), None).0
     }
 
     /// The deterministic pre-execution placement of a batch: for each
@@ -1370,11 +1297,7 @@ impl PaCluster {
     /// critical path actually drops. Queries that fail at plan time
     /// (unregistered graphs) appear on no shard.
     pub fn planned_execution(&self, queries: &[(GraphId, Query)]) -> Vec<Vec<usize>> {
-        let (shard_groups, _, _) = self.plan(queries);
-        shard_groups
-            .into_iter()
-            .map(|groups| groups.into_iter().flat_map(|group| group.indices).collect())
-            .collect()
+        planned_indices(&self.plan(queries).0)
     }
 }
 
@@ -1662,7 +1585,7 @@ mod tests {
         assert_eq!(stolen, vec![GraphId(2), GraphId(1), GraphId(3)]);
         assert_eq!(state.loads, vec![0, 0, 0]);
         assert_eq!(state.assignments[2], stolen);
-        assert_eq!(state.stats[2].stolen, 3);
+        assert_eq!(state.steals.iter().filter(|s| s.to == 2).count(), 3);
         // The epoch log is totally ordered and names every move.
         let moves: Vec<(u64, GraphId, usize, usize)> = state
             .steals

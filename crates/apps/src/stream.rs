@@ -800,10 +800,6 @@ impl<'a> Session<'a> {
             }
             recorded = Some(&rec.serve);
         }
-        // The pre-steal LPT plan — a pure function of (fleet, demand
-        // history, batch) — is the latency model's placement. Computed
-        // before run_batch: the batch itself updates demand history.
-        let plan = self.cluster.planned_execution(&queries);
         let seqs = &batch.seqs;
         let mut relay = |local: usize, resp: &QueryResponse| {
             if let Some(&seq) = seqs.get(local) {
@@ -818,11 +814,14 @@ impl<'a> Session<'a> {
             None if self.threaded => ExecMode::Threaded,
             None => ExecMode::Sequential,
         };
-        let report = self.cluster.run_batch(&queries, mode, Some(&mut relay));
+        // `plan` is the pre-steal LPT plan — a pure function of (fleet,
+        // demand history, batch) — and the latency model's placement.
+        let (report, plan) = self.cluster.run_batch(&queries, mode, Some(&mut relay));
         // The record a replayed batch logs is the recorded ServeLog
         // itself (steal events included): the executed placement is
         // checked against it, so the replayed report — the nested
-        // logs too — bit-matches the original.
+        // logs too — bit-matches the original. A recorded placement
+        // that does not fit the batch runs nothing, so it fails here.
         let serve_log = match recorded {
             Some(rec) => {
                 if report.log.assignments != rec.assignments {
@@ -981,18 +980,6 @@ impl StreamGateway {
     /// The underlying cluster.
     pub fn cluster(&self) -> &PaCluster {
         &self.cluster
-    }
-
-    /// The underlying cluster, mutably — e.g. to register graphs
-    /// between runs.
-    pub fn cluster_mut(&mut self) -> &mut PaCluster {
-        &mut self.cluster
-    }
-
-    /// Dissolves the gateway back into its cluster (warm engines and
-    /// demand history intact).
-    pub fn into_cluster(self) -> PaCluster {
-        self.cluster
     }
 
     fn drive(

@@ -202,12 +202,6 @@ pub struct EngineStats {
     pub solves: u64,
     /// Batched solves served.
     pub batches: u64,
-    /// Total cost charged to this session's callers across all solves,
-    /// batches, and division misses (setup shares included). Serving
-    /// schedulers use this as *demand history*: `charged / solves` is a
-    /// cheap per-call work estimate for load balancing
-    /// ([`EngineStats::mean_solve_work`]).
-    pub charged: CostReport,
     /// Distinct partitions currently cached.
     pub cached_partitions: usize,
     /// Election + BFS cost, paid once per engine — zero until stage 1
@@ -227,18 +221,8 @@ impl EngineStats {
         self.division_misses += other.division_misses;
         self.solves += other.solves;
         self.batches += other.batches;
-        self.charged += other.charged;
         self.cached_partitions += other.cached_partitions;
         self.base_cost += other.base_cost;
-    }
-
-    /// Mean work (rounds + messages) charged per solve — the engine-side
-    /// cost estimate a serving scheduler can consult when sizing this
-    /// session's future load (zero before the first solve).
-    pub fn mean_solve_work(&self) -> u64 {
-        (self.charged.rounds as u64 + self.charged.messages)
-            .checked_div(self.solves)
-            .unwrap_or(0)
     }
 
     /// Artifact-cache hit rate in `[0, 1]` (zero when nothing was looked
@@ -537,7 +521,7 @@ impl<'g> PaEngine<'g> {
     /// Builds a session around an already-paid-for tree. `base_cost` is
     /// whatever the caller actually spent obtaining it (zero if it is
     /// being reused from another session).
-    pub fn with_tree(
+    fn with_tree(
         graph: &'g Graph,
         config: EngineConfig,
         tree: RootedTree,
@@ -787,7 +771,6 @@ impl<'g> PaEngine<'g> {
             out,
         )?;
         out.cost += extra;
-        core.stats.charged += out.cost;
         Ok(())
     }
 
@@ -822,7 +805,6 @@ impl<'g> PaEngine<'g> {
             variant,
         )?;
         result.cost += extra;
-        self.core.stats.charged += result.cost;
         Ok(result)
     }
 
@@ -847,7 +829,6 @@ impl<'g> PaEngine<'g> {
             let parts = Partition::whole(self.graph).expect("engine graph is connected");
             let res = deterministic_division(self.graph, &parts, completion);
             cost = res.cost;
-            self.core.stats.charged += cost;
             if self.core.division_cache.len() >= self.core.config.cache_capacity {
                 evict_lru(&mut self.core.division_cache, |&(_, last_used)| last_used);
             }
@@ -979,7 +960,6 @@ mod tests {
         assert_eq!(merged.solves, before.solves + 1);
         assert_eq!(merged.cached_partitions, 1, "derived from live cache");
         assert_eq!(merged.base_cost, before.base_cost, "charged exactly once");
-        assert_eq!(merged.charged, before.charged + warm.cost);
     }
 
     #[test]
@@ -1043,26 +1023,6 @@ mod tests {
         assert!(bad.is_err(), "wrong-length partition never validates");
         let parts = Partition::new(&g, vec![0; g.n()]).unwrap();
         assert!(engine.pipeline_for(&parts).is_ok());
-    }
-
-    #[test]
-    fn charged_work_accumulates_per_solve() {
-        let (g, parts, values) = grid_instance();
-        let mut engine = PaEngine::new(&g, EngineConfig::new());
-        assert_eq!(engine.stats().mean_solve_work(), 0, "no history yet");
-        let first = engine.solve(&parts, &values, Aggregate::Min).unwrap();
-        assert_eq!(engine.stats().charged, first.cost);
-        let second = engine.solve(&parts, &values, Aggregate::Min).unwrap();
-        assert_eq!(engine.stats().charged, first.cost + second.cost);
-        let mean = engine.stats().mean_solve_work();
-        assert!(mean > 0, "two solves give a nonzero demand estimate");
-        // merge folds charged work like every other counter.
-        let mut merged = engine.stats();
-        merged.merge(&engine.stats());
-        assert_eq!(
-            merged.charged,
-            engine.stats().charged + engine.stats().charged
-        );
     }
 
     #[test]

@@ -133,11 +133,6 @@ impl<'g> PaInstance<'g> {
         &self.values
     }
 
-    /// Value of node `v`.
-    pub fn value_of(&self, v: NodeId) -> u64 {
-        self.values[v]
-    }
-
     /// The aggregation function.
     pub fn aggregate(&self) -> Aggregate {
         self.aggregate

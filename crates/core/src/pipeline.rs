@@ -127,68 +127,39 @@ pub fn build_artifacts(
             setup_cost += CostReport::new(2 * d, 2 * g.n() as u64);
             trivial_shortcut(g, tree, parts)
         }
-        ShortcutStrategy::Randomized => {
+        // The doubling trick: Alg. 4 or Alg. 8 with budgets `(b, c)`
+        // doubling until every part is satisfied.
+        strategy => {
             let mut budget = 1usize;
             loop {
-                let res = construct_randomized(
-                    g,
-                    tree,
-                    parts,
-                    &terminals,
-                    RandParams::new(budget, budget, parts.num_parts(), config.seed ^ 0xc0fe),
-                );
-                setup_cost += res.cost;
+                let (shortcut, unsatisfied, iterations, cost) =
+                    if strategy == ShortcutStrategy::Randomized {
+                        let seed = config.seed ^ 0xc0fe;
+                        let params = RandParams::new(budget, budget, parts.num_parts(), seed);
+                        let res = construct_randomized(g, tree, parts, &terminals, params);
+                        (res.shortcut, res.unsatisfied, res.iterations, res.cost)
+                    } else {
+                        let params = DetParams::new(budget, budget, parts.num_parts());
+                        let res = construct_deterministic(g, tree, parts, &terminals, params);
+                        (res.shortcut, res.unsatisfied, res.iterations, res.cost)
+                    };
+                setup_cost += cost;
                 // One Algorithm 2 verification per sweep.
                 let verify = verify_block_parameter(
                     inst,
                     &PaSetup {
                         tree,
-                        shortcut: &res.shortcut,
+                        shortcut: &shortcut,
                         division: &division,
                         leaders: &leaders,
                         block_budget: (3 * budget).max(1),
                     },
                     config.variant,
                 );
-                setup_cost += verify_scaled(verify.cost, res.iterations);
-                if res.unsatisfied.is_empty() {
-                    break res.shortcut;
-                }
+                setup_cost += verify_scaled(verify.cost, iterations);
                 budget *= 2;
-                if budget > g.n() {
-                    break res.shortcut; // give up; Algorithm 1 may still cover via part edges
-                }
-            }
-        }
-        ShortcutStrategy::Deterministic => {
-            let mut budget = 1usize;
-            loop {
-                let res = construct_deterministic(
-                    g,
-                    tree,
-                    parts,
-                    &terminals,
-                    DetParams::new(budget, budget, parts.num_parts()),
-                );
-                setup_cost += res.cost;
-                let verify = verify_block_parameter(
-                    inst,
-                    &PaSetup {
-                        tree,
-                        shortcut: &res.shortcut,
-                        division: &division,
-                        leaders: &leaders,
-                        block_budget: (3 * budget).max(1),
-                    },
-                    config.variant,
-                );
-                setup_cost += verify_scaled(verify.cost, res.iterations);
-                if res.unsatisfied.is_empty() {
-                    break res.shortcut;
-                }
-                budget *= 2;
-                if budget > g.n() {
-                    break res.shortcut;
+                if unsatisfied.is_empty() || budget > g.n() {
+                    break shortcut; // on give-up, Algorithm 1 may still cover via part edges
                 }
             }
         }

@@ -5,8 +5,9 @@
 //! on a cluster and hit with a seeded mixed workload — mostly PA solves
 //! and verification traffic, a tail of heavier analytics (see
 //! [`rmo_apps::service::mixed_workload`]). The same workload is served
-//! at shard counts 1/2/4/8; the table reports wall-clock throughput,
-//! mean shard utilization, and the fleet-wide artifact-cache hit rate
+//! at shard counts 1/2/4/8; the table reports wall-clock throughput
+//! (timed here, around `serve`), the modeled critical path and speedup
+//! of the pre-steal plan, and the fleet-wide artifact-cache hit rate
 //! (nonzero because the scheduler batches same-partition queries
 //! back-to-back).
 //!
@@ -20,10 +21,10 @@
 //! under zipf and uniform popularity) and served under both scheduling
 //! policies. The skew table compares the *modeled* critical path — the
 //! busiest shard's share of the deterministic per-query cost
-//! (rounds + messages), a hardware-independent number — and asserts
-//! the `Balanced` scheduler beats hash-pinning by ≥ 1.5× on both
-//! adversarial fleets. Steal-log replays are also asserted bit-exact
-//! here.
+//! (rounds + messages) under the pre-steal plan, a hardware-independent
+//! number — and asserts the `Balanced` scheduler beats hash-pinning by
+//! ≥ 1.5× on both adversarial fleets. Steal-log replays are also
+//! asserted bit-exact here.
 //!
 //! With `--hot`, the single-hot-graph fleet runs instead: one heavy
 //! graph plus light satellites, served Pinned / Balanced /
@@ -37,11 +38,13 @@
 //! prints them, `--check-baseline BENCH_cluster.json` gates CI on
 //! them.
 
+use std::time::Instant;
+
 use rmo_apps::service::{
     colliding_graph_ids, mixed_workload, zipf_workload, GraphId, PaCluster, ReplicaPolicy,
     SchedulePolicy, ServeReport,
 };
-use rmo_apps::Query;
+use rmo_apps::{Query, QueryResponse};
 use rmo_graph::gen;
 
 use super::perf;
@@ -71,6 +74,66 @@ fn cluster_for(scale: usize, shards: usize) -> PaCluster {
     cluster
 }
 
+/// The modeled critical path of a batch: each shard's share of the
+/// deterministic per-query cost under the pre-steal `plan`
+/// ([`PaCluster::planned_execution`]). Hardware-independent, so it is
+/// what sharding buys on enough cores, whatever this machine has.
+struct Modeled {
+    /// The busiest shard's `(rounds, messages)`.
+    crit: (u64, u64),
+    /// Work (rounds + messages) summed over every shard.
+    total: u64,
+    /// Shards the plan gives any query.
+    busy_shards: usize,
+}
+
+impl Modeled {
+    fn new(plan: &[Vec<usize>], responses: &[QueryResponse]) -> Modeled {
+        let mut modeled = Modeled {
+            crit: (0, 0),
+            total: 0,
+            busy_shards: plan.iter().filter(|indices| !indices.is_empty()).count(),
+        };
+        for indices in plan {
+            let (mut rounds, mut messages) = (0, 0);
+            for resp in indices.iter().filter_map(|&i| responses.get(i)) {
+                rounds += resp.cost().rounds as u64;
+                messages += resp.cost().messages;
+            }
+            modeled.total += rounds + messages;
+            // `>=`: a tie picks the later shard, the split that
+            // `BENCH_cluster.json` pins.
+            if rounds + messages >= modeled.work() {
+                modeled.crit = (rounds, messages);
+            }
+        }
+        modeled
+    }
+
+    /// The critical path's work (rounds + messages).
+    fn work(&self) -> u64 {
+        self.crit.0 + self.crit.1
+    }
+
+    /// Total work over critical-path work: the modeled speedup.
+    fn balance(&self) -> f64 {
+        self.total as f64 / self.work().max(1) as f64
+    }
+}
+
+/// Serves `queries` on `cluster` threaded, timed at this edge; returns
+/// the report, its pre-steal plan and the wall time in ms.
+fn serve_timed(
+    cluster: &mut PaCluster,
+    queries: &[(GraphId, Query)],
+) -> (ServeReport, Vec<Vec<usize>>, f64) {
+    // Pure, so planning before serving changes nothing.
+    let plan = cluster.planned_execution(queries);
+    let start = Instant::now();
+    let report = cluster.serve(queries);
+    (report, plan, start.elapsed().as_secs_f64() * 1e3)
+}
+
 pub fn run(quick: bool, skew: bool, hot: bool, json: bool, baseline: Option<&str>) {
     if hot {
         run_hot(quick, json, baseline);
@@ -87,11 +150,11 @@ pub fn run(quick: bool, skew: bool, hot: bool, json: bool, baseline: Option<&str
     };
 
     let mut rows = Vec::new();
-    let mut baseline: Option<Vec<rmo_apps::QueryResponse>> = None;
+    let mut baseline: Option<Vec<QueryResponse>> = None;
     let mut fleet_line = String::new();
     for shards in [1usize, 2, 4, 8] {
         let mut cluster = cluster_for(scale, shards);
-        let report = cluster.serve(&workload);
+        let (report, plan, wall_ms) = serve_timed(&mut cluster, &workload);
         // Determinism contract, per shard count: threaded serving
         // bit-matches the sequential replay (responses and engine
         // counters), and responses do not depend on the shard count.
@@ -118,29 +181,15 @@ pub fn run(quick: bool, skew: bool, hot: bool, json: bool, baseline: Option<&str
         if shards == 4 {
             fleet_line = report.stats.to_string();
         }
-        // The sequential replay measures each shard's schedule alone on
-        // the core, so its per-shard busy times give the hardware-
-        // independent critical path: `max busy` bounds the wall time on
-        // a ≥`shards`-core machine, and `Σ busy / max busy` is the ideal
-        // parallel speedup the sharding achieves there.
-        let busy: Vec<f64> = replay
-            .stats
-            .per_shard
-            .iter()
-            .map(|s| s.busy.as_secs_f64())
-            .collect();
-        let total: f64 = busy.iter().sum();
-        let crit = busy.iter().cloned().fold(0.0f64, f64::max);
+        let modeled = Modeled::new(&plan, &report.responses);
         let stats = &report.stats;
-        let wall = report.wall.as_secs_f64();
         rows.push(vec![
             shards.to_string(),
             count.to_string(),
-            format!("{:.1}", wall * 1e3),
-            format!("{:.0}", count as f64 / wall.max(1e-9)),
-            format!("{:.0}%", 100.0 * report.utilization()),
-            format!("{:.1}", crit * 1e3),
-            format!("{:.2}x", total / crit.max(1e-9)),
+            format!("{wall_ms:.1}"),
+            format!("{:.0}", count as f64 / (wall_ms / 1e3).max(1e-9)),
+            format!("{:.1}k", modeled.work() as f64 / 1e3),
+            format!("{:.2}x", modeled.balance()),
             format!("{}/{}", stats.engine.hits, stats.engine.misses),
             format!("{:.0}%", 100.0 * stats.engine.hit_rate()),
             stats.engine.evictions.to_string(),
@@ -153,9 +202,8 @@ pub fn run(quick: bool, skew: bool, hot: bool, json: bool, baseline: Option<&str
             "queries",
             "wall ms",
             "q/s",
-            "util",
-            "crit path ms",
-            "ideal speedup",
+            "crit work",
+            "modeled speedup",
             "hits/misses",
             "hit rate",
             "evict",
@@ -166,39 +214,19 @@ pub fn run(quick: bool, skew: bool, hot: bool, json: bool, baseline: Option<&str
     println!(
         "\nShape check: answers and per-query costs are identical in every \
          row (asserted above). Measured q/s scales with shards up to the \
-         machine's core count; `crit path` (the busiest shard, measured \
-         uncontended) is the hardware-independent floor on wall time, so \
-         `ideal speedup` is what the sharding yields on enough cores — it \
-         grows with shard count until the fleet's heaviest graph dominates. \
-         The hit rate is the scheduler's same-partition batching paying \
-         off across unrelated queries."
+         machine's core count; `crit work` (the busiest shard's share of \
+         the deterministic per-query cost under the pre-steal plan) is the \
+         hardware-independent critical path, so `modeled speedup` (total \
+         work / crit work) is what the sharding yields on enough cores — \
+         modeled, not measured — and grows with shard count until the \
+         fleet's heaviest graph dominates. The hit rate is the \
+         scheduler's same-partition batching paying off across unrelated \
+         queries."
     );
 
     if skew {
         run_skew(quick);
     }
-}
-
-/// The modeled (hardware-independent) per-shard work split of a batch:
-/// each shard's share of the deterministic per-query cost
-/// (rounds + messages), per the report's placement log.
-fn modeled_shard_work(
-    report: &ServeReport,
-    workload: &[(GraphId, Query)],
-    shards: usize,
-) -> Vec<u64> {
-    let mut shard_of = std::collections::HashMap::new();
-    for (shard, ids) in report.log.assignments.iter().enumerate() {
-        for id in ids {
-            shard_of.insert(*id, shard);
-        }
-    }
-    let mut work = vec![0u64; shards];
-    for ((id, _), resp) in workload.iter().zip(&report.responses) {
-        let cost = resp.cost();
-        work[shard_of[id]] += cost.rounds as u64 + cost.messages;
-    }
-    work
 }
 
 fn run_skew(quick: bool) {
@@ -247,8 +275,7 @@ fn run_skew(quick: bool) {
         };
         let mut crit_by_policy = Vec::new();
         for policy in [SchedulePolicy::Pinned, SchedulePolicy::Balanced] {
-            let mut cluster = cluster_with(policy);
-            let report = cluster.serve(&workload);
+            let (report, plan, _) = serve_timed(&mut cluster_with(policy), &workload);
             // Determinism under skew: sequential replay bit-matches, and
             // the steal log reproduces the exact placement.
             let sequential = cluster_with(policy).serve_sequential(&workload);
@@ -258,32 +285,19 @@ fn run_skew(quick: bool) {
             assert_eq!(replayed.responses, report.responses);
             assert_eq!(replayed.log.assignments, report.log.assignments);
 
-            // Model the critical path from the *sequential* run's log —
-            // the deterministic LPT (or pinned) initial assignment — so
-            // the table and the >= 1.5x bound below are reproducible on
-            // any machine. The threaded run's steals (recorded in
-            // `report.log`) only redistribute further at run time.
-            let work = modeled_shard_work(&sequential, &workload, shards);
-            let total: u64 = work.iter().sum();
-            let crit = *work.iter().max().expect("shards > 0") as f64;
-            let busy_shards = work.iter().filter(|&&w| w > 0).count();
-            // Measured, uncontended: the sequential run serves each
-            // shard's schedule alone on the core.
-            let crit_ms = sequential
-                .stats
-                .per_shard
-                .iter()
-                .map(|s| s.busy.as_secs_f64())
-                .fold(0.0f64, f64::max)
-                * 1e3;
+            // The pre-steal plan — the deterministic LPT (or pinned)
+            // placement — makes the table and the >= 1.5x bound below
+            // reproducible on any machine. The threaded run's steals
+            // (recorded in `report.log`) only redistribute further.
+            let modeled = Modeled::new(&plan, &report.responses);
+            let crit = modeled.work() as f64;
             crit_by_policy.push(crit);
             rows.push(vec![
                 name.to_string(),
                 format!("{policy:?}"),
-                busy_shards.to_string(),
+                modeled.busy_shards.to_string(),
                 format!("{:.0}k", crit / 1e3),
-                format!("{:.2}x", total as f64 / crit.max(1.0)),
-                format!("{crit_ms:.1}"),
+                format!("{:.2}x", modeled.balance()),
                 report.log.steals.len().to_string(),
             ]);
         }
@@ -297,7 +311,6 @@ fn run_skew(quick: bool) {
             "busy shards",
             "crit work",
             "balance",
-            "crit ms (uncontended)",
             "steals",
         ],
         &rows,
@@ -320,13 +333,13 @@ fn run_skew(quick: bool) {
     }
     println!(
         "\nShape check: `crit work` is the busiest shard's share of the \
-         deterministic per-query cost (rounds + messages) — the \
-         hardware-independent critical path. Hash-pinning serves the \
-         one-shard fleet entirely on shard 0 (`busy shards = 1`); the \
-         Balanced LPT placement spreads the same groups, and the \
-         threaded run may additionally steal (`steals` column) — with \
-         identical responses and cost accounting either way, asserted \
-         on every run including the steal-log replay."
+         deterministic per-query cost (rounds + messages) under the \
+         pre-steal plan — the hardware-independent critical path. \
+         Hash-pinning serves the one-shard fleet entirely on shard 0 \
+         (`busy shards = 1`); the Balanced LPT placement spreads the same \
+         groups, and the threaded run may additionally steal (`steals` \
+         column) — with identical responses and cost accounting either \
+         way, asserted on every run including the steal-log replay."
     );
 }
 
@@ -398,13 +411,10 @@ fn run_hot(quick: bool, json: bool, baseline: Option<&str>) {
     let mut entries = Vec::new();
     let mut crits: Vec<u64> = Vec::new();
     for (name, policy, replicas) in scenarios {
-        let mut cluster = build(policy, replicas);
         // The pre-steal plan of the warmed cluster is the modeled
         // placement — replica chunks appear on their own shards here,
-        // so the critical path credits the split. Pure, so reading it
-        // before serving changes nothing.
-        let plan = cluster.planned_execution(&workload);
-        let report = cluster.serve(&workload);
+        // so the critical path credits the split.
+        let (report, plan, wall_ms) = serve_timed(&mut build(policy, replicas), &workload);
         // Determinism under replicas: the sequential run and the
         // fork-event replay bit-match the threaded run.
         let sequential = build(policy, replicas).serve_sequential(&workload);
@@ -415,46 +425,24 @@ fn run_hot(quick: bool, json: bool, baseline: Option<&str>) {
         assert_eq!(replayed.log.assignments, report.log.assignments, "{name}");
         assert_eq!(replayed.log.forks, report.log.forks, "{name}");
 
-        let mut shard_cost = vec![(0u64, 0u64); shards];
-        for (shard, indices) in plan.iter().enumerate() {
-            for &index in indices {
-                if let (Some(slot), Some(resp)) =
-                    (shard_cost.get_mut(shard), report.responses.get(index))
-                {
-                    let cost = resp.cost();
-                    slot.0 += cost.rounds as u64;
-                    slot.1 += cost.messages;
-                }
-            }
-        }
-        let (crit_rounds, crit_messages) = shard_cost
-            .iter()
-            .copied()
-            .max_by_key(|&(rounds, messages)| rounds + messages)
-            .unwrap_or((0, 0));
-        let crit = crit_rounds + crit_messages;
-        let total: u64 = shard_cost
-            .iter()
-            .map(|&(rounds, messages)| rounds + messages)
-            .sum();
-        let busy = plan.iter().filter(|indices| !indices.is_empty()).count();
-        crits.push(crit);
+        let modeled = Modeled::new(&plan, &report.responses);
+        crits.push(modeled.work());
         let stats = &report.stats;
         rows.push(vec![
             name.to_string(),
-            busy.to_string(),
-            format!("{:.1}k", crit as f64 / 1e3),
-            format!("{:.2}x", total as f64 / crit.max(1) as f64),
+            modeled.busy_shards.to_string(),
+            format!("{:.1}k", modeled.work() as f64 / 1e3),
+            format!("{:.2}x", modeled.balance()),
             stats.forks.to_string(),
             stats.replicas.to_string(),
             report.log.steals.len().to_string(),
-            format!("{:.1}", report.wall.as_secs_f64() * 1e3),
+            format!("{wall_ms:.1}"),
         ]);
         entries.push(perf::Entry {
             name,
-            wall_ms: report.wall.as_secs_f64() * 1e3,
-            rounds: usize::try_from(crit_rounds).unwrap_or(usize::MAX),
-            messages: crit_messages,
+            wall_ms,
+            rounds: usize::try_from(modeled.crit.0).unwrap_or(usize::MAX),
+            messages: modeled.crit.1,
             reference_wall_ms: None,
         });
     }

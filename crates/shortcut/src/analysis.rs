@@ -29,11 +29,6 @@ impl ShortcutProfile {
         self.congestion_histogram.len().saturating_sub(1)
     }
 
-    /// Max blocks over non-direct parts (`b` of Definition 2.3).
-    pub fn max_blocks(&self) -> usize {
-        self.blocks_per_part.iter().copied().max().unwrap_or(0)
-    }
-
     /// Mean congestion over *used* tree edges.
     pub fn mean_congestion(&self) -> f64 {
         let used: usize = self.congestion_histogram.iter().skip(1).sum();

@@ -6,7 +6,8 @@
 //!   scheduling policies.
 //! * A threaded run's [`ServeLog`] (LPT placement + recorded steals)
 //!   replayed through `serve_replay` reproduces the run bit-for-bit,
-//!   per-shard placement included — at shards 1/2/4/7.
+//!   final assignment included — at shards 1/2/4/7; a sequential run
+//!   and the replay of its own log are equal as whole reports.
 //! * Skewed workloads (all traffic on one graph; every graph hashing
 //!   to one shard) stay deterministic, and the `Balanced` scheduler
 //!   spreads the adversarial fleet that starves hash-pinning.
@@ -104,15 +105,11 @@ fn steal_log_replay_reproduces_placement_at_every_shard_count() {
             "replay must land every group on the recorded shard"
         );
         assert!(replay.log.steals.is_empty(), "replays never steal");
-        for (t, r) in report
-            .stats
-            .per_shard
-            .iter()
-            .zip(replay.stats.per_shard.iter())
-        {
-            assert_eq!(t.queries, r.queries);
-            assert_eq!(t.graph_ids, r.graph_ids);
-        }
+        // Without steals the contract is one equality: a sequential run
+        // and the replay of its own log agree on the whole report.
+        let sequential = fleet_cluster(shards).serve_sequential(&workload);
+        let replayed = fleet_cluster(shards).serve_replay(&workload, &sequential.log);
+        assert_eq!(replayed, sequential, "{shards} shards");
         // The log itself is sane: every steal lands where the
         // assignment says, epochs are sequential.
         for (i, steal) in report.log.steals.iter().enumerate() {
@@ -145,7 +142,7 @@ fn handcrafted_replay_moves_a_group_deterministically() {
     assert_eq!(replay.responses, baseline.responses);
     assert_eq!(replay.stats.engine, baseline.stats.engine);
     assert!(
-        replay.stats.per_shard[to].graph_ids.contains(&moved),
+        replay.log.assignments[to].contains(&moved),
         "the moved group executed on its new shard"
     );
 }
@@ -166,11 +163,11 @@ fn hot_graph_skew_stays_deterministic() {
     assert_eq!(t.responses, s.responses);
     assert_eq!(t.stats.engine, s.stats.engine);
     let serving: Vec<usize> = t
-        .stats
-        .per_shard
+        .log
+        .assignments
         .iter()
         .enumerate()
-        .filter(|(_, st)| st.queries > 0)
+        .filter(|(_, ids)| !ids.is_empty())
         .map(|(shard, _)| shard)
         .collect();
     assert_eq!(serving.len(), 1, "one graph group, one shard: {serving:?}");
@@ -191,15 +188,11 @@ fn balanced_policy_spreads_an_adversarially_hashed_fleet() {
     let (mut pinned, _) = one_shard_cluster(shards, SchedulePolicy::Pinned);
     let p = pinned.serve(&workload);
     let busy_shards = |report: &rmo_apps::ServeReport| {
-        report
-            .stats
-            .per_shard
-            .iter()
-            .filter(|s| s.queries > 0)
-            .count()
+        let assignments = report.log.assignments.iter();
+        assignments.filter(|ids| !ids.is_empty()).count()
     };
     assert_eq!(busy_shards(&p), 1, "hash-pinning starves three shards");
-    assert_eq!(p.stats.per_shard[0].queries, 40);
+    assert_eq!(p.log.assignments[0].len(), ids.len(), "all on shard 0");
 
     let (mut balanced, _) = one_shard_cluster(shards, SchedulePolicy::Balanced);
     let b = balanced.serve_sequential(&workload);
@@ -263,8 +256,8 @@ fn every_graph_is_pinned_to_one_shard_under_pinned_policy() {
     for seed in [1u64, 2, 3] {
         let workload = mixed_workload(&cluster, 30, seed);
         let report = cluster.serve(&workload);
-        for (shard, stats) in report.stats.per_shard.iter().enumerate() {
-            for &id in &stats.graph_ids {
+        for (shard, ids) in report.log.assignments.iter().enumerate() {
+            for &id in ids {
                 assert_eq!(
                     cluster.shard_of(id),
                     shard,
@@ -275,11 +268,11 @@ fn every_graph_is_pinned_to_one_shard_under_pinned_policy() {
         // Every submitted graph was served by exactly one shard.
         for (id, _) in &workload {
             let serving: Vec<usize> = report
-                .stats
-                .per_shard
+                .log
+                .assignments
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| s.graph_ids.contains(id))
+                .filter(|(_, ids)| ids.contains(id))
                 .map(|(shard, _)| shard)
                 .collect();
             assert_eq!(serving.len(), 1, "graph {id} spread over {serving:?}");

@@ -94,6 +94,26 @@ fn r1_pins_match_the_tree_exactly() {
 }
 
 #[test]
+fn library_crates_carry_no_wall_clock_exception() {
+    // D3 keeps wall clocks at the harness edge: no library crate opts
+    // out of it, so every wall time is measured by the caller.
+    let report = rmo_lint::scan_workspace(root()).expect("workspace scan runs");
+    let library =
+        ["graph", "congest", "shortcut", "core", "apps"].map(|c| format!("crates/{c}/src/"));
+    let exceptions: Vec<&str> = report
+        .parsed
+        .iter()
+        .filter(|file| library.iter().any(|prefix| file.path.starts_with(prefix)))
+        .filter(|file| file.lines.iter().any(|line| line.contains("allow(D3)")))
+        .map(|file| file.path.as_str())
+        .collect();
+    assert!(
+        exceptions.is_empty(),
+        "library code must not opt out of D3: {exceptions:?}"
+    );
+}
+
+#[test]
 fn serving_path_is_strictly_below_its_baseline() {
     let ratchet = ratchet();
     let service_budget = ratchet

@@ -280,4 +280,17 @@ fn foreign_logs_fail_replay_gracefully() {
         .replay(&trace, &report.log)
         .unwrap_err();
     assert!(err.to_string().contains("diverged"), "{err}");
+
+    // Same ticks, other graph: the frame matches, but the recorded
+    // placement names a group this batch does not have.
+    let mst = |graph| Arrival {
+        tick: 0,
+        graph: GraphId(graph),
+        query: Query::Mst,
+    };
+    let recorded = StreamGateway::new(small_fleet(2), config).run(&[mst(1), mst(1)]);
+    let err = StreamGateway::new(small_fleet(2), config)
+        .replay(&[mst(2), mst(2)], &recorded.log)
+        .unwrap_err();
+    assert_eq!(err.batch, Some(0), "{err}");
 }
