@@ -19,7 +19,7 @@
 use std::collections::HashSet;
 
 use rmo_congest::CostReport;
-use rmo_graph::{DisjointSets, Graph, NodeId, Partition};
+use rmo_graph::{DisjointSets, Graph, NodeId};
 
 use rmo_core::{Aggregate, PaEngine, PaError};
 
@@ -124,9 +124,8 @@ pub fn approx_mwcds(engine: &mut PaEngine<'_>, node_weight: &[u64]) -> Result<Cd
             let next = remap.len();
             *slot = *remap.entry(key).or_insert(next);
         }
-        let parts = Partition::new(g, part_of)?;
         let values: Vec<u64> = (0..n as u64).collect();
-        cost += engine.solve(&parts, &values, Aggregate::Min)?.cost;
+        cost += engine.solve(&part_of, &values, Aggregate::Min)?.cost;
         // Cheapest connector: a path u - x (- y) - v between different
         // components with u, v in S; add the interior nodes.
         let mut best: Option<(u64, Vec<NodeId>)> = None;

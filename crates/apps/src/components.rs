@@ -10,7 +10,7 @@
 //! aggregation over node ids labels everyone.
 
 use rmo_congest::CostReport;
-use rmo_graph::{DisjointSets, EdgeId, Partition};
+use rmo_graph::{DisjointSets, EdgeId};
 
 use rmo_core::{Aggregate, PaEngine, PaError};
 
@@ -53,8 +53,7 @@ pub fn component_labels(
         *slot = *remap.entry(r).or_insert(next);
     }
     let values: Vec<u64> = (0..g.n() as u64).collect();
-    let parts = Partition::new(g, part_of)?;
-    let res = engine.solve(&parts, &values, Aggregate::Min)?;
+    let res = engine.solve(&part_of, &values, Aggregate::Min)?;
     let labels = res.node_values.clone();
     // Dense component ids from labels.
     let mut seen = std::collections::HashMap::new();

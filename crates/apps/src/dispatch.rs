@@ -17,7 +17,7 @@
 use std::fmt;
 
 use rmo_congest::CostReport;
-use rmo_graph::{EdgeId, NodeId, Partition};
+use rmo_graph::{EdgeId, NodeId};
 
 use rmo_core::{partition_fingerprint, Aggregate, PaEngine, PaError};
 
@@ -351,16 +351,10 @@ pub fn run_query(engine: &mut PaEngine<'_>, query: &Query) -> QueryResponse {
             assignment,
             values,
             agg,
-        } => {
-            let parts = match Partition::new(engine.graph(), assignment.clone()) {
-                Ok(p) => p,
-                Err(e) => return fail(PaError::Partition(e)),
-            };
-            match engine.solve(&parts, values, *agg) {
-                Ok(r) => QueryResponse::Pa(r),
-                Err(e) => fail(e),
-            }
-        }
+        } => match engine.solve(assignment, values, *agg) {
+            Ok(r) => QueryResponse::Pa(r),
+            Err(e) => fail(e),
+        },
         Query::Mst => match pa_mst(engine) {
             Ok(r) => QueryResponse::Mst(r),
             Err(e) => fail(e),
@@ -463,7 +457,7 @@ pub fn run_query(engine: &mut PaEngine<'_>, query: &Query) -> QueryResponse {
 mod tests {
     use super::*;
     use rmo_core::EngineConfig;
-    use rmo_graph::gen;
+    use rmo_graph::{gen, PartitionError};
 
     #[test]
     fn dispatch_matches_direct_calls() {
@@ -482,8 +476,7 @@ mod tests {
             },
         );
         let mut b = PaEngine::new(&g, EngineConfig::new());
-        let parts = Partition::new(&g, rows).unwrap();
-        let direct = b.solve(&parts, &values, Aggregate::Min).unwrap();
+        let direct = b.solve(&rows, &values, Aggregate::Min).unwrap();
         assert_eq!(via_dispatch, QueryResponse::Pa(direct));
 
         // Mst through dispatch == pa_mst on an equal session.
@@ -549,6 +542,94 @@ mod tests {
         // The engine is still usable afterwards.
         let ok = run_query(&mut engine, &Query::Kdom { k: 4 });
         assert!(ok.is_ok());
+    }
+
+    /// `Query::Pa` with `assignment` and one value per node.
+    fn pa(assignment: Vec<usize>, values: usize) -> Query {
+        Query::Pa {
+            assignment,
+            values: vec![1; values],
+            agg: Aggregate::Sum,
+        }
+    }
+
+    #[test]
+    fn hostile_part_ids_fail_without_panicking() {
+        // Sizing member lists by the largest id used to overflow `id + 1`,
+        // overflow the allocation size, or abort on a 24 TiB allocation.
+        let g = gen::grid(4, 6);
+        let n = g.n();
+        let rows = gen::grid_row_partition(4, 6);
+        let mut cold = PaEngine::new(&g, EngineConfig::new());
+        let mut warm = PaEngine::new(&g, EngineConfig::new());
+        assert!(run_query(&mut warm, &pa(rows.clone(), n)).is_ok());
+        for hostile in [n, 1 << 40, usize::MAX / 2 + 1, usize::MAX] {
+            let mut assignment = rows.clone();
+            assignment[n - 1] = hostile;
+            // Row 3 loses its last node to the hostile id, so ids 0..=3
+            // are all still taken; 4 is the smallest id nobody holds.
+            let expected = QueryResponse::Failed(FailReason::Engine(PaError::Partition(
+                PartitionError::NonDenseParts { missing: 4 },
+            )));
+            assert_eq!(run_query(&mut cold, &pa(assignment.clone(), n)), expected);
+            assert_eq!(run_query(&mut warm, &pa(assignment, n)), expected);
+            let expected = QueryResponse::Failed(FailReason::Engine(PaError::Partition(
+                PartitionError::NonDenseParts { missing: 0 },
+            )));
+            assert_eq!(run_query(&mut warm, &pa(vec![hostile; n], n)), expected);
+        }
+        assert!(run_query(&mut warm, &pa(rows, n)).is_ok());
+    }
+
+    #[test]
+    fn warm_engine_rejects_what_a_cold_one_rejects_and_counts_nothing() {
+        let g = gen::grid(4, 6);
+        let n = g.n();
+        let rows = gen::grid_row_partition(4, 6);
+        let mut warm = PaEngine::new(&g, EngineConfig::new());
+        assert!(run_query(&mut warm, &pa(rows.clone(), n)).is_ok());
+        let warmed = warm.stats();
+
+        let mut non_dense = rows.clone();
+        non_dense[0] = 5;
+        // Part 0 is columns 0, 2 and 4: three stripes that never touch.
+        let disconnected: Vec<usize> = (0..n).map(|v| (v % 6) % 2).collect();
+        // (part vector, value count); a partition error wins over a
+        // value-count error.
+        let mut bad = vec![
+            (vec![0; n - 1], n),
+            (non_dense.clone(), n),
+            (disconnected.clone(), n),
+            (rows.clone(), n - 1),
+            (rows.clone(), n + 1),
+            (non_dense, n - 1),
+            (disconnected, 0),
+        ];
+        for hostile in [n, 1 << 40, usize::MAX / 2 + 1, usize::MAX] {
+            bad.push((vec![hostile; n], n));
+            bad.push((vec![hostile; n], 0));
+        }
+        for (assignment, values) in bad {
+            let partition_error = assignment != rows;
+            let query = pa(assignment, values);
+            let mut cold = PaEngine::new(&g, EngineConfig::new());
+            let fresh = cold.stats();
+            let expected = run_query(&mut cold, &query);
+            assert_eq!(
+                matches!(
+                    expected,
+                    QueryResponse::Failed(FailReason::Engine(PaError::Partition(_)))
+                ),
+                partition_error,
+                "{query:?}"
+            );
+            assert!(matches!(expected, QueryResponse::Failed(_)), "{query:?}");
+            assert_eq!(run_query(&mut warm, &query), expected, "{query:?}");
+            assert_eq!(cold.stats(), fresh, "{query:?}");
+            assert_eq!(warm.stats(), warmed, "{query:?}");
+        }
+        assert!(run_query(&mut warm, &pa(rows, n)).is_ok());
+        assert_eq!(warm.stats().hits, warmed.hits + 1);
     }
 
     #[test]

@@ -94,16 +94,14 @@ pub fn pa_mst(engine: &mut PaEngine<'_>) -> Result<PaMstResult, PaError> {
                     .unwrap_or(Aggregate::Min.identity())
             })
             .collect();
-        let inst = PaInstance::new(g, part_of, values, Aggregate::Min)?;
-        let res = engine.solve_instance(&inst)?;
+        let res = engine.solve(&part_of, &values, Aggregate::Min)?;
         // The engine charged setup (and, on the very first solve, election
         // + BFS) into `res.cost`. Distributing the merged component
         // identity is one more PA of the same shape on the now-cached
         // partition, i.e. three more wave phases.
         cost += res.cost + res.broadcast_cost.repeated(3);
         // Merge along each part's chosen edge.
-        for p in inst.partition().part_ids() {
-            let key = res.aggregates[p];
+        for &key in &res.aggregates {
             if key == Aggregate::Min.identity() {
                 continue; // isolated component (only possible when done)
             }

@@ -788,14 +788,21 @@ impl PaCluster {
                 // `order` records exactly the first appearance of every
                 // `by_graph` key, so the entry is always present; an empty
                 // group (no indices) would simply serve no queries.
-                let mut indices = by_graph.remove(&id).unwrap_or_default();
+                let indices = by_graph.remove(&id).unwrap_or_default();
+                // One affinity per query: rank the classes by first
+                // appearance, then sort on the cached rank. The sort is
+                // stable, so submission order survives within a class.
                 let mut class_rank: BTreeMap<u64, usize> = BTreeMap::new();
-                for &idx in &indices {
-                    let next = class_rank.len();
-                    class_rank.entry(queries[idx].1.affinity()).or_insert(next);
-                }
-                // Stable sort: submission order survives within a class.
-                indices.sort_by_key(|&idx| class_rank[&queries[idx].1.affinity()]);
+                let mut ranked: Vec<(usize, usize)> = indices
+                    .into_iter()
+                    .map(|idx| {
+                        let next = class_rank.len();
+                        let rank = *class_rank.entry(queries[idx].1.affinity()).or_insert(next);
+                        (rank, idx)
+                    })
+                    .collect();
+                ranked.sort_by_key(|&(rank, _)| rank);
+                let indices: Vec<usize> = ranked.into_iter().map(|(_, idx)| idx).collect();
                 let weight = self.group_weight(id, &indices, queries);
                 Group {
                     id,

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 use rmo_congest::CostReport;
-use rmo_graph::{NodeId, Partition};
+use rmo_graph::NodeId;
 
 use rmo_core::{Aggregate, PaEngine, PaError};
 
@@ -171,8 +171,7 @@ pub fn approx_sssp(
     // One real PA call on the cluster partition prices the relaxations;
     // the engine memoizes its pipeline, so every further round is
     // charged the three wave phases only.
-    let cluster_parts = Partition::new(g, cluster.clone())?;
-    let pa_first = engine.solve(&cluster_parts, &vec![0; n], Aggregate::Min)?;
+    let pa_first = engine.solve(&cluster, &vec![0; n], Aggregate::Min)?;
     let mut qdist = vec![u64::MAX; num_clusters];
     qdist[cluster[source]] = 0;
     let mut bf_rounds = 0usize;

@@ -15,9 +15,10 @@
 //! * constructed once per graph, it owns the [`Network`] and runs
 //!   election + BFS exactly once (lazily, at the first solve or tree
 //!   access — sessions that only need divisions never simulate it);
-//! * every solve looks its partition up in an LRU-bounded memo keyed by
-//!   a fingerprint of the part vector, rebuilding stages 2–4 only on a
-//!   miss;
+//! * every solve looks its part vector up in an LRU-bounded memo keyed
+//!   by a fingerprint of the vector; only a miss validates the vector
+//!   against the graph and rebuilds stages 2–4, and a hit reuses the
+//!   partition validated then;
 //! * costs are charged *incrementally*: election + BFS on the first
 //!   solve, stage 2–4 setup once per distinct partition, and only the
 //!   three wave phases on a cache hit;
@@ -32,16 +33,20 @@
 //!
 //! let g = gen::grid(8, 8);
 //! let parts = gen::grid_row_partition(8, 8);
-//! let parts = rmo_graph::Partition::new(&g, parts).unwrap();
 //! let values: Vec<u64> = (0..g.n() as u64).collect();
 //!
 //! let mut engine = PaEngine::new(&g, EngineConfig::new());
+//! // The first solve validates the part vector and builds its artifacts.
 //! let first = engine.solve(&parts, &values, Aggregate::Min).unwrap();
 //! let second = engine.solve(&parts, &values, Aggregate::Min).unwrap();
 //! assert_eq!(first.aggregates, second.aggregates);
-//! // The second call reuses the cached tree + shortcut + division:
+//! // The second call reuses the cached partition, tree, shortcut and
+//! // division:
 //! assert!(second.cost.rounds < first.cost.rounds);
 //! assert_eq!(engine.stats().hits, 1);
+//! // An invalid vector is rejected without touching the cache.
+//! assert!(engine.solve(&[0; 3], &values, Aggregate::Min).is_err());
+//! assert_eq!(engine.stats().misses, 1);
 //! ```
 
 use std::collections::BTreeMap;
@@ -262,8 +267,9 @@ impl std::fmt::Display for EngineStats {
 
 #[derive(Clone)]
 struct CacheEntry {
-    /// The full part vector, to rule out fingerprint collisions.
-    assignment: Vec<usize>,
+    /// The partition, validated against the engine's graph when the
+    /// entry was built; its part vector rules out fingerprint collisions.
+    partition: Partition,
     artifacts: PipelineArtifacts,
     last_used: u64,
     /// Whether this entry's stage 2–4 setup cost has been charged to a
@@ -420,14 +426,34 @@ impl std::fmt::Debug for PaEngine<'_> {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME_POW[k]` is `FNV_PRIME^k` (wrapping): the effect of `k`
+/// zero bytes on the FNV-1a state.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 /// FNV-1a over a word stream, one byte at a time (little-endian).
+///
+/// A zero byte XORs in nothing, so the zero bytes above a word's
+/// highest non-zero byte fold into one multiply by `FNV_PRIME^k`: the
+/// value is bit-identical to the byte loop, but a small id costs two
+/// multiplies instead of eight.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = FNV_OFFSET;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
+    for mut w in words {
+        let zero_bytes = (w.leading_zeros() / 8) as usize;
+        for _ in zero_bytes..8 {
+            h ^= w & 0xff;
             h = h.wrapping_mul(FNV_PRIME);
+            w >>= 8;
         }
+        h = h.wrapping_mul(FNV_PRIME_POW.get(zero_bytes).copied().unwrap_or(1));
     }
     h
 }
@@ -536,16 +562,11 @@ impl<'g> PaEngine<'g> {
         engine
     }
 
-    /// Stage 1, built on first use: flood-max election + distributed BFS
-    /// on the simulator, with their measured cost.
+    /// Stage 1, built on first use (see [`run_stage1`]).
     fn stage1(&self) -> &(RootedTree, CostReport) {
-        self.core.stage1.get_or_init(|| {
-            let (root, _, elect_cost) = run_leader_election(self.graph, &self.core.net)
-                .expect("election terminates on a connected graph");
-            let (tree, _, bfs_cost) =
-                run_bfs(self.graph, &self.core.net, root).expect("BFS terminates");
-            (tree, elect_cost + bfs_cost)
-        })
+        self.core
+            .stage1
+            .get_or_init(|| run_stage1(self.graph, &self.core.net))
     }
 
     /// Derives a session for a reweighted copy of this engine's graph
@@ -606,75 +627,90 @@ impl<'g> PaEngine<'g> {
         );
     }
 
-    /// Ensures artifacts for `inst`'s partition are cached (building them
-    /// on a miss) and returns the cache key. Charging is separate — see
-    /// [`PaEngine::take_pending_setup`].
-    fn ensure_artifacts(&mut self, inst: &PaInstance<'_>) -> u64 {
-        let assignment = inst.partition().assignment();
-        let key = partition_fingerprint(assignment);
-        self.core.clock += 1;
-        let clock = self.core.clock;
-        let cached = match self.core.cache.get_mut(&key) {
-            Some(entry) if entry.assignment == assignment => {
-                entry.last_used = clock;
-                true
-            }
-            Some(_) => {
-                // Fingerprint collision: evict the stale partition.
-                self.core.cache.remove(&key);
-                false
-            }
-            None => false,
+    /// Checks `assignment` out of the artifact cache and runs `on_entry` on
+    /// the entry, the stage-1 tree and the solve arenas. `key` is the
+    /// vector's [`partition_fingerprint`].
+    ///
+    /// A hit (equal key, equal part vector) reuses the partition
+    /// validated when the entry was built and checks nothing else. A
+    /// miss validates `assignment` against this engine's graph, then
+    /// builds the entry. `values` is the solve's value count, checked
+    /// after the partition; `None` marks a pre-warm, which counts no
+    /// solve and leaves the entry's setup cost pending. A rejected call
+    /// counts, stamps and builds nothing.
+    ///
+    /// `on_entry` also gets the cost to charge beyond the waves: the entry's
+    /// stage 2–4 setup if no solve has paid it yet, plus election + BFS
+    /// on the engine's first charge.
+    ///
+    /// (`on_entry` is bound in a `where` clause: `rmo-lint` reads a fn with
+    /// `impl Trait` in argument position as an `impl` block, which would
+    /// hide this body from its R1 call graph.)
+    fn checkout<R, F>(
+        &mut self,
+        key: u64,
+        assignment: &[usize],
+        values: Option<usize>,
+        on_entry: F,
+    ) -> Result<R, PaError>
+    where
+        F: FnOnce(&CacheEntry, &RootedTree, &mut SolveScratch, CostReport) -> R,
+    {
+        let graph = self.graph;
+        let n = graph.n();
+        let check_values = || match values {
+            Some(got) if got != n => Err(PaError::ValueCountMismatch { expected: n, got }),
+            _ => Ok(()),
         };
-        if cached {
-            self.core.stats.hits += 1;
-            return key;
-        }
-        self.core.stats.misses += 1;
-        let artifacts = {
-            let tree = &self.stage1().0;
-            build_artifacts(inst, &self.core.config, tree)
+        let core = &mut self.core;
+        let entry = match core.cache.get_mut(&key) {
+            Some(entry) if entry.partition.assignment() == assignment => {
+                check_values()?;
+                core.stats.hits += 1;
+                entry
+            }
+            _ => {
+                let partition = Partition::new(graph, assignment.to_vec())?;
+                check_values()?;
+                core.stats.misses += 1;
+                let (tree, _) = core.stage1.get_or_init(|| run_stage1(graph, &core.net));
+                // Stages 2–4 read the graph and the partition, never the
+                // values.
+                let zeros = vec![0; n];
+                let inst = PaInstance::borrowed(graph, &partition, &zeros, Aggregate::Min);
+                let artifacts = build_artifacts(&inst, &core.config, tree);
+                // On a fingerprint collision the stale entry leaves
+                // first, so it takes no room from the capacity check.
+                core.cache.remove(&key);
+                if core.cache.len() >= core.config.cache_capacity
+                    && evict_lru(&mut core.cache, |e| e.last_used)
+                {
+                    core.stats.evictions += 1;
+                }
+                core.cache.entry(key).or_insert(CacheEntry {
+                    partition,
+                    artifacts,
+                    last_used: 0,
+                    setup_charged: false,
+                })
+            }
         };
-        if self.core.cache.len() >= self.core.config.cache_capacity
-            && evict_lru(&mut self.core.cache, |e| e.last_used)
-        {
-            self.core.stats.evictions += 1;
+        core.clock += 1;
+        entry.last_used = core.clock;
+        let (tree, base_cost) = core.stage1.get_or_init(|| run_stage1(graph, &core.net));
+        let mut extra = CostReport::zero();
+        if values.is_some() {
+            core.stats.solves += 1;
+            if !entry.setup_charged {
+                entry.setup_charged = true;
+                extra += entry.artifacts.setup_cost;
+            }
+            if !core.base_charged {
+                core.base_charged = true;
+                extra += *base_cost;
+            }
         }
-        self.core.cache.insert(
-            key,
-            CacheEntry {
-                assignment: assignment.to_vec(),
-                artifacts,
-                last_used: clock,
-                setup_charged: false,
-            },
-        );
-        key
-    }
-
-    /// The entry's stage 2–4 setup cost if no caller has been charged for
-    /// it yet (a [`PaEngine::pipeline_for`] pre-warm leaves it pending),
-    /// zero afterwards.
-    fn take_pending_setup(&mut self, key: u64) -> CostReport {
-        let entry = self.core.cache.get_mut(&key).expect("entry just ensured");
-        if entry.setup_charged {
-            CostReport::zero()
-        } else {
-            entry.setup_charged = true;
-            entry.artifacts.setup_cost
-        }
-    }
-
-    /// The cost to charge this call beyond the waves themselves: stage
-    /// 2–4 setup when not yet charged for this partition, plus election +
-    /// BFS exactly once per engine.
-    fn incremental_cost(&mut self, setup_cost: CostReport) -> CostReport {
-        let mut extra = setup_cost;
-        if !self.core.base_charged {
-            self.core.base_charged = true;
-            extra += self.stage1().1;
-        }
-        extra
+        Ok(on_entry(entry, tree, &mut core.scratch, extra))
     }
 
     /// Charges the one-off election + BFS cost to the caller if no solve
@@ -683,44 +719,63 @@ impl<'g> PaEngine<'g> {
     /// from this engine (min-cut) call it explicitly so the shared tree
     /// is still paid for exactly once.
     pub fn charge_base(&mut self) -> CostReport {
-        self.incremental_cost(CostReport::zero())
+        if self.core.base_charged {
+            return CostReport::zero();
+        }
+        self.core.base_charged = true;
+        self.stage1().1
     }
 
     /// Builds (or fetches) the pipeline artifacts for a partition without
-    /// solving anything — a pre-warm/inspection entry point. The entry's
-    /// stage 2–4 setup cost stays *pending*: the first solve that
+    /// solving anything — a pre-warm/inspection entry point. It takes the
+    /// same cache lookup as a solve, so a hit does nothing else. The
+    /// entry's stage 2–4 setup cost stays *pending*: the first solve that
     /// consumes this partition is charged it, preserving the
     /// charged-once-per-partition invariant.
     ///
     /// # Errors
-    /// Propagates [`PaError`] from instance validation (e.g. a partition
-    /// with a disconnected part, or one that does not match this graph)
-    /// instead of aborting — serving layers turn this into a per-query
-    /// failure rather than killing a worker.
+    /// A miss validates `parts`' part vector against this engine's graph
+    /// and propagates the [`PaError`] (e.g. a vector of another graph's
+    /// length) instead of aborting — serving layers turn this into a
+    /// per-query failure rather than killing a worker.
     pub fn pipeline_for(&mut self, parts: &Partition) -> Result<&PipelineArtifacts, PaError> {
-        let inst = PaInstance::from_partition(
-            self.graph,
-            parts.clone(),
-            vec![0; self.graph.n()],
-            Aggregate::Min,
-        )?;
-        let key = self.ensure_artifacts(&inst);
+        let key = partition_fingerprint(parts.assignment());
+        self.checkout(key, parts.assignment(), None, |_, _, _, _| ())?;
         Ok(&self.core.cache[&key].artifacts)
     }
 
-    /// Solves one PA instance over `parts`: every node of every part
-    /// learns `agg` folded over the part's `values`.
+    /// Solves one PA instance: every node of every part learns `agg`
+    /// folded over its part's `values`. `assignment` is the part id per
+    /// node, as for [`Partition::new`].
+    ///
+    /// A part vector the engine has cached is not validated again: the
+    /// solve reuses the cached partition and charges only the waves.
     ///
     /// # Errors
-    /// Propagates [`PaError`] from instance validation and Algorithm 1.
+    /// [`PaError::Partition`] if `assignment` is not a valid partition of
+    /// this graph, then [`PaError::ValueCountMismatch`] if `values` does
+    /// not hold one value per node (a rejected call changes no
+    /// [`EngineStats`] counter), and the errors of Algorithm 1.
     pub fn solve(
         &mut self,
-        parts: &Partition,
+        assignment: &[usize],
         values: &[u64],
         agg: Aggregate,
     ) -> Result<PaResult, PaError> {
-        let inst = PaInstance::from_partition(self.graph, parts.clone(), values.to_vec(), agg)?;
-        self.solve_instance(&inst)
+        let graph = self.graph;
+        let variant = self.core.config.variant;
+        let key = partition_fingerprint(assignment);
+        let mut out = PaResult::default();
+        self.checkout(
+            key,
+            assignment,
+            Some(values.len()),
+            |entry, tree, scratch, extra| {
+                let inst = PaInstance::borrowed(graph, &entry.partition, values, agg);
+                run_waves(&inst, entry, tree, variant, scratch, extra, &mut out)
+            },
+        )??;
+        Ok(out)
     }
 
     /// Solves an already-validated instance. The instance's graph must be
@@ -750,62 +805,55 @@ impl<'g> PaEngine<'g> {
     /// Panics if the instance's graph topology differs from the engine's.
     pub fn solve_on(&mut self, inst: &PaInstance<'_>, out: &mut PaResult) -> Result<(), PaError> {
         self.assert_same_graph(inst);
-        self.core.stats.solves += 1;
-        let key = self.ensure_artifacts(inst);
-        let setup_cost = self.take_pending_setup(key);
-        let extra = self.incremental_cost(setup_cost);
         let variant = self.core.config.variant;
-        let _ = self.tree(); // force stage 1 before the split borrows below
-        let core = &mut self.core;
-        // rmo-lint: allow(P1) — ensure_artifacts inserted this key above
-        let entry = core.cache.get(&key).expect("entry just ensured");
-        // rmo-lint: allow(P1) — self.tree() initialized stage 1 above
-        let (tree, _) = core.stage1.get().expect("stage 1 built above");
-        let setup = entry.artifacts.setup(tree);
-        solve_with(
-            inst,
-            &setup,
-            &entry.artifacts.wave_plan,
-            variant,
-            &mut core.scratch,
-            out,
-        )?;
-        out.cost += extra;
-        Ok(())
+        let assignment = inst.partition().assignment();
+        let key = partition_fingerprint(assignment);
+        self.checkout(
+            key,
+            assignment,
+            Some(inst.values().len()),
+            |entry, tree, scratch, extra| {
+                run_waves(inst, entry, tree, variant, scratch, extra, out)
+            },
+        )?
     }
 
     /// Solves `k` aggregations over one partition with a single pipelined
     /// wave (see [`crate::batch`]).
     ///
     /// # Errors
-    /// Propagates [`PaError`]; every value set must have length `n`.
+    /// As [`PaEngine::solve`], checking the first value set's length;
+    /// then [`PaError`] from the batched wave.
     ///
     /// # Panics
-    /// Panics if `value_sets` is empty or a set has the wrong length.
+    /// Panics if `value_sets` is empty or a later set has the wrong
+    /// length.
     pub fn solve_batch(
         &mut self,
-        parts: &Partition,
+        assignment: &[usize],
         value_sets: &[Vec<u64>],
         agg: Aggregate,
     ) -> Result<BatchResult, PaError> {
-        assert!(!value_sets.is_empty(), "batch needs at least one value set");
-        let inst =
-            PaInstance::from_partition(self.graph, parts.clone(), value_sets[0].clone(), agg)?;
-        self.core.stats.batches += 1;
-        self.core.stats.solves += 1;
-        let key = self.ensure_artifacts(&inst);
-        let setup_cost = self.take_pending_setup(key);
-        let extra = self.incremental_cost(setup_cost);
+        let Some(first) = value_sets.first() else {
+            panic!("batch needs at least one value set");
+        };
+        let graph = self.graph;
         let variant = self.core.config.variant;
-        let entry = &self.core.cache[&key];
-        let mut result = batch_on(
-            &inst,
-            value_sets,
-            &entry.artifacts.setup(self.tree()),
-            variant,
+        let key = partition_fingerprint(assignment);
+        let batch = self.checkout(
+            key,
+            assignment,
+            Some(first.len()),
+            |entry, tree, _, extra| {
+                let inst = PaInstance::borrowed(graph, &entry.partition, first, agg);
+                let mut result =
+                    batch_on(&inst, value_sets, &entry.artifacts.setup(tree), variant)?;
+                result.cost += extra;
+                Ok(result)
+            },
         )?;
-        result.cost += extra;
-        Ok(result)
+        self.core.stats.batches += 1;
+        batch
     }
 
     /// The Algorithm 6 division of the whole graph with completion
@@ -836,6 +884,39 @@ impl<'g> PaEngine<'g> {
         }
         (&self.core.division_cache[&completion].0, cost)
     }
+}
+
+/// Stage 1: flood-max election + distributed BFS on the simulator, with
+/// their measured cost.
+fn run_stage1(graph: &Graph, net: &Network) -> (RootedTree, CostReport) {
+    let (root, _, elect_cost) =
+        run_leader_election(graph, net).expect("election terminates on a connected graph");
+    let (tree, _, bfs_cost) = run_bfs(graph, net, root).expect("BFS terminates");
+    (tree, elect_cost + bfs_cost)
+}
+
+/// Algorithm 1 for `inst` on a checked-out cache entry, into `out`, plus
+/// the checkout's `extra` cost.
+fn run_waves(
+    inst: &PaInstance<'_>,
+    entry: &CacheEntry,
+    tree: &RootedTree,
+    variant: Variant,
+    scratch: &mut SolveScratch,
+    extra: CostReport,
+    out: &mut PaResult,
+) -> Result<(), PaError> {
+    let artifacts = &entry.artifacts;
+    solve_with(
+        inst,
+        &artifacts.setup(tree),
+        &artifacts.wave_plan,
+        variant,
+        scratch,
+        out,
+    )?;
+    out.cost += extra;
+    Ok(())
 }
 
 /// Removes the entry of `cache` with the oldest `last_used` stamp — the
@@ -895,7 +976,9 @@ mod tests {
             let inst =
                 PaInstance::from_partition(&g, parts.clone(), values.clone(), Aggregate::Min)
                     .unwrap();
-            let ours = engine.solve(&parts, &values, Aggregate::Min).unwrap();
+            let ours = engine
+                .solve(parts.assignment(), &values, Aggregate::Min)
+                .unwrap();
             let legacy = from_scratch(&inst, &config);
             assert_eq!(ours.aggregates, legacy.aggregates, "{config:?}");
             assert_eq!(ours.node_values, legacy.node_values);
@@ -908,8 +991,12 @@ mod tests {
     fn cache_hit_skips_setup() {
         let (g, parts, values) = grid_instance();
         let mut engine = PaEngine::new(&g, EngineConfig::new());
-        let first = engine.solve(&parts, &values, Aggregate::Sum).unwrap();
-        let second = engine.solve(&parts, &values, Aggregate::Sum).unwrap();
+        let first = engine
+            .solve(parts.assignment(), &values, Aggregate::Sum)
+            .unwrap();
+        let second = engine
+            .solve(parts.assignment(), &values, Aggregate::Sum)
+            .unwrap();
         assert_eq!(first.aggregates, second.aggregates);
         // Hit: only the three wave phases are charged.
         assert_eq!(second.cost, second.broadcast_cost.repeated(3));
@@ -925,7 +1012,9 @@ mod tests {
     fn fork_preserves_warm_artifacts_with_fresh_counters() {
         let (g, parts, values) = grid_instance();
         let mut engine = PaEngine::new(&g, EngineConfig::new());
-        let original = engine.solve(&parts, &values, Aggregate::Sum).unwrap();
+        let original = engine
+            .solve(parts.assignment(), &values, Aggregate::Sum)
+            .unwrap();
         let mut core = engine.into_core();
 
         // The replica starts with zeroed counters but the full warm
@@ -943,7 +1032,9 @@ mod tests {
         // A solve on the replica is a pure cache hit — fork rebuilt
         // nothing, so the hit-rate economics survive the split.
         let mut forked = PaEngine::from_core(&g, replica);
-        let warm = forked.solve(&parts, &values, Aggregate::Sum).unwrap();
+        let warm = forked
+            .solve(parts.assignment(), &values, Aggregate::Sum)
+            .unwrap();
         assert_eq!(warm.aggregates, original.aggregates);
         assert_eq!(warm.cost, warm.broadcast_cost.repeated(3));
         let after = forked.stats();
@@ -971,7 +1062,9 @@ mod tests {
             .map(|rows| Partition::new(&g, (0..g.n()).map(|v| (v / 12) / rows).collect()).unwrap())
             .collect();
         for parts in &partitions {
-            engine.solve(parts, &values, Aggregate::Sum).unwrap();
+            engine
+                .solve(parts.assignment(), &values, Aggregate::Sum)
+                .unwrap();
         }
         let stats = engine.stats();
         assert_eq!(stats.misses, 3);
@@ -980,11 +1073,11 @@ mod tests {
         // The evicted (least recently used) partition rebuilds; the most
         // recent one hits.
         engine
-            .solve(&partitions[2], &values, Aggregate::Sum)
+            .solve(partitions[2].assignment(), &values, Aggregate::Sum)
             .unwrap();
         assert_eq!(engine.stats().hits, 1);
         engine
-            .solve(&partitions[0], &values, Aggregate::Sum)
+            .solve(partitions[0].assignment(), &values, Aggregate::Sum)
             .unwrap();
         assert_eq!(engine.stats().misses, 4);
     }
@@ -996,8 +1089,12 @@ mod tests {
             .map(|i| values.iter().map(|v| v + i).collect())
             .collect();
         let mut engine = PaEngine::new(&g, EngineConfig::new());
-        let batch = engine.solve_batch(&parts, &sets, Aggregate::Max).unwrap();
-        let again = engine.solve_batch(&parts, &sets, Aggregate::Max).unwrap();
+        let batch = engine
+            .solve_batch(parts.assignment(), &sets, Aggregate::Max)
+            .unwrap();
+        let again = engine
+            .solve_batch(parts.assignment(), &sets, Aggregate::Max)
+            .unwrap();
         assert_eq!(batch.aggregates, again.aggregates);
         assert!(again.cost.rounds < batch.cost.rounds);
         assert_eq!(engine.stats().batches, 2);
@@ -1029,15 +1126,21 @@ mod tests {
     fn prewarmed_setup_is_charged_to_the_first_solve() {
         let (g, parts, values) = grid_instance();
         let mut cold = PaEngine::new(&g, EngineConfig::new());
-        let baseline = cold.solve(&parts, &values, Aggregate::Min).unwrap();
+        let baseline = cold
+            .solve(parts.assignment(), &values, Aggregate::Min)
+            .unwrap();
         // Pre-warming via pipeline_for must not make the setup vanish
         // from the session's accounting: the first solve that consumes
         // the entry still pays it.
         let mut warmed = PaEngine::new(&g, EngineConfig::new());
         let _ = warmed.pipeline_for(&parts).unwrap();
-        let first = warmed.solve(&parts, &values, Aggregate::Min).unwrap();
+        let first = warmed
+            .solve(parts.assignment(), &values, Aggregate::Min)
+            .unwrap();
         assert_eq!(first.cost, baseline.cost, "setup charged exactly once");
-        let second = warmed.solve(&parts, &values, Aggregate::Min).unwrap();
+        let second = warmed
+            .solve(parts.assignment(), &values, Aggregate::Min)
+            .unwrap();
         assert_eq!(second.cost, second.broadcast_cost.repeated(3));
     }
 
@@ -1073,7 +1176,7 @@ mod tests {
         assert_eq!(derived.stats().base_cost, CostReport::zero());
         let parts = Partition::whole(&perturbed).unwrap();
         let res = derived
-            .solve(&parts, &vec![1; perturbed.n()], Aggregate::Sum)
+            .solve(parts.assignment(), &vec![1; perturbed.n()], Aggregate::Sum)
             .unwrap();
         assert_eq!(res.aggregates[0], 25);
     }
@@ -1132,17 +1235,82 @@ mod tests {
         assert_eq!(partition_fingerprint(&[0]), 0xa8c7_f832_281a_39c5);
     }
 
+    /// The specified FNV-1a, one multiply per byte: the oracle the
+    /// zero-byte-folding kernel must match bit for bit.
+    fn fnv1a_bytewise(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = FNV_OFFSET;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn word_fingerprint_matches_the_bytewise_fnv1a() {
+        // Every byte width: 0, 0xff, 0x100, 0xffff, 0x1_0000, …, 1 << 56,
+        // u64::MAX — alone and in one stream.
+        let mut widths = vec![0u64, u64::MAX];
+        for k in 0..8 {
+            widths.push(1u64 << (8 * k));
+            widths.push(u64::MAX >> (64 - 8 * (k + 1)));
+        }
+        for &w in &widths {
+            assert_eq!(word_fingerprint([w]), fnv1a_bytewise([w]), "{w:#x}");
+        }
+        assert_eq!(word_fingerprint(widths.clone()), fnv1a_bytewise(widths));
+        // Seeded random streams of mixed widths.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xf1a);
+        for len in 0..64 {
+            let words: Vec<u64> = (0..len)
+                .map(|_| rng.random::<u64>() >> rng.random_range(0..64u32))
+                .collect();
+            assert_eq!(word_fingerprint(words.clone()), fnv1a_bytewise(words));
+        }
+    }
+
+    #[test]
+    fn partition_and_graph_fingerprints_match_the_bytewise_fnv1a() {
+        let bytewise_graph = |g: &Graph| {
+            fnv1a_bytewise(
+                std::iter::once(g.n() as u64)
+                    .chain(g.edges().flat_map(|(_, u, v, w)| [u as u64, v as u64, w])),
+            )
+        };
+        for g in [gen::random_connected(3000, 4500, 5), gen::grid(48, 48)] {
+            assert_eq!(graph_fingerprint(&g), bytewise_graph(&g));
+            for (target, seed) in [(1, 1), (24, 2), (300, 3), (g.n(), 4)] {
+                let parts = gen::random_connected_partition(&g, target, seed);
+                let assignment = parts.assignment();
+                assert_eq!(
+                    partition_fingerprint(assignment),
+                    fnv1a_bytewise(assignment.iter().map(|&p| p as u64))
+                );
+            }
+        }
+        let weighted = gen::grid_weighted(12, 12, 42);
+        assert_eq!(graph_fingerprint(&weighted), bytewise_graph(&weighted));
+    }
+
     #[test]
     fn core_roundtrip_preserves_warm_state() {
         let (g, parts, values) = grid_instance();
         let mut engine = PaEngine::new(&g, EngineConfig::new());
-        let first = engine.solve(&parts, &values, Aggregate::Min).unwrap();
+        let first = engine
+            .solve(parts.assignment(), &values, Aggregate::Min)
+            .unwrap();
         // Park the session, rehydrate it, and keep solving: the cache,
         // tree, and counters all survive the trip through EngineCore.
         let core = engine.into_core();
         assert_eq!(core.stats().misses, 1);
         let mut engine = PaEngine::from_core(&g, core);
-        let second = engine.solve(&parts, &values, Aggregate::Min).unwrap();
+        let second = engine
+            .solve(parts.assignment(), &values, Aggregate::Min)
+            .unwrap();
         assert_eq!(first.aggregates, second.aggregates);
         assert_eq!(second.cost, second.broadcast_cost.repeated(3), "warm hit");
         assert_eq!(engine.stats().hits, 1);
@@ -1166,9 +1334,12 @@ mod tests {
         let (g, parts, values) = grid_instance();
         let mut a = PaEngine::new(&g, EngineConfig::new());
         let mut b = PaEngine::new(&g, EngineConfig::new().seed(1));
-        a.solve(&parts, &values, Aggregate::Min).unwrap();
-        a.solve(&parts, &values, Aggregate::Min).unwrap();
-        b.solve(&parts, &values, Aggregate::Max).unwrap();
+        a.solve(parts.assignment(), &values, Aggregate::Min)
+            .unwrap();
+        a.solve(parts.assignment(), &values, Aggregate::Min)
+            .unwrap();
+        b.solve(parts.assignment(), &values, Aggregate::Max)
+            .unwrap();
         let mut merged = a.stats();
         merged.merge(&b.stats());
         assert_eq!(merged.solves, 3);

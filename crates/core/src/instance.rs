@@ -1,5 +1,6 @@
 //! PA problem instances (Definition 1.1).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use rmo_graph::{Graph, NodeId, Partition, PartitionError};
@@ -53,11 +54,14 @@ impl From<PartitionError> for PaError {
 
 /// A Part-Wise Aggregation instance: graph, connected partition, one value
 /// per node, and the aggregate `f`.
+///
+/// The public constructors own their partition and values; the engine's
+/// warm path borrows both (its cached partition, the caller's values).
 #[derive(Debug, Clone)]
 pub struct PaInstance<'g> {
     graph: &'g Graph,
-    partition: Partition,
-    values: Vec<u64>,
+    partition: Cow<'g, Partition>,
+    values: Cow<'g, [u64]>,
     aggregate: Aggregate,
 }
 
@@ -85,8 +89,8 @@ impl<'g> PaInstance<'g> {
         let partition = Partition::new(graph, part_of)?;
         Ok(PaInstance {
             graph,
-            partition,
-            values,
+            partition: Cow::Owned(partition),
+            values: Cow::Owned(values),
             aggregate,
         })
     }
@@ -112,10 +116,27 @@ impl<'g> PaInstance<'g> {
         }
         Ok(PaInstance {
             graph,
-            partition,
-            values,
+            partition: Cow::Owned(partition),
+            values: Cow::Owned(values),
             aggregate,
         })
+    }
+
+    /// Borrows a partition already validated against `graph` and
+    /// `graph.n()` values, without checking either again (the engine's
+    /// cache-hit path).
+    pub(crate) fn borrowed(
+        graph: &'g Graph,
+        partition: &'g Partition,
+        values: &'g [u64],
+        aggregate: Aggregate,
+    ) -> PaInstance<'g> {
+        PaInstance {
+            graph,
+            partition: Cow::Borrowed(partition),
+            values: Cow::Borrowed(values),
+            aggregate,
+        }
     }
 
     /// The underlying graph.

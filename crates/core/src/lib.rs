@@ -31,11 +31,12 @@
 //! only pay for the waves themselves:
 //!
 //! ```rust
-//! use rmo_graph::{gen, Partition};
+//! use rmo_graph::gen;
 //! use rmo_core::{Aggregate, EngineConfig, PaEngine};
 //!
 //! let g = gen::grid(8, 8);
-//! let parts = Partition::new(&g, gen::grid_row_partition(8, 8)).unwrap();
+//! // Part id per node; the engine validates it on the first solve.
+//! let parts = gen::grid_row_partition(8, 8);
 //! let values: Vec<u64> = (0..g.n() as u64).collect();
 //!
 //! let mut engine = PaEngine::new(&g, EngineConfig::new());

@@ -174,8 +174,11 @@ pub fn solve_with(
     out.iterations_per_part.clear();
     out.iterations_per_part
         .extend_from_slice(&outcome.iterations_per_part);
+    // Reserved up front, so a fresh result buffer costs one allocation
+    // per vector and a recycled one none.
     let parts = inst.partition();
     out.aggregates.clear();
+    out.aggregates.reserve(parts.num_parts());
     for p in parts.part_ids() {
         out.aggregates.push(inst.reference_aggregate(p));
     }
@@ -185,6 +188,7 @@ pub fn solve_with(
         ..
     } = out;
     node_values.clear();
+    node_values.reserve(inst.graph().n());
     for v in 0..inst.graph().n() {
         node_values.push(aggregates.get(parts.part_of(v)).copied().unwrap_or(0));
     }

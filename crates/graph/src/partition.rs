@@ -83,10 +83,17 @@ impl Partition {
                 members: Vec::new(),
             });
         }
-        let num_parts = part_of.iter().copied().max().map_or(0, |mx| mx + 1);
-        if num_parts == 0 {
-            return Err(PartitionError::Empty);
-        }
+        let num_parts = match part_of.iter().max() {
+            None => return Err(PartitionError::Empty),
+            // n nodes fill at most n dense ids: reject a larger id before
+            // sizing the member lists by it.
+            Some(&mx) if mx >= g.n() => {
+                return Err(PartitionError::NonDenseParts {
+                    missing: smallest_missing(&part_of),
+                })
+            }
+            Some(&mx) => mx + 1,
+        };
         let mut members = vec![Vec::new(); num_parts];
         for (v, &p) in part_of.iter().enumerate() {
             members[p].push(v);
@@ -171,6 +178,19 @@ impl Partition {
     }
 }
 
+/// The smallest id in `0..part_of.len()` that no node takes. One exists
+/// whenever some id is `>= part_of.len()`: the other nodes cover fewer
+/// ids than there are slots.
+fn smallest_missing(part_of: &[usize]) -> usize {
+    let mut taken = vec![false; part_of.len()];
+    for &p in part_of {
+        if let Some(slot) = taken.get_mut(p) {
+            *slot = true;
+        }
+    }
+    taken.iter().position(|&t| !t).unwrap_or(part_of.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +218,19 @@ mod tests {
         let g = gen::path(3);
         let err = Partition::new(&g, vec![0, 0, 2]).unwrap_err();
         assert_eq!(err, PartitionError::NonDenseParts { missing: 1 });
+    }
+
+    #[test]
+    fn ids_at_or_past_n_rejected_before_allocating() {
+        // Sizing member lists by the largest id would overflow or abort
+        // on these; each is reported as the smallest missing id instead.
+        let g = gen::path(3);
+        for hostile in [3, 1 << 40, usize::MAX / 2 + 1, usize::MAX] {
+            let err = Partition::new(&g, vec![0, hostile, 1]).unwrap_err();
+            assert_eq!(err, PartitionError::NonDenseParts { missing: 2 });
+            let err = Partition::new(&g, vec![hostile; 3]).unwrap_err();
+            assert_eq!(err, PartitionError::NonDenseParts { missing: 0 });
+        }
     }
 
     #[test]

@@ -22,10 +22,10 @@ pub fn run(quick: bool) {
 
         let mut engine = PaEngine::new(g, EngineConfig::new());
         let cold = engine
-            .solve(parts, &values, Aggregate::Min)
+            .solve(parts.assignment(), &values, Aggregate::Min)
             .expect("PA solves");
         let warm = engine
-            .solve(parts, &values, Aggregate::Min)
+            .solve(parts.assignment(), &values, Aggregate::Min)
             .expect("PA solves");
         assert_eq!(cold.aggregates, warm.aggregates);
         // A batched stream of 16 aggregations rides the cached pipeline.
@@ -33,7 +33,7 @@ pub fn run(quick: bool) {
             .map(|i| values.iter().map(|v| v.wrapping_add(i * 7)).collect())
             .collect();
         let batch = engine
-            .solve_batch(parts, &sets, Aggregate::Min)
+            .solve_batch(parts.assignment(), &sets, Aggregate::Min)
             .expect("batch solves");
         let stats = engine.stats();
         fleet.merge(&stats);

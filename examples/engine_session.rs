@@ -14,7 +14,7 @@
 use rmo::apps::mst::pa_mst;
 use rmo::apps::verify::verify_mst;
 use rmo::core::{Aggregate, EngineConfig, PaEngine};
-use rmo::graph::{gen, Partition};
+use rmo::graph::gen;
 
 fn main() {
     let g = gen::grid_weighted(12, 12, 42);
@@ -41,7 +41,9 @@ fn main() {
     println!("verify(MST):  holds = {}, {}", verdict.holds, verdict.cost);
 
     // Job 3: a batch of 16 row-wise aggregations, pipelined in one wave.
-    let rows = Partition::new(&g, gen::grid_row_partition(12, 12)).expect("rows connect");
+    // The engine takes the part id per node and validates the vector the
+    // first time it sees it.
+    let rows = gen::grid_row_partition(12, 12);
     let sets: Vec<Vec<u64>> = (0..16u64)
         .map(|i| (0..g.n() as u64).map(|v| (v * 13 + i) % 1009).collect())
         .collect();
@@ -51,7 +53,7 @@ fn main() {
     println!(
         "batch(16):    {} value sets over {} row parts, {}",
         batch.aggregates.len(),
-        rows.num_parts(),
+        batch.aggregates[0].len(),
         batch.cost
     );
 

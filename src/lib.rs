@@ -28,12 +28,12 @@
 //! charged only its incremental cost:
 //!
 //! ```rust
-//! use rmo::graph::{gen, Partition};
+//! use rmo::graph::gen;
 //! use rmo::core::{Aggregate, EngineConfig, PaEngine};
 //!
-//! // A 16x16 grid, partitioned into its rows.
+//! // A 16x16 grid, partitioned into its rows (part id per node).
 //! let g = gen::grid(16, 16);
-//! let parts = Partition::new(&g, gen::grid_row_partition(16, 16)).unwrap();
+//! let parts = gen::grid_row_partition(16, 16);
 //! let values: Vec<u64> = (0..g.n() as u64).collect();
 //!
 //! let mut engine = PaEngine::new(&g, EngineConfig::new());

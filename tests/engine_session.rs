@@ -57,7 +57,9 @@ fn engine_bit_matches_from_scratch_stages_everywhere() {
             EngineConfig::new().trivial().seed(1),
         ] {
             let mut engine = PaEngine::new(&g, config);
-            let ours = engine.solve(&parts, &values, Aggregate::Min).unwrap();
+            let ours = engine
+                .solve(parts.assignment(), &values, Aggregate::Min)
+                .unwrap();
             let inst =
                 PaInstance::from_partition(&g, parts.clone(), values.clone(), Aggregate::Min)
                     .unwrap();
@@ -78,8 +80,12 @@ fn repeated_solves_hit_the_cache_on_every_topology() {
     for (name, g, parts) in topologies() {
         let values: Vec<u64> = (0..g.n() as u64).collect();
         let mut engine = PaEngine::new(&g, EngineConfig::new());
-        let first = engine.solve(&parts, &values, Aggregate::Sum).unwrap();
-        let second = engine.solve(&parts, &values, Aggregate::Sum).unwrap();
+        let first = engine
+            .solve(parts.assignment(), &values, Aggregate::Sum)
+            .unwrap();
+        let second = engine
+            .solve(parts.assignment(), &values, Aggregate::Sum)
+            .unwrap();
         assert_eq!(first.aggregates, second.aggregates, "{name}");
         assert!(
             second.cost.rounds < first.cost.rounds,
@@ -106,7 +112,9 @@ fn cross_partition_solves_evict_at_capacity() {
         Partition::whole(&g).unwrap(),
     ];
     for parts in &partitions {
-        engine.solve(parts, &values, Aggregate::Sum).unwrap();
+        engine
+            .solve(parts.assignment(), &values, Aggregate::Sum)
+            .unwrap();
     }
     let stats = engine.stats();
     assert_eq!(stats.misses, 3);
@@ -114,14 +122,14 @@ fn cross_partition_solves_evict_at_capacity() {
     assert_eq!(stats.cached_partitions, 2);
     // Most-recent partitions still hit; the evicted one rebuilds.
     engine
-        .solve(&partitions[1], &values, Aggregate::Sum)
+        .solve(partitions[1].assignment(), &values, Aggregate::Sum)
         .unwrap();
     engine
-        .solve(&partitions[2], &values, Aggregate::Sum)
+        .solve(partitions[2].assignment(), &values, Aggregate::Sum)
         .unwrap();
     assert_eq!(engine.stats().hits, 2);
     engine
-        .solve(&partitions[0], &values, Aggregate::Sum)
+        .solve(partitions[0].assignment(), &values, Aggregate::Sum)
         .unwrap();
     assert_eq!(engine.stats().misses, 4, "evicted partition rebuilds");
 }
