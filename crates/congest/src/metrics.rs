@@ -7,8 +7,7 @@ use std::ops::{Add, AddAssign};
 /// The cost of (a phase of) a distributed algorithm.
 ///
 /// Phases compose: sequential composition adds rounds and messages
-/// (`a + b`); the harness uses [`CostReport::max_rounds_parallel`] when two
-/// phases run concurrently on disjoint edges.
+/// (`a + b`).
 ///
 /// `capacity_multiplier` records the largest per-edge-per-round message
 /// multiplicity any composed phase used (1 = strict CONGEST; the paper's
@@ -60,16 +59,6 @@ impl CostReport {
             rounds,
             messages,
             capacity_multiplier,
-        }
-    }
-
-    /// Parallel composition: phases run simultaneously on disjoint edges —
-    /// rounds take the max, messages add.
-    pub fn max_rounds_parallel(self, other: CostReport) -> CostReport {
-        CostReport {
-            rounds: self.rounds.max(other.rounds),
-            messages: self.messages + other.messages,
-            capacity_multiplier: self.capacity_multiplier.max(other.capacity_multiplier),
         }
     }
 
@@ -126,13 +115,6 @@ mod tests {
         assert_eq!(total.rounds, 7);
         assert_eq!(total.messages, 70);
         assert_eq!(total.capacity_multiplier, 5);
-    }
-
-    #[test]
-    fn parallel_takes_max_rounds() {
-        let p = CostReport::new(10, 5).max_rounds_parallel(CostReport::new(3, 7));
-        assert_eq!(p.rounds, 10);
-        assert_eq!(p.messages, 12);
     }
 
     #[test]

@@ -122,20 +122,6 @@ impl Graph {
         self.edges[e].2
     }
 
-    /// The endpoint of edge `e` that is not `u`.
-    ///
-    /// # Panics
-    /// Panics if `u` is not an endpoint of `e`.
-    pub fn other_endpoint(&self, e: EdgeId, u: NodeId) -> NodeId {
-        let (a, b, _) = self.edges[e];
-        if a == u {
-            b
-        } else {
-            assert_eq!(b, u, "node {u} is not an endpoint of edge {e}");
-            a
-        }
-    }
-
     /// Degree of node `v`.
     pub fn degree(&self, v: NodeId) -> usize {
         self.adj[v].len()
@@ -311,8 +297,6 @@ mod tests {
         assert_eq!(g.endpoints(1), (1, 2));
         assert_eq!(g.weight(3), 5);
         assert_eq!(g.degree(0), 2);
-        assert_eq!(g.other_endpoint(0, 0), 1);
-        assert_eq!(g.other_endpoint(0, 1), 0);
         assert!(g.is_connected());
         assert_eq!(g.total_weight(), 14);
     }

@@ -35,7 +35,6 @@
 
 pub mod bfs;
 pub mod biconnectivity;
-pub mod dot;
 pub mod dsu;
 pub mod gen;
 pub mod graph;

@@ -167,11 +167,6 @@ impl Partition {
         self.members.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Whether nodes `u` and `v` share a part.
-    pub fn same_part(&self, u: NodeId, v: NodeId) -> bool {
-        self.part_of[u] == self.part_of[v]
-    }
-
     /// Iterator over part ids.
     pub fn part_ids(&self) -> std::ops::Range<usize> {
         0..self.members.len()
@@ -201,8 +196,6 @@ mod tests {
         let g = gen::cycle(6);
         let p = Partition::new(&g, vec![0, 0, 1, 1, 2, 2]).unwrap();
         assert_eq!(p.num_parts(), 3);
-        assert!(p.same_part(0, 1));
-        assert!(!p.same_part(1, 2));
         assert_eq!(p.max_part_size(), 2);
     }
 

@@ -1,32 +1,26 @@
-//! `perf` — the machine-readable simulator & pipeline perf baseline.
+//! `perf` — the one wall-time suite and its regression gate.
 //!
-//! Runs a fixed, named workload suite over the simulator-bound layers —
-//! CONGEST primitives (BFS, tree casts, pipelining, election), the
-//! Table 2 PA pipeline end-to-end, the isolated pipeline stages
-//! (stage-1 tree, divisions, shortcuts, tree routing, warm engine
-//! solves), and the `PaCluster` serving path — and reports wall time
-//! plus exact round/message counts per entry. Wall time is the best of
-//! [`ITERATIONS`] runs (the counts are identical across runs; only the
-//! clock varies).
+//! Runs a fixed, named suite, one entry per timed layer: CONGEST
+//! primitives (BFS, tree casts, pipelining, election), the Table 2 PA
+//! pipeline end to end, the isolated pipeline stages (stage-1 tree,
+//! divisions, shortcuts, tree routing, warm engine solves), a mixed
+//! `PaCluster` batch, and the three replica-scheduling setups of
+//! `serve --hot` (`cluster/hot_*`, timed on `serve_sequential`; the
+//! threaded executor's wall time is not gated). Each entry reports wall
+//! time plus exact round/message counts.
 //!
-//! With `--json` the suite prints a single JSON object (schema
-//! `rmo-perf/2`) to stdout instead of the markdown table, so CI and the
-//! perf trajectory can consume it; `BENCH_simulator.json` and
-//! `BENCH_pipeline.json` at the repo root record captured before/after
-//! pairs of these runs. Primitive entries also time the dense reference
-//! simulator ([`rmo_congest::reference`]) on the identical workload, so
-//! the fast-vs-dense speedup is remeasured — not just quoted — on every
-//! run.
+//! Every fixture is built once; the suite then runs in [`PASSES`]
+//! interleaved passes of [`PASS_BUDGET`] per entry (see [`measure`]).
+//! Primitive entries also time the dense reference simulator
+//! ([`rmo_congest::reference`]) on the identical workload, once per
+//! run, so the fast-vs-dense speedup is remeasured, not quoted.
 //!
-//! With `--check-baseline <path>` the suite additionally replays as a
-//! regression gate against the `"after"` block of a recorded baseline
-//! file: rounds/messages must match bit-for-bit, and no entry may be
-//! slower than [`TOLERANCE`]× the suite-median slowdown (normalizing by
-//! the median makes the gate machine-speed independent — a uniformly
-//! slower CI runner passes, a single regressed stage fails). A failed
-//! gate exits non-zero.
+//! `--json` prints one JSON object (schema `rmo-perf/3`) instead of the
+//! markdown table; `BENCH_perf.json` records the trajectory of captured
+//! runs. `--check-baseline <path>` gates the run against the file's last
+//! block ([`check_baseline`]) and exits non-zero on failure.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rmo_apps::service::{mixed_workload, GraphId, PaCluster};
 use rmo_congest::programs::bfs::run_bfs;
@@ -42,71 +36,140 @@ use rmo_graph::NodeId;
 use rmo_shortcut::alg8::{construct_deterministic, DetParams};
 
 use super::families;
+use super::serve::{HotFleet, Modeled};
 use crate::util::print_table;
 
-/// Wall time is the minimum over this many runs of each entry.
-const ITERATIONS: usize = 3;
+/// Interleaved passes over the whole suite per run. At 20 or 30 passes
+/// host noise occasionally hid a 1.25× slowdown (EXPERIMENTS.md, "One
+/// perf gate").
+const PASSES: usize = 40;
 
-/// One measured suite entry. Shared with the `serve --hot` scenario,
-/// which emits the same schema into `BENCH_cluster.json`.
-pub(crate) struct Entry {
-    pub(crate) name: &'static str,
-    pub(crate) wall_ms: f64,
-    pub(crate) rounds: usize,
-    pub(crate) messages: u64,
-    /// Dense reference simulator on the identical workload (primitive
-    /// entries only).
-    pub(crate) reference_wall_ms: Option<f64>,
+/// How long each entry samples in one pass (it always takes at least
+/// one sample).
+const PASS_BUDGET: Duration = Duration::from_millis(25);
+
+/// The gate fails an entry whose score (see [`check_baseline`]) exceeds
+/// this: between the highest score unchanged code reached and the
+/// lowest a 1.25× slowdown did.
+const THRESHOLD: f64 = 1.12;
+
+/// One suite entry before it is measured.
+struct Bench<'a> {
+    name: &'static str,
+    /// One sample: the wall ms of its timed region, and the cost of the
+    /// work done in it.
+    sample: Box<dyn FnMut() -> (f64, CostReport) + 'a>,
+    /// The dense reference simulator on the identical workload
+    /// (primitive entries only).
+    reference: Option<Box<dyn FnMut() -> CostReport + 'a>>,
+}
+
+/// One measured suite entry.
+struct Entry {
+    name: &'static str,
+    rounds: usize,
+    messages: u64,
+    /// The entry's mean sample wall time in each pass, in ms.
+    pass_ms: Vec<f64>,
+    reference_wall_ms: Option<f64>,
 }
 
 impl Entry {
+    fn wall_ms(&self) -> f64 {
+        median(&self.pass_ms)
+    }
+
     fn speedup(&self) -> Option<f64> {
-        self.reference_wall_ms.map(|r| r / self.wall_ms.max(1e-9))
+        self.reference_wall_ms.map(|r| r / self.wall_ms().max(1e-9))
     }
 }
 
-/// Times `work` [`ITERATIONS`] times; returns (best wall ms, last cost).
-fn time_it(mut work: impl FnMut() -> CostReport) -> (f64, CostReport) {
-    let mut best = f64::INFINITY;
-    let mut cost = CostReport::zero();
-    for _ in 0..ITERATIONS {
-        let start = Instant::now();
-        cost = work();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+/// The median of a non-empty sample.
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
     }
-    (best, cost)
 }
 
-fn entry(
-    name: &'static str,
-    work: impl FnMut() -> CostReport,
-    reference: Option<&mut dyn FnMut() -> CostReport>,
-) -> Entry {
-    let (wall_ms, cost) = time_it(work);
-    let reference_wall_ms = reference.map(|r| {
-        let (ms, ref_cost) = time_it(r);
-        // A speedup is only meaningful over the *identical* workload:
-        // the dense run must reproduce the fast engine's exact counts.
-        assert_eq!(
-            (ref_cost.rounds, ref_cost.messages),
-            (cost.rounds, cost.messages),
-            "{name}: dense reference workload diverged from the fast engine"
-        );
-        ms
-    });
-    Entry {
+/// Runs `work` under the clock; returns its wall ms and result.
+fn clocked<T>(work: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let out = work();
+    (start.elapsed().as_secs_f64() * 1e3, out)
+}
+
+fn bench<'a>(name: &'static str, mut work: impl FnMut() -> CostReport + 'a) -> Bench<'a> {
+    Bench {
         name,
-        wall_ms,
-        rounds: cost.rounds,
-        messages: cost.messages,
-        reference_wall_ms,
+        sample: Box::new(move || clocked(&mut work)),
+        reference: None,
     }
+}
+
+fn primitive<'a>(
+    name: &'static str,
+    work: impl FnMut() -> CostReport + 'a,
+    reference: impl FnMut() -> CostReport + 'a,
+) -> Bench<'a> {
+    Bench {
+        reference: Some(Box::new(reference)),
+        ..bench(name, work)
+    }
+}
+
+/// Measures `benches`: one untimed warm-up sample each (which also
+/// fixes the entry's counts and runs the dense reference once), then
+/// [`PASSES`] interleaved passes in which every entry samples for
+/// [`PASS_BUDGET`], at least once. An entry's pass time is its mean
+/// sample in that pass; its `wall_ms` is the median pass time.
+fn measure(benches: &mut [Bench]) -> Vec<Entry> {
+    let mut entries: Vec<Entry> = benches
+        .iter_mut()
+        .map(|b| {
+            let (_, cost) = (b.sample)();
+            let reference_wall_ms = b.reference.as_mut().map(|reference| {
+                let (ms, dense) = clocked(reference);
+                // A speedup is only meaningful over the *identical*
+                // workload: the dense run must reproduce the fast
+                // engine's exact counts.
+                assert_eq!(
+                    (dense.rounds, dense.messages),
+                    (cost.rounds, cost.messages),
+                    "{}: dense reference workload diverged from the fast engine",
+                    b.name
+                );
+                ms
+            });
+            Entry {
+                name: b.name,
+                rounds: cost.rounds,
+                messages: cost.messages,
+                pass_ms: Vec::with_capacity(PASSES),
+                reference_wall_ms,
+            }
+        })
+        .collect();
+    for _ in 0..PASSES {
+        for (b, e) in benches.iter_mut().zip(&mut entries) {
+            let start = Instant::now();
+            let (mut total_ms, mut samples) = (0.0, 0u32);
+            while samples == 0 || start.elapsed() < PASS_BUDGET {
+                total_ms += (b.sample)().0;
+                samples += 1;
+            }
+            e.pass_ms.push(total_ms / f64::from(samples));
+        }
+    }
+    entries
 }
 
 /// The fixed suite. `quick` halves the input scale, not the shape.
 fn run_suite(quick: bool) -> Vec<Entry> {
-    let mut out = Vec::new();
-
     // --- Primitives: the synchronous round loop, frontier-shaped. ---
     // A long path is the dense sweep's worst case (frontier 1, Θ(n)
     // rounds); the grid exercises a wide wave.
@@ -116,147 +179,60 @@ fn run_suite(quick: bool) -> Vec<Entry> {
     let net_path = Network::new(&g_path, 7);
     let g_grid = gen::grid(grid_s, grid_s);
     let net_grid = Network::new(&g_grid, 7);
-
-    out.push(entry(
-        "primitives/bfs_path",
-        || run_bfs(&g_path, &net_path, 0).expect("terminates").2,
-        Some(&mut || reference_impls::bfs(&g_path, &net_path, 0)),
-    ));
-    out.push(entry(
-        "primitives/bfs_grid",
-        || run_bfs(&g_grid, &net_grid, 0).expect("terminates").2,
-        Some(&mut || reference_impls::bfs(&g_grid, &net_grid, 0)),
-    ));
-
     let (tree_grid, _, _) = run_bfs(&g_grid, &net_grid, 0).expect("terminates");
     let (tree_path, _, _) = run_bfs(&g_path, &net_path, 0).expect("terminates");
-    out.push(entry(
-        "primitives/broadcast_grid",
-        || {
-            run_tree_broadcast(&g_grid, &net_grid, &tree_grid, 99)
-                .expect("terminates")
-                .1
-        },
-        Some(&mut || reference_impls::broadcast(&g_grid, &net_grid, &tree_grid, 99)),
-    ));
-    out.push(entry(
-        "primitives/broadcast_path",
-        || {
-            run_tree_broadcast(&g_path, &net_path, &tree_path, 99)
-                .expect("terminates")
-                .1
-        },
-        Some(&mut || reference_impls::broadcast(&g_path, &net_path, &tree_path, 99)),
-    ));
     let values: Vec<u64> = (0..g_grid.n() as u64).collect();
-    out.push(entry(
-        "primitives/convergecast_grid",
-        || {
-            run_tree_convergecast(&g_grid, &net_grid, &tree_grid, &values, u64::wrapping_add)
-                .expect("terminates")
-                .1
-        },
-        Some(&mut || reference_impls::convergecast(&g_grid, &net_grid, &tree_grid, &values)),
-    ));
     let k = if quick { 400 } else { 1200 };
     let tokens: Vec<u64> = (0..k as u64).collect();
-    out.push(entry(
-        "primitives/pipeline_path",
-        || {
-            run_pipeline_broadcast(&g_path, &net_path, &tree_path, &tokens)
-                .expect("terminates")
-                .1
-        },
-        Some(&mut || reference_impls::pipeline(&g_path, &net_path, &tree_path, &tokens)),
-    ));
     let elect_s = if quick { 40 } else { 64 };
     let g_elect = gen::grid(elect_s, elect_s);
     let net_elect = Network::new(&g_elect, 7);
-    out.push(entry(
-        "primitives/election_grid",
-        || {
-            run_leader_election(&g_elect, &net_elect)
-                .expect("terminates")
-                .2
-        },
-        Some(&mut || reference_impls::election(&g_elect, &net_elect)),
-    ));
 
     // --- Table 2 PA, end-to-end (largest quick-mode scale). ---
     let scale = if quick { 12 } else { 20 };
-    for w in families(scale) {
-        let name: &'static str = match w.family {
-            "general" => "table2_pa/general",
-            "planar(grid)" => "table2_pa/planar_grid",
-            "treewidth-3" => "table2_pa/treewidth3",
-            "pathwidth-3" => "table2_pa/pathwidth3",
-            other => panic!("family `{other}` has no perf-suite entry name — add one"),
-        };
-        let n = w.graph.n();
-        let pa_values: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(2654435761)).collect();
-        let inst =
-            PaInstance::from_partition(&w.graph, w.partition.clone(), pa_values, Aggregate::Min)
-                .expect("valid instance");
-        out.push(entry(
-            name,
-            || {
-                PaEngine::new(&w.graph, EngineConfig::new())
-                    .solve_instance(&inst)
-                    .expect("PA solves")
-                    .cost
-            },
-            None,
-        ));
-    }
+    let table2 = families(scale);
+    let table2_instances: Vec<(&'static str, PaInstance)> = table2
+        .iter()
+        .map(|w| {
+            let name: &'static str = match w.family {
+                "general" => "table2_pa/general",
+                "planar(grid)" => "table2_pa/planar_grid",
+                "treewidth-3" => "table2_pa/treewidth3",
+                "pathwidth-3" => "table2_pa/pathwidth3",
+                other => panic!("family `{other}` has no perf-suite entry name — add one"),
+            };
+            let pa_values: Vec<u64> = (0..w.graph.n() as u64)
+                .map(|v| v.wrapping_mul(2654435761))
+                .collect();
+            let inst = PaInstance::from_partition(
+                &w.graph,
+                w.partition.clone(),
+                pa_values,
+                Aggregate::Min,
+            )
+            .expect("valid instance");
+            (name, inst)
+        })
+        .collect();
 
-    // --- Pipeline stages, isolated (the BENCH_pipeline.json
-    // trajectory): stage-1 tree build, stage-3 divisions, stage-4
-    // shortcut construction, Lemma 4.2 tree routing, and the warm
-    // engine solve (the serving steady state). All on the `general`
-    // family, the suite's hardest workload.
-    let wl = families(scale)
-        .into_iter()
-        .find(|w| w.family == "general")
+    // --- Pipeline stages, isolated: stage-1 tree build, stage-3
+    // divisions, stage-4 shortcut construction, Lemma 4.2 tree routing,
+    // and the warm engine solve (the serving steady state). All on the
+    // `general` family, the suite's hardest workload.
+    let (_, pinst) = table2_instances
+        .iter()
+        .find(|(name, _)| *name == "table2_pa/general")
         .expect("general family exists"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
-    let pg = &wl.graph;
+    let (pg, partition) = (pinst.graph(), pinst.partition());
     let pnet = Network::new(pg, 7);
-    out.push(entry(
-        "pipeline/stage1_tree",
-        || {
-            let (root, _, elect) = run_leader_election(pg, &pnet).expect("terminates"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
-            let (_, _, bfs) = run_bfs(pg, &pnet, root).expect("terminates"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
-            elect + bfs
-        },
-        None,
-    ));
     let (proot, _, _) = run_leader_election(pg, &pnet).expect("terminates"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
     let (ptree, _, _) = run_bfs(pg, &pnet, proot).expect("terminates"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
     let d = ptree.depth().max(1);
-    out.push(entry(
-        "pipeline/divisions",
-        || deterministic_division(pg, &wl.partition, d).cost,
-        None,
-    ));
-    let division = deterministic_division(pg, &wl.partition, d).division;
-    let terminals: Vec<Vec<NodeId>> = wl
-        .partition
+    let division = deterministic_division(pg, partition, d).division;
+    let terminals: Vec<Vec<NodeId>> = partition
         .part_ids()
         .map(|p| division.reps_of_part(p))
         .collect();
-    out.push(entry(
-        "pipeline/shortcuts",
-        || {
-            construct_deterministic(
-                pg,
-                &ptree,
-                &wl.partition,
-                &terminals,
-                DetParams::new(2, 2, wl.partition.num_parts()),
-            )
-            .cost
-        },
-        None,
-    ));
 
     // Tree routing stress: many overlapping subtree casts on the long
     // path — a deep tree with heavy edge contention is the Lemma 4.2
@@ -291,46 +267,117 @@ fn run_suite(quick: bool) -> Vec<Entry> {
         })
         .collect();
     let router = TreeRouter::new(&tree_path);
-    out.push(entry(
-        "pipeline/routing",
-        || {
-            let up = router.upcast(&up_jobs, u64::wrapping_add);
-            let down = router.downcast(&down_jobs);
-            up.cost + down.cost
-        },
-        None,
-    ));
 
     // Warm engine solve: artifacts are cached, so this times the
     // cache-hit path plus Algorithm 1 alone — what every serve-path
     // query pays at steady state.
-    let pa_values: Vec<u64> = (0..pg.n() as u64)
-        .map(|v| v.wrapping_mul(2654435761))
-        .collect();
-    let pinst = PaInstance::from_partition(pg, wl.partition.clone(), pa_values, Aggregate::Min)
-        .expect("valid instance"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
     let mut engine = PaEngine::new(pg, EngineConfig::new());
-    engine.solve_instance(&pinst).expect("cold solve"); // warm cache outside the clock; rmo-lint: allow(P1) — bench abort intended
-    out.push(entry(
-        "pipeline/warm_solve",
-        || {
-            let mut total = CostReport::zero();
-            for _ in 0..8 {
-                // rmo-lint: allow(P1) — bench abort intended
-                total += engine.solve_instance(&pinst).expect("warm solve").cost;
-            }
-            total
-        },
-        None,
-    ));
+    engine.solve_instance(pinst).expect("cold solve"); // warm cache outside the clock; rmo-lint: allow(P1) — bench abort intended
 
     // --- Serving path: a mixed batch on a fresh fleet, sequential mode
     // (single-threaded, so the clock measures work, not contention). ---
     let serve_scale = if quick { 6 } else { 10 };
     let serve_count = if quick { 48 } else { 160 };
-    out.push(entry(
-        "serve/mixed_sequential",
-        || {
+    let hot = HotFleet::new(quick);
+
+    let mut benches = vec![
+        primitive(
+            "primitives/bfs_path",
+            || run_bfs(&g_path, &net_path, 0).expect("terminates").2,
+            || reference_impls::bfs(&g_path, &net_path, 0),
+        ),
+        primitive(
+            "primitives/bfs_grid",
+            || run_bfs(&g_grid, &net_grid, 0).expect("terminates").2,
+            || reference_impls::bfs(&g_grid, &net_grid, 0),
+        ),
+        primitive(
+            "primitives/broadcast_grid",
+            || {
+                run_tree_broadcast(&g_grid, &net_grid, &tree_grid, 99)
+                    .expect("terminates")
+                    .1
+            },
+            || reference_impls::broadcast(&g_grid, &net_grid, &tree_grid, 99),
+        ),
+        primitive(
+            "primitives/broadcast_path",
+            || {
+                run_tree_broadcast(&g_path, &net_path, &tree_path, 99)
+                    .expect("terminates")
+                    .1
+            },
+            || reference_impls::broadcast(&g_path, &net_path, &tree_path, 99),
+        ),
+        primitive(
+            "primitives/convergecast_grid",
+            || {
+                run_tree_convergecast(&g_grid, &net_grid, &tree_grid, &values, u64::wrapping_add)
+                    .expect("terminates")
+                    .1
+            },
+            || reference_impls::convergecast(&g_grid, &net_grid, &tree_grid, &values),
+        ),
+        primitive(
+            "primitives/pipeline_path",
+            || {
+                run_pipeline_broadcast(&g_path, &net_path, &tree_path, &tokens)
+                    .expect("terminates")
+                    .1
+            },
+            || reference_impls::pipeline(&g_path, &net_path, &tree_path, &tokens),
+        ),
+        primitive(
+            "primitives/election_grid",
+            || {
+                run_leader_election(&g_elect, &net_elect)
+                    .expect("terminates")
+                    .2
+            },
+            || reference_impls::election(&g_elect, &net_elect),
+        ),
+    ];
+    for (name, inst) in &table2_instances {
+        benches.push(bench(name, move || {
+            PaEngine::new(inst.graph(), EngineConfig::new())
+                .solve_instance(inst)
+                .expect("PA solves")
+                .cost
+        }));
+    }
+    benches.extend([
+        bench("pipeline/stage1_tree", || {
+            let (root, _, elect) = run_leader_election(pg, &pnet).expect("terminates"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
+            let (_, _, bfs) = run_bfs(pg, &pnet, root).expect("terminates"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
+            elect + bfs
+        }),
+        bench("pipeline/divisions", || {
+            deterministic_division(pg, partition, d).cost
+        }),
+        bench("pipeline/shortcuts", || {
+            construct_deterministic(
+                pg,
+                &ptree,
+                partition,
+                &terminals,
+                DetParams::new(2, 2, partition.num_parts()),
+            )
+            .cost
+        }),
+        bench("pipeline/routing", || {
+            let up = router.upcast(&up_jobs, u64::wrapping_add);
+            let down = router.downcast(&down_jobs);
+            up.cost + down.cost
+        }),
+        bench("pipeline/warm_solve", || {
+            let mut total = CostReport::zero();
+            for _ in 0..8 {
+                // rmo-lint: allow(P1) — bench abort intended
+                total += engine.solve_instance(pinst).expect("warm solve").cost;
+            }
+            total
+        }),
+        bench("serve/mixed_sequential", || {
             let mut cluster = PaCluster::new(4);
             let s = serve_scale.max(4);
             cluster.add_graph(GraphId(1), gen::grid(s, s));
@@ -344,22 +391,42 @@ fn run_suite(quick: bool) -> Vec<Entry> {
                 .iter()
                 .map(|r| r.cost())
                 .sum::<CostReport>()
-        },
-        None,
-    ));
-    out
+        }),
+    ]);
+    // The replica-scheduling rows: each sample builds and warms a fresh
+    // cluster outside the clock, then times the sequential executor
+    // (with more shard threads than cores, threaded wall time is too
+    // noisy to gate). The counts are the modeled pre-steal critical path.
+    for (name, policy, replicas) in HotFleet::scenarios() {
+        let hot = &hot;
+        benches.push(Bench {
+            name,
+            sample: Box::new(move || {
+                let mut cluster = hot.warmed_cluster(policy, replicas);
+                let plan = cluster.planned_execution(&hot.workload);
+                let (ms, report) = clocked(|| cluster.serve_sequential(&hot.workload));
+                let (rounds, messages) = Modeled::new(&plan, &report.responses).crit;
+                let rounds = usize::try_from(rounds).unwrap_or(usize::MAX);
+                (ms, CostReport::new(rounds, messages))
+            }),
+            reference: None,
+        });
+    }
+    measure(&mut benches)
 }
 
-/// JSON string escaping for the few fixed names we emit.
-pub(crate) fn emit_json(mode: &str, entries: &[Entry]) -> String {
+fn emit_json(mode: &str, entries: &[Entry]) -> String {
     let mut body = String::new();
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
             body.push_str(",\n");
         }
         body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"rounds\": {}, \"messages\": {}",
-            e.name, e.wall_ms, e.rounds, e.messages
+            "    {{\"name\": \"{}\", \"wall_ms\": {:.4}, \"rounds\": {}, \"messages\": {}",
+            e.name,
+            e.wall_ms(),
+            e.rounds,
+            e.messages
         ));
         if let (Some(r), Some(s)) = (e.reference_wall_ms, e.speedup()) {
             body.push_str(&format!(
@@ -369,178 +436,164 @@ pub(crate) fn emit_json(mode: &str, entries: &[Entry]) -> String {
         body.push('}');
     }
     format!(
-        "{{\n  \"schema\": \"rmo-perf/2\",\n  \"mode\": \"{mode}\",\n  \"entries\": [\n{body}\n  ]\n}}"
+        "{{\n  \"schema\": \"rmo-perf/3\",\n  \"mode\": \"{mode}\",\n  \"entries\": [\n{body}\n  ]\n}}"
     )
 }
 
-/// Per-entry slowdown tolerance of the `--check-baseline` gate, applied
-/// to the median-normalized ratio (see [`check_baseline`]).
-const TOLERANCE: f64 = 1.25;
-
-/// Noise floor: an entry only fails the wall-time gate if it is also at
-/// least this many milliseconds over its baseline (sub-millisecond
-/// entries jitter by large *ratios* on shared CI runners).
-const NOISE_FLOOR_MS: f64 = 0.25;
-
 /// Extracts `(name, wall_ms, rounds, messages)` from every entry line of
 /// a perf JSON fragment (the emitter writes one entry per line; the
-/// checked-in baselines keep that shape).
+/// checked-in trajectory keeps that shape).
 fn parse_entries(text: &str) -> Vec<(String, f64, usize, u64)> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let rest = line.split_once(key)?.1;
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest.get(..end)?.trim())
-    }
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(rest) = line.split_once("\"name\": \"").map(|(_, r)| r) else {
-            continue;
-        };
-        let Some((name, _)) = rest.split_once('"') else {
-            continue;
-        };
-        let (Some(wall), Some(rounds), Some(messages)) = (
-            field(line, "\"wall_ms\": ").and_then(|s| s.parse::<f64>().ok()),
-            field(line, "\"rounds\": ").and_then(|s| s.parse::<usize>().ok()),
-            field(line, "\"messages\": ").and_then(|s| s.parse::<u64>().ok()),
-        ) else {
-            continue;
-        };
-        out.push((name.to_string(), wall, rounds, messages));
-    }
-    out
+    text.lines()
+        .filter_map(|line| {
+            let field = |key: &str| {
+                let rest = line.split_once(&format!("\"{key}\": "))?.1;
+                rest.split([',', '}']).next().map(str::trim)
+            };
+            Some((
+                field("name")?.trim_matches('"').to_string(),
+                field("wall_ms")?.parse().ok()?,
+                field("rounds")?.parse().ok()?,
+                field("messages")?.parse().ok()?,
+            ))
+        })
+        .collect()
 }
 
-/// The regression gate: compares the just-measured suite against the
-/// `"after"` block of a recorded baseline file.
+/// The regression gate: compares a measured run against the last
+/// `"entries"` block of a baseline trajectory file's text.
 ///
-/// * Every baseline entry must be present, with bit-identical
+/// * Every baseline entry must be in the run, with bit-identical
 ///   rounds/messages (a count drift is a correctness bug, not a perf
-///   regression — fail loudly).
-/// * Wall time: each entry's slowdown ratio vs the baseline is
-///   normalized by the suite-median ratio, so a uniformly faster or
-///   slower machine cancels out; an entry fails only if it exceeds
-///   [`TOLERANCE`]× the median *and* clears [`NOISE_FLOOR_MS`].
-pub(crate) fn check_baseline(entries: &[Entry], path: &str) -> Result<String, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline `{path}`: {e}"))?;
-    let after = text
-        .find("\"after\"")
-        .ok_or_else(|| format!("baseline `{path}` has no \"after\" block"))?;
-    let base = parse_entries(text.get(after..).unwrap_or(""));
-    if base.is_empty() {
-        return Err(format!("baseline `{path}` has no entries after \"after\""));
-    }
-    let mut ratios: Vec<(String, f64, f64, f64)> = Vec::new();
-    for (name, bwall, brounds, bmsgs) in &base {
+///   regression).
+/// * Wall time: in each pass, every entry's pass time is divided by its
+///   baseline `wall_ms`, and then by that pass's median ratio over all
+///   entries. An entry's score is the median of these per-pass values,
+///   and it fails above [`THRESHOLD`]. Normalizing per pass cancels a
+///   host-speed phase, which would otherwise land on whichever entries
+///   happened to be running; taking the median over passes drops the
+///   passes a burst of host noise hit.
+fn check_baseline(entries: &[Entry], baseline: &str) -> Result<String, String> {
+    let block = baseline
+        .rfind("\"entries\"")
+        .and_then(|i| baseline.get(i..))
+        .ok_or("the baseline has no \"entries\" block")?;
+    let mut gated: Vec<(&Entry, f64)> = Vec::new();
+    for (name, wall_ms, rounds, messages) in parse_entries(block) {
         let cur = entries
             .iter()
-            .find(|e| e.name == name.as_str())
-            .ok_or_else(|| format!("baseline entry `{name}` missing from current suite"))?;
-        if cur.rounds != *brounds || cur.messages != *bmsgs {
+            .find(|e| e.name == name)
+            .ok_or_else(|| format!("baseline entry `{name}` is missing from the run"))?;
+        if (cur.rounds, cur.messages) != (rounds, messages) {
             return Err(format!(
-                "`{name}`: counts diverged from baseline \
-                 (baseline {brounds} rounds / {bmsgs} messages, \
-                 current {} rounds / {} messages)",
+                "`{name}`: counts diverged from the baseline \
+                 (baseline {rounds} rounds / {messages} messages, \
+                 run {} rounds / {} messages)",
                 cur.rounds, cur.messages
             ));
         }
-        let ratio = cur.wall_ms / bwall.max(1e-9);
-        ratios.push((name.clone(), *bwall, cur.wall_ms, ratio));
+        gated.push((cur, wall_ms.max(1e-9)));
     }
-    let mut sorted: Vec<f64> = ratios.iter().map(|&(_, _, _, r)| r).collect();
-    sorted.sort_by(f64::total_cmp);
-    let median = sorted[sorted.len() / 2];
-    let mut worst: Option<usize> = None;
-    for (i, (_, bwall, cwall, ratio)) in ratios.iter().enumerate() {
-        if *ratio > median * TOLERANCE && *cwall > bwall + NOISE_FLOOR_MS {
-            match worst {
-                Some(w) if ratios[w].3 >= *ratio => {}
-                _ => worst = Some(i),
-            }
+    if gated.is_empty() {
+        return Err("the baseline's last block has no entries".into());
+    }
+    let mut normalized = vec![Vec::with_capacity(PASSES); gated.len()];
+    for pass in 0..PASSES {
+        let ratios: Vec<f64> = gated
+            .iter()
+            .map(|(e, base)| e.pass_ms[pass] / base)
+            .collect();
+        let pass_median = median(&ratios);
+        for (values, ratio) in normalized.iter_mut().zip(&ratios) {
+            values.push(ratio / pass_median);
         }
     }
-    if let Some((name, bwall, cwall, ratio)) = worst.map(|i| &ratios[i]) {
+    let mut scores: Vec<(&str, f64)> = gated
+        .iter()
+        .zip(&normalized)
+        .map(|((e, _), values)| (e.name, median(values)))
+        .collect();
+    scores.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let failed: Vec<String> = scores
+        .iter()
+        .filter(|(_, score)| *score > THRESHOLD)
+        .map(|(name, score)| format!("`{name}` {score:.3}"))
+        .collect();
+    if !failed.is_empty() {
         return Err(format!(
-            "`{name}` regressed: {cwall:.3} ms vs baseline {bwall:.3} ms \
-             (ratio {ratio:.2}, suite median {median:.2}, tolerance {TOLERANCE}×median)"
+            "score above {THRESHOLD} (pass-normalized median ratio to the \
+             baseline over {PASSES} passes): {}",
+            failed.join(", ")
         ));
     }
-    let max = sorted.last().copied().unwrap_or(1.0);
+    let (worst, max) = scores.first().copied().unwrap_or(("-", f64::NAN));
     Ok(format!(
-        "{} entries vs `{path}`: counts bit-identical, slowdown ratios \
-         median {median:.2} / max {max:.2} within {TOLERANCE}×median",
-        ratios.len()
+        "{} entries: counts bit-identical, every score at most {THRESHOLD} \
+         over {PASSES} passes (highest {max:.3}, `{worst}`)",
+        scores.len()
     ))
 }
 
 pub fn run(quick: bool, json: bool, baseline: Option<&str>) {
     let entries = run_suite(quick);
     let mode = if quick { "quick" } else { "full" };
-    let gate = |entries: &[Entry]| {
-        if let Some(path) = baseline {
-            // stderr, so `--json` output on stdout stays a single clean
-            // JSON document.
-            match check_baseline(entries, path) {
-                Ok(msg) => eprintln!("perf gate: PASS — {msg}"),
-                Err(msg) => {
-                    eprintln!("perf gate: FAIL — {msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    };
     if json {
         println!("{}", emit_json(mode, &entries));
-        gate(&entries);
-        return;
+    } else {
+        let rows: Vec<Vec<String>> = entries
+            .iter()
+            .map(|e| {
+                vec![
+                    e.name.to_string(),
+                    format!("{:.3}", e.wall_ms()),
+                    e.rounds.to_string(),
+                    e.messages.to_string(),
+                    e.reference_wall_ms
+                        .map(|r| format!("{r:.2}"))
+                        .unwrap_or_else(|| "-".into()),
+                    e.speedup()
+                        .map(|s| format!("{s:.2}x"))
+                        .unwrap_or_else(|| "-".into()),
+                ]
+            })
+            .collect();
+        print_table(
+            &format!(
+                "Perf — one suite per layer ({mode} mode, median of {PASSES} interleaved passes)"
+            ),
+            &[
+                "entry",
+                "wall ms",
+                "rounds",
+                "messages",
+                "dense ref ms",
+                "speedup",
+            ],
+            &rows,
+        );
+        println!(
+            "\nShape check: `dense ref ms` times the kept dense-sweep \
+             reference simulator once on the identical workload, with \
+             bit-identical counts; `speedup` is what the flat-arena \
+             engine buys. BENCH_perf.json records `--json` runs."
+        );
     }
-    let rows: Vec<Vec<String>> = entries
-        .iter()
-        .map(|e| {
-            vec![
-                e.name.to_string(),
-                format!("{:.2}", e.wall_ms),
-                e.rounds.to_string(),
-                e.messages.to_string(),
-                e.reference_wall_ms
-                    .map(|r| format!("{r:.2}"))
-                    .unwrap_or_else(|| "-".into()),
-                e.speedup()
-                    .map(|s| format!("{s:.2}x"))
-                    .unwrap_or_else(|| "-".into()),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!("Perf — simulator-bound workload suite ({mode} mode, best of {ITERATIONS})"),
-        &[
-            "entry",
-            "wall ms",
-            "rounds",
-            "messages",
-            "dense ref ms",
-            "speedup",
-        ],
-        &rows,
-    );
-    println!(
-        "\nShape check: `dense ref ms` re-times the kept dense-sweep \
-         reference simulator on the identical workload; `speedup` is \
-         what the flat-arena/active-set engine buys. Round and message \
-         counts are bit-identical between the two (asserted in the \
-         differential proptests). JSON for the perf trajectory: \
-         `rmo-harness perf [--quick] --json`; the checked-in \
-         BENCH_simulator.json and BENCH_pipeline.json record captured \
-         before/after pairs."
-    );
-    gate(&entries);
+    if let Some(path) = baseline {
+        // stderr, so `--json` output on stdout stays a single clean
+        // JSON document.
+        let verdict = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read baseline `{path}`: {e}"))
+            .and_then(|text| check_baseline(&entries, &text));
+        match verdict {
+            Ok(msg) => eprintln!("perf gate: PASS vs `{path}` — {msg}"),
+            Err(msg) => {
+                eprintln!("perf gate: FAIL vs `{path}` — {msg}");
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
-/// Dense-reference drivers for the primitive workloads: the same node
-/// programs on [`rmo_congest::reference::ReferenceSimulator`], asserted
-/// cost-identical to the fast engine here (the differential proptests
-/// cover responses too).
 mod reference_impls {
     use rmo_congest::programs::bfs::BfsProgram;
     use rmo_congest::programs::broadcast::TreeBroadcast;
@@ -605,5 +658,118 @@ mod reference_impls {
     pub fn election(g: &Graph, net: &Network) -> CostReport {
         let mut sim = ReferenceSimulator::new(net, |_| LeaderElect::new());
         sim.run_until_quiescent(4 * g.n() + 4).expect("terminates")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(name, baseline wall ms, rounds, messages)`: fast and slow
+    /// entries alike, as in the real suite.
+    const BASE: [(&str, f64, usize, u64); 6] = [
+        ("a/fast", 0.05, 80, 2377),
+        ("a/small", 0.4, 291, 8021),
+        ("b/mid", 2.3, 296, 8256),
+        ("b/slow", 10.0, 7978, 1_252_269),
+        ("c/slowest", 120.0, 4399, 1_599_600),
+        ("c/other", 5.4, 11209, 62459),
+    ];
+
+    /// A trajectory block, one entry per line as the emitter writes
+    /// them: entry `i` at `wall(i)` ms, its rounds off by `drift`.
+    fn block(wall: impl Fn(usize) -> f64, drift: usize) -> String {
+        let lines: Vec<String> = BASE
+            .iter()
+            .enumerate()
+            .map(|(i, (name, _, rounds, messages))| {
+                let (wall, rounds) = (wall(i), rounds + drift);
+                format!("{{\"name\": \"{name}\", \"wall_ms\": {wall}, \"rounds\": {rounds}, \"messages\": {messages}}}")
+            })
+            .collect();
+        format!("{{\"entries\": [\n{}\n]}}", lines.join(",\n"))
+    }
+
+    fn baseline() -> String {
+        block(|i| BASE[i].1, 0)
+    }
+
+    /// A run whose entry `i` takes `BASE[i].1 × factor(i, pass)` in each
+    /// pass, times a fixed ±5% jitter.
+    fn run(factor: impl Fn(usize, usize) -> f64) -> Vec<Entry> {
+        BASE.iter()
+            .enumerate()
+            .map(|(i, &(name, wall, rounds, messages))| Entry {
+                name,
+                rounds,
+                messages,
+                pass_ms: (0..PASSES)
+                    .map(|p| {
+                        let jitter = 0.95 + 0.01 * ((i * 7 + p * 13) % 11) as f64;
+                        wall * factor(i, p) * jitter
+                    })
+                    .collect(),
+                reference_wall_ms: None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unchanged_runs_pass_at_any_host_speed() {
+        // Unchanged; every entry ×0.7; every entry ×1.4; every entry
+        // ×1.4 in half the passes (a host-speed phase).
+        let phase = |_: usize, p: usize| if p < PASSES / 2 { 1.4 } else { 1.0 };
+        let runs = [
+            run(|_, _| 1.0),
+            run(|_, _| 0.7),
+            run(|_, _| 1.4),
+            run(phase),
+        ];
+        for (case, entries) in runs.iter().enumerate() {
+            let verdict = check_baseline(entries, &baseline());
+            assert!(verdict.is_ok(), "case {case}: {verdict:?}");
+        }
+    }
+
+    #[test]
+    fn one_slower_entry_fails_and_is_named() {
+        for (slow, (name, ..)) in BASE.iter().enumerate() {
+            let entries = run(|i, _| if i == slow { 1.25 } else { 1.0 });
+            let err = check_baseline(&entries, &baseline()).expect_err("a 1.25× entry fails");
+            for (other, ..) in BASE {
+                assert_eq!(err.contains(&format!("`{other}`")), other == *name, "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn count_drift_fails() {
+        let mut entries = run(|_, _| 1.0);
+        entries[2].rounds += 1;
+        let err = check_baseline(&entries, &baseline()).expect_err("rounds drift");
+        assert!(err.contains("`b/mid`: counts"), "{err}");
+        let mut entries = run(|_, _| 1.0);
+        entries[4].messages -= 1;
+        let err = check_baseline(&entries, &baseline()).expect_err("messages drift");
+        assert!(err.contains("`c/slowest`: counts"), "{err}");
+    }
+
+    #[test]
+    fn missing_baseline_entry_fails() {
+        let mut entries = run(|_, _| 1.0);
+        entries.remove(1);
+        let err = check_baseline(&entries, &baseline()).expect_err("entry missing");
+        assert!(err.contains("`a/small` is missing"), "{err}");
+    }
+
+    #[test]
+    fn the_last_block_is_read() {
+        // An older block with other counts and 3× the wall times: only
+        // the block that comes last gates.
+        let older = block(|i| 3.0 * BASE[i].1, 1);
+        let entries = run(|_, _| 1.0);
+        let verdict = check_baseline(&entries, &format!("[{older},\n{}]", baseline()));
+        assert!(verdict.is_ok(), "{verdict:?}");
+        assert!(check_baseline(&entries, &format!("[{},\n{older}]", baseline())).is_err());
     }
 }

@@ -33,10 +33,10 @@
 //! scheduling (`ReplicaPolicy`) forks the warmed `EngineCore` and
 //! splits the hot group's runs over distinct shards. The scenario
 //! asserts replicas beat Balanced ≥ 1.8× on the modeled pre-steal
-//! critical path, asserts threaded ≡ sequential ≡ replay bit-match
-//! (fork events included), and emits perf-schema entries — `--json`
-//! prints them, `--check-baseline BENCH_cluster.json` gates CI on
-//! them.
+//! critical path, and asserts threaded ≡ sequential ≡ replay bit-match
+//! (fork events included). [`HotFleet`] builds this fixture for both
+//! experiments: `perf` times the same three setups sequentially as its
+//! `cluster/hot_*` entries and gates them against `BENCH_perf.json`.
 
 use std::time::Instant;
 
@@ -47,7 +47,6 @@ use rmo_apps::service::{
 use rmo_apps::{Query, QueryResponse};
 use rmo_graph::gen;
 
-use super::perf;
 use crate::util::print_table;
 
 /// The serving fleet: a mix of topologies at a size scale.
@@ -78,9 +77,9 @@ fn cluster_for(scale: usize, shards: usize) -> PaCluster {
 /// deterministic per-query cost under the pre-steal `plan`
 /// ([`PaCluster::planned_execution`]). Hardware-independent, so it is
 /// what sharding buys on enough cores, whatever this machine has.
-struct Modeled {
+pub(crate) struct Modeled {
     /// The busiest shard's `(rounds, messages)`.
-    crit: (u64, u64),
+    pub(crate) crit: (u64, u64),
     /// Work (rounds + messages) summed over every shard.
     total: u64,
     /// Shards the plan gives any query.
@@ -88,7 +87,7 @@ struct Modeled {
 }
 
 impl Modeled {
-    fn new(plan: &[Vec<usize>], responses: &[QueryResponse]) -> Modeled {
+    pub(crate) fn new(plan: &[Vec<usize>], responses: &[QueryResponse]) -> Modeled {
         let mut modeled = Modeled {
             crit: (0, 0),
             total: 0,
@@ -102,7 +101,7 @@ impl Modeled {
             }
             modeled.total += rounds + messages;
             // `>=`: a tie picks the later shard, the split that
-            // `BENCH_cluster.json` pins.
+            // `BENCH_perf.json` pins.
             if rounds + messages >= modeled.work() {
                 modeled.crit = (rounds, messages);
             }
@@ -134,9 +133,9 @@ fn serve_timed(
     (report, plan, start.elapsed().as_secs_f64() * 1e3)
 }
 
-pub fn run(quick: bool, skew: bool, hot: bool, json: bool, baseline: Option<&str>) {
+pub fn run(quick: bool, skew: bool, hot: bool) {
     if hot {
-        run_hot(quick, json, baseline);
+        run_hot(quick);
         return;
     }
     let scale = if quick { 6 } else { 10 };
@@ -343,84 +342,114 @@ fn run_skew(quick: bool) {
     );
 }
 
-/// `--hot`: the single-hot-graph fleet. One heavy graph receives
-/// almost all traffic; three light satellites keep the other shards
-/// honest. Without replica scheduling the hot graph's group is one
-/// unsplittable unit, so Pinned and Balanced both bottom out at its
-/// whole cost on one shard; with `ReplicaPolicy` enabled the planner
-/// forks the warmed engine and splits the group's runs across shards.
-/// Asserts the replica win (≥ 1.8× on the modeled pre-steal critical
-/// path), the determinism contract (threaded ≡ sequential ≡ replay,
-/// fork events included), and optionally gates against
-/// `BENCH_cluster.json`.
-fn run_hot(quick: bool, json: bool, baseline: Option<&str>) {
-    let shards = 4usize;
-    let s = if quick { 12 } else { 20 };
-    let hot_queries = if quick { 12 } else { 32 };
+/// Shards of the single-hot-graph fleet.
+const HOT_SHARDS: usize = 4;
 
-    let fleet: Vec<(GraphId, rmo_graph::Graph)> = vec![
-        (GraphId(1), gen::grid(s, s)),
-        (GraphId(2), gen::path(s)),
-        (GraphId(3), gen::path(s + 1)),
-        (GraphId(4), gen::path(s + 2)),
-    ];
-    // Replica scheduling only forks a *warmed* engine, and the steady
-    // state is what the scenario measures: warm one core per graph
-    // before the hot batch.
-    let warmup: Vec<(GraphId, Query)> = fleet.iter().map(|(id, _)| (*id, Query::Mst)).collect();
-    let mut workload: Vec<(GraphId, Query)> = Vec::new();
-    for i in 0..hot_queries {
-        let query = if i % 3 == 2 {
-            Query::Kdom { k: 4 }
-        } else {
-            Query::Mst
-        };
-        workload.push((GraphId(1), query));
-    }
-    for (id, _) in fleet.iter().skip(1) {
-        workload.push((*id, Query::Mst));
+/// The single-hot-graph fixture of `serve --hot`, which `perf` also
+/// times as its `cluster/hot_*` entries. One heavy grid receives almost
+/// all traffic; three light path satellites keep the other shards
+/// honest.
+pub(crate) struct HotFleet {
+    fleet: Vec<(GraphId, rmo_graph::Graph)>,
+    /// One query per graph, served before the hot batch.
+    warmup: Vec<(GraphId, Query)>,
+    /// The hot batch.
+    pub(crate) workload: Vec<(GraphId, Query)>,
+}
+
+impl HotFleet {
+    pub(crate) fn new(quick: bool) -> HotFleet {
+        let s = if quick { 12 } else { 20 };
+        let hot_queries = if quick { 12 } else { 32 };
+        let fleet = vec![
+            (GraphId(1), gen::grid(s, s)),
+            (GraphId(2), gen::path(s)),
+            (GraphId(3), gen::path(s + 1)),
+            (GraphId(4), gen::path(s + 2)),
+        ];
+        let warmup = fleet.iter().map(|(id, _)| (*id, Query::Mst)).collect();
+        let mut workload: Vec<(GraphId, Query)> = (0..hot_queries)
+            .map(|i| {
+                let query = if i % 3 == 2 {
+                    Query::Kdom { k: 4 }
+                } else {
+                    Query::Mst
+                };
+                (GraphId(1), query)
+            })
+            .collect();
+        workload.extend(fleet.iter().skip(1).map(|(id, _)| (*id, Query::Mst)));
+        HotFleet {
+            fleet,
+            warmup,
+            workload,
+        }
     }
 
-    let build = |policy: SchedulePolicy, replicas: Option<ReplicaPolicy>| {
-        let mut cluster = PaCluster::with_policy(shards, policy);
-        for (id, g) in &fleet {
+    /// The three scheduling setups, named as `perf` entries.
+    pub(crate) fn scenarios() -> [(&'static str, SchedulePolicy, Option<ReplicaPolicy>); 3] {
+        [
+            ("cluster/hot_pinned", SchedulePolicy::Pinned, None),
+            ("cluster/hot_balanced", SchedulePolicy::Balanced, None),
+            (
+                "cluster/hot_replicas",
+                SchedulePolicy::Balanced,
+                Some(ReplicaPolicy::new(0.5, 4)),
+            ),
+        ]
+    }
+
+    /// A fresh cluster holding the fleet, with one core per graph warmed
+    /// by the warm-up batch: replica scheduling only forks a *warmed*
+    /// engine, and the steady state is what the scenario measures.
+    pub(crate) fn warmed_cluster(
+        &self,
+        policy: SchedulePolicy,
+        replicas: Option<ReplicaPolicy>,
+    ) -> PaCluster {
+        let mut cluster = PaCluster::with_policy(HOT_SHARDS, policy);
+        for (id, g) in &self.fleet {
             cluster.add_graph(*id, g.clone());
         }
         if let Some(policy) = replicas {
             cluster.set_replica_policy(policy);
         }
-        let warm = cluster.serve(&warmup);
+        let warm = cluster.serve(&self.warmup);
         assert!(
             warm.log.forks.is_empty(),
             "cold cores never split — the warm-up batch stays whole"
         );
         cluster
-    };
+    }
+}
 
-    let scenarios: [(&'static str, SchedulePolicy, Option<ReplicaPolicy>); 3] = [
-        ("cluster/hot_pinned", SchedulePolicy::Pinned, None),
-        ("cluster/hot_balanced", SchedulePolicy::Balanced, None),
-        (
-            "cluster/hot_replicas",
-            SchedulePolicy::Balanced,
-            Some(ReplicaPolicy::new(0.5, 4)),
-        ),
-    ];
-
+/// `--hot`: the single-hot-graph fleet. Without replica scheduling the
+/// hot graph's group is one unsplittable unit, so Pinned and Balanced
+/// both bottom out at its whole cost on one shard; with `ReplicaPolicy`
+/// enabled the planner forks the warmed engine and splits the group's
+/// runs across shards. Asserts the replica win (≥ 1.8× on the modeled
+/// pre-steal critical path) and the determinism contract (threaded ≡
+/// sequential ≡ replay, fork events included).
+fn run_hot(quick: bool) {
+    let hot = HotFleet::new(quick);
     let mut rows = Vec::new();
-    let mut entries = Vec::new();
     let mut crits: Vec<u64> = Vec::new();
-    for (name, policy, replicas) in scenarios {
+    for (name, policy, replicas) in HotFleet::scenarios() {
         // The pre-steal plan of the warmed cluster is the modeled
         // placement — replica chunks appear on their own shards here,
         // so the critical path credits the split.
-        let (report, plan, wall_ms) = serve_timed(&mut build(policy, replicas), &workload);
+        let (report, plan, wall_ms) =
+            serve_timed(&mut hot.warmed_cluster(policy, replicas), &hot.workload);
         // Determinism under replicas: the sequential run and the
         // fork-event replay bit-match the threaded run.
-        let sequential = build(policy, replicas).serve_sequential(&workload);
+        let sequential = hot
+            .warmed_cluster(policy, replicas)
+            .serve_sequential(&hot.workload);
         assert_eq!(report.responses, sequential.responses, "{name}");
         assert_eq!(report.stats.engine, sequential.stats.engine, "{name}");
-        let replayed = build(policy, replicas).serve_replay(&workload, &report.log);
+        let replayed = hot
+            .warmed_cluster(policy, replicas)
+            .serve_replay(&hot.workload, &report.log);
         assert_eq!(replayed.responses, report.responses, "{name}");
         assert_eq!(replayed.log.assignments, report.log.assignments, "{name}");
         assert_eq!(replayed.log.forks, report.log.forks, "{name}");
@@ -438,13 +467,6 @@ fn run_hot(quick: bool, json: bool, baseline: Option<&str>) {
             report.log.steals.len().to_string(),
             format!("{wall_ms:.1}"),
         ]);
-        entries.push(perf::Entry {
-            name,
-            wall_ms,
-            rounds: usize::try_from(modeled.crit.0).unwrap_or(usize::MAX),
-            messages: modeled.crit.1,
-            reference_wall_ms: None,
-        });
     }
 
     let crit_of = |i: usize| crits.get(i).copied().unwrap_or(0).max(1) as f64;
@@ -457,39 +479,26 @@ fn run_hot(quick: bool, json: bool, baseline: Option<&str>) {
     );
 
     let mode = if quick { "quick" } else { "full" };
-    if json {
-        println!("{}", perf::emit_json(mode, &entries));
-    } else {
-        print_table(
-            &format!("Serve --hot — one hot graph, {shards} shards ({mode} mode)"),
-            &[
-                "scenario",
-                "busy shards",
-                "crit work",
-                "balance",
-                "forks",
-                "replica runs",
-                "steals",
-                "wall ms",
-            ],
-            &rows,
-        );
-        println!(
-            "\nReplica scheduling improves the modeled critical path \
-             {vs_balanced:.2}x over Balanced ({vs_pinned:.2}x over Pinned): \
-             work-stealing can only move the hot graph's group whole, \
-             forking its warmed engine splits it. Responses, counters, \
-             and placement are asserted bit-identical across \
-             threaded/sequential/replay on every run."
-        );
-    }
-    if let Some(path) = baseline {
-        match perf::check_baseline(&entries, path) {
-            Ok(msg) => eprintln!("cluster gate: PASS — {msg}"),
-            Err(msg) => {
-                eprintln!("cluster gate: FAIL — {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
+    print_table(
+        &format!("Serve --hot — one hot graph, {HOT_SHARDS} shards ({mode} mode)"),
+        &[
+            "scenario",
+            "busy shards",
+            "crit work",
+            "balance",
+            "forks",
+            "replica runs",
+            "steals",
+            "wall ms",
+        ],
+        &rows,
+    );
+    println!(
+        "\nReplica scheduling improves the modeled critical path \
+         {vs_balanced:.2}x over Balanced ({vs_pinned:.2}x over Pinned): \
+         work-stealing can only move the hot graph's group whole, \
+         forking its warmed engine splits it. Responses, counters, \
+         and placement are asserted bit-identical across \
+         threaded/sequential/replay on every run."
+    );
 }

@@ -8,13 +8,12 @@
 //! `--skew` adds the scheduler-balance scenarios (zipf popularity,
 //! adversarial one-shard hashing) to the `serve` experiment; `--hot`
 //! switches `serve` to the single-hot-graph replica-scheduling
-//! scenario instead. `--json` switches the `perf` experiment (and
-//! `serve --hot`) to machine-readable output (schema `rmo-perf/2`;
-//! see `BENCH_simulator.json`, `BENCH_pipeline.json`, and
-//! `BENCH_cluster.json`). `--check-baseline <path>` turns the `perf`
-//! (or `serve --hot`) run into a regression gate against the
-//! `"after"` block of a recorded baseline file (non-zero exit on
-//! count drift or slowdown beyond tolerance).
+//! scenario instead. `--json` switches the `perf` experiment to
+//! machine-readable output (schema `rmo-perf/3`; see `BENCH_perf.json`).
+//! `--check-baseline <path>` turns the `perf` run into a regression
+//! gate against the last block of a recorded trajectory file (non-zero
+//! exit on count drift, or on an entry slower than the gate's fixed
+//! threshold).
 //!
 //! Experiments: `table1`, `table2`, `figure1`, `figure2`, `figure3`,
 //! `figure4`, `figure5`, `mst`, `mincut`, `sssp`, `verification`,
@@ -104,7 +103,7 @@ fn main() {
         "ablation" => experiments::ablation::run(quick),
         "beyond" => experiments::beyond::run(),
         "engine" => experiments::engine::run(quick),
-        "serve" => experiments::serve::run(quick, skew, hot, json, baseline.as_deref()),
+        "serve" => experiments::serve::run(quick, skew, hot),
         "stream" => experiments::stream::run(quick),
         "perf" => experiments::perf::run(quick, json, baseline.as_deref()),
         other => {

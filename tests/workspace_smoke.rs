@@ -10,11 +10,14 @@
 //!   threaded-vs-sequential/steal-log-replay bit-match assertions — plus
 //!   the ≥1.5× balanced-vs-pinned critical-path bound — on every CI
 //!   push;
-//! * `rmo-harness perf --quick --json` emits a well-formed `rmo-perf/2`
+//! * the `serve --hot` experiment runs, which asserts the ≥1.8×
+//!   replica-scheduling win and threaded ≡ sequential ≡ replay with
+//!   fork events included;
+//! * `rmo-harness perf --quick --json` emits a well-formed `rmo-perf/3`
 //!   JSON document covering the whole workload suite (primitives with
 //!   their dense-reference speedups, table2 PA, the isolated pipeline
-//!   stages, serve), so the perf trajectory's machine-readable format
-//!   can't silently rot.
+//!   stages, serve, the hot-graph cluster rows), so the perf
+//!   trajectory's machine-readable format can't silently rot.
 //!
 //! These shell out to the same `cargo` that is running the test suite
 //! (Cargo releases the build-directory lock before executing test
@@ -26,6 +29,33 @@ fn cargo() -> Command {
     let mut cmd = Command::new(env!("CARGO"));
     cmd.current_dir(env!("CARGO_MANIFEST_DIR"));
     cmd
+}
+
+/// Runs `rmo-harness <args>` and returns its stdout. The experiments
+/// assert their own contracts, so a failed assertion is a non-zero exit,
+/// which fails the calling test.
+fn harness(args: &[&str]) -> String {
+    let out = cargo()
+        .args([
+            "run",
+            "--quiet",
+            "-p",
+            "rmo-harness",
+            "--bin",
+            "rmo-harness",
+            "--",
+        ])
+        .args(args)
+        .output()
+        .expect("failed to spawn rmo-harness");
+    assert!(
+        out.status.success(),
+        "rmo-harness {} exited with {:?}:\n{}",
+        args.join(" "),
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 #[test]
@@ -101,27 +131,7 @@ fn all_examples_compile() {
 
 #[test]
 fn harness_quick_table1_runs() {
-    let out = cargo()
-        .args([
-            "run",
-            "--quiet",
-            "-p",
-            "rmo-harness",
-            "--bin",
-            "rmo-harness",
-            "--",
-            "table1",
-            "--quick",
-        ])
-        .output()
-        .expect("failed to spawn rmo-harness");
-    assert!(
-        out.status.success(),
-        "rmo-harness table1 --quick exited with {:?}:\n{}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = harness(&["table1", "--quick"]);
     assert!(
         stdout.contains("Table 1") && stdout.contains("| family"),
         "harness did not print the Table 1 markdown table; got:\n{stdout}"
@@ -130,28 +140,7 @@ fn harness_quick_table1_runs() {
 
 #[test]
 fn harness_quick_perf_emits_valid_json() {
-    let out = cargo()
-        .args([
-            "run",
-            "--quiet",
-            "-p",
-            "rmo-harness",
-            "--bin",
-            "rmo-harness",
-            "--",
-            "perf",
-            "--quick",
-            "--json",
-        ])
-        .output()
-        .expect("failed to spawn rmo-harness");
-    assert!(
-        out.status.success(),
-        "rmo-harness perf --quick --json exited with {:?}:\n{}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = harness(&["perf", "--quick", "--json"]);
     let json = stdout.trim();
 
     // Schema shape (no serde in-tree, so validate structurally).
@@ -165,7 +154,7 @@ fn harness_quick_perf_emits_valid_json() {
         assert_eq!(opens, closes, "unbalanced {open}{close} in:\n{json}");
     }
     assert!(
-        json.contains("\"schema\": \"rmo-perf/2\""),
+        json.contains("\"schema\": \"rmo-perf/3\""),
         "schema marker missing:\n{json}"
     );
     assert!(
@@ -194,6 +183,9 @@ fn harness_quick_perf_emits_valid_json() {
         "pipeline/routing",
         "pipeline/warm_solve",
         "serve/mixed_sequential",
+        "cluster/hot_pinned",
+        "cluster/hot_balanced",
+        "cluster/hot_replicas",
     ] {
         assert!(
             json.contains(&format!("\"name\": \"{name}\"")),
@@ -217,32 +209,11 @@ fn harness_quick_perf_emits_valid_json() {
 
 #[test]
 fn harness_quick_serve_runs_threaded_cluster_with_skew() {
-    let out = cargo()
-        .args([
-            "run",
-            "--quiet",
-            "-p",
-            "rmo-harness",
-            "--bin",
-            "rmo-harness",
-            "--",
-            "serve",
-            "--quick",
-            "--skew",
-        ])
-        .output()
-        .expect("failed to spawn rmo-harness");
     // The experiment itself asserts that threaded serving bit-matches
     // the sequential replay and the steal-log replay, and that the
     // Balanced scheduler beats hash-pinning >= 1.5x on the adversarial
     // one-shard fleet; a failed assertion is a non-zero exit here.
-    assert!(
-        out.status.success(),
-        "rmo-harness serve --quick --skew exited with {:?}:\n{}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = harness(&["serve", "--quick", "--skew"]);
     assert!(
         stdout.contains("Serve") && stdout.contains("| shards"),
         "harness did not print the serve table; got:\n{stdout}"
@@ -258,32 +229,25 @@ fn harness_quick_serve_runs_threaded_cluster_with_skew() {
 }
 
 #[test]
+fn harness_quick_serve_hot_runs_replica_scheduling() {
+    // The experiment itself asserts that replica scheduling beats
+    // Balanced >= 1.8x on the modeled critical path, and that threaded
+    // serving, the sequential run and the fork-event replay bit-match;
+    // a failed assertion is a non-zero exit here.
+    let stdout = harness(&["serve", "--quick", "--hot"]);
+    assert!(
+        stdout.contains("Serve --hot") && stdout.contains("| cluster/hot_replicas"),
+        "harness did not print the hot-graph table; got:\n{stdout}"
+    );
+}
+
+#[test]
 fn harness_quick_stream_runs_gateway_with_backpressure() {
-    let out = cargo()
-        .args([
-            "run",
-            "--quiet",
-            "-p",
-            "rmo-harness",
-            "--bin",
-            "rmo-harness",
-            "--",
-            "stream",
-            "--quick",
-        ])
-        .output()
-        .expect("failed to spawn rmo-harness");
     // The experiment itself asserts the gateway's determinism contract
     // on every row (threaded rerun + sequential run agree on the whole
     // deterministic slice; the ArrivalLog replay reproduces the report
     // bit-for-bit); a failed assertion is a non-zero exit here.
-    assert!(
-        out.status.success(),
-        "rmo-harness stream --quick exited with {:?}:\n{}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = harness(&["stream", "--quick"]);
     assert!(
         stdout.contains("Stream") && stdout.contains("| shards"),
         "harness did not print the stream latency table; got:\n{stdout}"
