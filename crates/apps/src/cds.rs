@@ -152,11 +152,11 @@ pub fn approx_mwcds(engine: &mut PaEngine<'_>, node_weight: &[u64]) -> Result<Cd
                     }
                     for (v, _) in g.neighbors(y) {
                         if in_set[v] && dsu.find(v) != ru {
-                            let mut w = 0;
+                            let mut w = 0u64;
                             let mut path = Vec::new();
                             for inner in [x, y] {
                                 if !in_set[inner] {
-                                    w += node_weight[inner];
+                                    w = w.saturating_add(node_weight[inner]);
                                     path.push(inner);
                                 }
                             }
@@ -192,7 +192,9 @@ pub fn approx_mwcds(engine: &mut PaEngine<'_>, node_weight: &[u64]) -> Result<Cd
 
     chosen.sort_unstable();
     chosen.dedup();
-    let weight = chosen.iter().map(|&v| node_weight[v]).sum();
+    let weight = chosen
+        .iter()
+        .fold(0u64, |w, &v| w.saturating_add(node_weight[v]));
     Ok(CdsResult {
         set: chosen,
         weight,

@@ -582,6 +582,36 @@ mod tests {
     }
 
     #[test]
+    fn huge_slack_and_node_weights_answer_without_panicking() {
+        // `d + k` and the CDS weight sums must saturate: an overflow
+        // panics a debug build and wraps to wrong answers in release.
+        for g in [gen::path(8), gen::grid(4, 6)] {
+            let n = g.n();
+            let ecc = Query::Eccentricity { k: usize::MAX };
+            let cds = Query::Cds {
+                node_weights: vec![u64::MAX; n],
+            };
+            let mut engine = PaEngine::new(&g, EngineConfig::new());
+            // The first pass runs cold, the second on the warm caches.
+            for _ in 0..2 {
+                let QueryResponse::Eccentricity(res) = run_query(&mut engine, &ecc) else {
+                    panic!("eccentricity query failed");
+                };
+                for v in 0..n {
+                    assert!(
+                        res.estimates[v] >= rmo_graph::eccentricity(&g, v),
+                        "node {v}"
+                    );
+                }
+                let QueryResponse::Cds(res) = run_query(&mut engine, &cds) else {
+                    panic!("CDS query failed");
+                };
+                assert!(crate::cds::is_connected_dominating_set(&g, &res.set));
+            }
+        }
+    }
+
+    #[test]
     fn warm_engine_rejects_what_a_cold_one_rejects_and_counts_nothing() {
         let g = gen::grid(4, 6);
         let n = g.n();

@@ -63,7 +63,8 @@ pub fn approx_eccentricities(engine: &mut PaEngine<'_>, k: usize) -> Eccentricit
         cost += CostReport::new(0, 2 * g.m() as u64);
     }
     cost += CostReport::new(max_depth + kd.set.len(), 0);
-    let estimates: Vec<usize> = max_to_set.iter().map(|&d| d + k).collect();
+    // Saturating: `usize::MAX` still over-estimates by at most `k`.
+    let estimates: Vec<usize> = max_to_set.iter().map(|&d| d.saturating_add(k)).collect();
     let radius_estimate = estimates.iter().copied().min().unwrap_or(0);
     let diameter_estimate = estimates.iter().copied().max().unwrap_or(0);
     EccentricityResult {

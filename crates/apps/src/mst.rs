@@ -17,7 +17,7 @@
 use rmo_congest::programs::bfs::run_bfs;
 use rmo_congest::programs::leader::run_leader_election;
 use rmo_congest::{CostReport, Network};
-use rmo_graph::{num::ceil_log2, DisjointSets, EdgeId, Graph};
+use rmo_graph::{num::ceil_log2, DisjointSets, EdgeId, Graph, Partition};
 
 use rmo_core::{Aggregate, EngineConfig, PaEngine, PaError, PaInstance};
 
@@ -172,7 +172,8 @@ pub fn naive_mst(g: &Graph, config: &EngineConfig) -> Result<PaMstResult, PaErro
                     .unwrap_or(Aggregate::Min.identity())
             })
             .collect();
-        let inst = PaInstance::new(g, part_of, values, Aggregate::Min)?;
+        let parts = Partition::new(g, part_of)?;
+        let inst = PaInstance::from_partition(g, parts, values, Aggregate::Min)?;
         // Prior work: every part uses the whole tree (one block), and all
         // nodes climb it themselves.
         let sc = trivial_shortcut_with_threshold(g, &tree, inst.partition(), 1);

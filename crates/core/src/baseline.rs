@@ -9,20 +9,19 @@
 //!   broadcast on each part's own spanning tree. Message-optimal `O(n)`,
 //!   but `Ω(part diameter)` rounds — up to `Ω(n)` on high-diameter parts.
 
-use rmo_graph::{NodeId, RootedTree};
+use rmo_graph::{Graph, NodeId, Partition, RootedTree};
 use rmo_shortcut::Shortcut;
 
 use crate::instance::{PaError, PaInstance};
 use crate::solve::{solve_on, PaResult, PaSetup, Variant};
 use crate::subparts::SubPartDivision;
 
-/// The singleton division: every node is its own sub-part and
-/// representative. This is what "no sub-part machinery" means.
-pub fn singleton_division(inst: &PaInstance<'_>) -> SubPartDivision {
-    let g = inst.graph();
+/// The singleton division of `parts`: every node is its own sub-part
+/// and representative. This is what "no sub-part machinery" means.
+pub fn singleton_division(g: &Graph, parts: &Partition) -> SubPartDivision {
     SubPartDivision::new(
         g,
-        inst.partition(),
+        parts,
         (0..g.n()).collect(),
         vec![None; g.n()],
         (0..g.n()).collect(),
@@ -47,7 +46,7 @@ pub fn naive_block_pa(
     variant: Variant,
     block_budget: usize,
 ) -> Result<PaResult, PaError> {
-    let division = singleton_division(inst);
+    let division = singleton_division(inst.graph(), inst.partition());
     solve_on(
         inst,
         &PaSetup {

@@ -15,10 +15,14 @@
 //! * constructed once per graph, it owns the [`Network`] and runs
 //!   election + BFS exactly once (lazily, at the first solve or tree
 //!   access — sessions that only need divisions never simulate it);
-//! * every solve looks its part vector up in an LRU-bounded memo keyed
-//!   by a fingerprint of the vector; only a miss validates the vector
-//!   against the graph and rebuilds stages 2–4, and a hit reuses the
-//!   partition validated then;
+//! * its PA surface is [`PaEngine::solve`], the buffer-taking
+//!   [`PaEngine::solve_into`], the pipelined [`PaEngine::solve_batch`]
+//!   and the pre-warming [`PaEngine::pipeline_for`]; each looks its part
+//!   vector up once in an LRU-bounded memo keyed by a fingerprint of the
+//!   vector; only a miss validates the vector against the graph and
+//!   rebuilds stages 2–4, and a hit reuses the partition validated then;
+//! * the solves run Algorithm 1 on the entry's cached wave plan and the
+//!   engine's recycled solve arenas;
 //! * costs are charged *incrementally*: election + BFS on the first
 //!   solve, stage 2–4 setup once per distinct partition, and only the
 //!   three wave phases on a cache hit;
@@ -58,7 +62,6 @@ use rmo_congest::{CostReport, Network};
 use rmo_graph::{Graph, Partition, RootedTree};
 
 use crate::aggregate::Aggregate;
-use crate::batch::{batch_on, BatchResult};
 use crate::instance::{PaError, PaInstance};
 use crate::pipeline::{build_artifacts, PipelineArtifacts, ShortcutStrategy};
 use crate::solve::{solve_with, PaResult, SolveScratch, Variant};
@@ -265,6 +268,15 @@ impl std::fmt::Display for EngineStats {
     }
 }
 
+/// Result of [`PaEngine::solve_batch`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchResult {
+    /// `aggregates[i][p]` — aggregate of value-set `i` on part `p`.
+    pub aggregates: Vec<Vec<u64>>,
+    /// Total measured cost of the pipelined batch.
+    pub cost: CostReport,
+}
+
 #[derive(Clone)]
 struct CacheEntry {
     /// The partition, validated against the engine's graph when the
@@ -303,7 +315,7 @@ pub struct EngineCore {
     /// last-used `clock` stamp; LRU-bounded like `cache`.
     division_cache: BTreeMap<usize, (DetDivisionResult, u64)>,
     /// Recycled per-solve arenas: once warmed up to the workload size, a
-    /// cache-hit [`PaEngine::solve_on`] performs zero heap allocations.
+    /// cache-hit [`PaEngine::solve_into`] performs zero heap allocations.
     scratch: SolveScratch,
     clock: u64,
     stats: EngineStats,
@@ -447,7 +459,7 @@ const FNV_PRIME_POW: [u64; 9] = {
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = FNV_OFFSET;
     for mut w in words {
-        let zero_bytes = (w.leading_zeros() / 8) as usize;
+        let zero_bytes = (w.leading_zeros() / 8) as usize; // rmo-lint: allow(C1) — a byte count of at most 8, not a cost counter
         for _ in zero_bytes..8 {
             h ^= w & 0xff;
             h = h.wrapping_mul(FNV_PRIME);
@@ -619,14 +631,6 @@ impl<'g> PaEngine<'g> {
         self.core.stats()
     }
 
-    fn assert_same_graph(&self, inst: &PaInstance<'_>) {
-        let ig = inst.graph();
-        assert!(
-            std::ptr::eq(ig, self.graph) || same_topology(self.graph, ig),
-            "instance graph must match the engine's graph topology"
-        );
-    }
-
     /// Checks `assignment` out of the artifact cache and runs `on_entry` on
     /// the entry, the stage-1 tree and the solve arenas. `key` is the
     /// vector's [`partition_fingerprint`].
@@ -634,10 +638,11 @@ impl<'g> PaEngine<'g> {
     /// A hit (equal key, equal part vector) reuses the partition
     /// validated when the entry was built and checks nothing else. A
     /// miss validates `assignment` against this engine's graph, then
-    /// builds the entry. `values` is the solve's value count, checked
-    /// after the partition; `None` marks a pre-warm, which counts no
-    /// solve and leaves the entry's setup cost pending. A rejected call
-    /// counts, stamps and builds nothing.
+    /// builds the entry. `values` is the solve's value count (a batch
+    /// passes its first wrong set length), checked after the partition;
+    /// `None` marks a pre-warm, which counts no solve and leaves the
+    /// entry's setup cost pending. A rejected call counts, stamps and
+    /// builds nothing.
     ///
     /// `on_entry` also gets the cost to charge beyond the waves: the entry's
     /// stage 2–4 setup if no solve has paid it yet, plus election + BFS
@@ -674,11 +679,7 @@ impl<'g> PaEngine<'g> {
                 check_values()?;
                 core.stats.misses += 1;
                 let (tree, _) = core.stage1.get_or_init(|| run_stage1(graph, &core.net));
-                // Stages 2–4 read the graph and the partition, never the
-                // values.
-                let zeros = vec![0; n];
-                let inst = PaInstance::borrowed(graph, &partition, &zeros, Aggregate::Min);
-                let artifacts = build_artifacts(&inst, &core.config, tree);
+                let artifacts = build_artifacts(graph, &partition, &core.config, tree);
                 // On a fingerprint collision the stale entry leaves
                 // first, so it takes no room from the capacity check.
                 core.cache.remove(&key);
@@ -762,72 +763,62 @@ impl<'g> PaEngine<'g> {
         values: &[u64],
         agg: Aggregate,
     ) -> Result<PaResult, PaError> {
+        let mut out = PaResult::default();
+        self.solve_into(assignment, values, agg, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`PaEngine::solve`] into a caller-owned result buffer, recycling
+    /// the session's solve arenas. This is the allocation-free serving
+    /// path: once the engine and `out` have warmed up on a partition, a
+    /// cache-hit solve performs zero heap allocations (pinned by
+    /// `tests/alloc_free.rs`).
+    ///
+    /// # Errors
+    /// As [`PaEngine::solve`].
+    pub fn solve_into(
+        &mut self,
+        assignment: &[usize],
+        values: &[u64],
+        agg: Aggregate,
+        out: &mut PaResult,
+    ) -> Result<(), PaError> {
         let graph = self.graph;
         let variant = self.core.config.variant;
         let key = partition_fingerprint(assignment);
-        let mut out = PaResult::default();
         self.checkout(
             key,
             assignment,
             Some(values.len()),
             |entry, tree, scratch, extra| {
                 let inst = PaInstance::borrowed(graph, &entry.partition, values, agg);
-                run_waves(&inst, entry, tree, variant, scratch, extra, &mut out)
-            },
-        )??;
-        Ok(out)
-    }
-
-    /// Solves an already-validated instance. The instance's graph must be
-    /// this engine's graph (or a topology-identical reweighting of it).
-    ///
-    /// # Errors
-    /// Propagates [`PaError`] from Algorithm 1.
-    ///
-    /// # Panics
-    /// Panics if the instance's graph topology differs from the engine's.
-    pub fn solve_instance(&mut self, inst: &PaInstance<'_>) -> Result<PaResult, PaError> {
-        let mut out = PaResult::default();
-        self.solve_on(inst, &mut out)?;
-        Ok(out)
-    }
-
-    /// Solves an already-validated instance into a caller-owned result
-    /// buffer, recycling the session's solve arenas. This is the
-    /// allocation-free serving path: once the engine and `out` have
-    /// warmed up on a partition, a cache-hit solve performs zero heap
-    /// allocations (pinned by `tests/alloc_free.rs`).
-    ///
-    /// # Errors
-    /// Propagates [`PaError`] from Algorithm 1.
-    ///
-    /// # Panics
-    /// Panics if the instance's graph topology differs from the engine's.
-    pub fn solve_on(&mut self, inst: &PaInstance<'_>, out: &mut PaResult) -> Result<(), PaError> {
-        self.assert_same_graph(inst);
-        let variant = self.core.config.variant;
-        let assignment = inst.partition().assignment();
-        let key = partition_fingerprint(assignment);
-        self.checkout(
-            key,
-            assignment,
-            Some(inst.values().len()),
-            |entry, tree, scratch, extra| {
-                run_waves(inst, entry, tree, variant, scratch, extra, out)
+                run_waves(&inst, entry, tree, variant, scratch, out)?;
+                out.cost += extra;
+                Ok(())
             },
         )?
     }
 
     /// Solves `k` aggregations over one partition with a single pipelined
-    /// wave (see [`crate::batch`]).
+    /// wave.
+    ///
+    /// Applications routinely aggregate many word-sized values over one
+    /// partition (the min-cut sketches, the CDS labels). The wave's
+    /// routes do not depend on the values, so the `k` values stream
+    /// behind each other like the pipelined broadcast primitive
+    /// (`congest::programs::pipeline`, `O(depth + k)` rounds): each of
+    /// the three phases adds `k - 1` rounds to one solve's, and every
+    /// message carries `k` values, so messages are `k` times one solve's.
+    /// The checkout's setup is charged once on top.
     ///
     /// # Errors
-    /// As [`PaEngine::solve`], checking the first value set's length;
-    /// then [`PaError`] from the batched wave.
+    /// As [`PaEngine::solve`]: a partition error first, then
+    /// [`PaError::ValueCountMismatch`] for the first value set without one
+    /// value per node (a rejected call changes no [`EngineStats`]
+    /// counter), then the errors of Algorithm 1.
     ///
     /// # Panics
-    /// Panics if `value_sets` is empty or a later set has the wrong
-    /// length.
+    /// Panics if `value_sets` is empty.
     pub fn solve_batch(
         &mut self,
         assignment: &[usize],
@@ -838,18 +829,39 @@ impl<'g> PaEngine<'g> {
             panic!("batch needs at least one value set");
         };
         let graph = self.graph;
+        let n = graph.n();
         let variant = self.core.config.variant;
         let key = partition_fingerprint(assignment);
+        let count = value_sets
+            .iter()
+            .map(Vec::len)
+            .find(|&len| len != n)
+            .unwrap_or(n);
         let batch = self.checkout(
             key,
             assignment,
-            Some(first.len()),
-            |entry, tree, _, extra| {
+            Some(count),
+            |entry, tree, scratch, extra| {
                 let inst = PaInstance::borrowed(graph, &entry.partition, first, agg);
-                let mut result =
-                    batch_on(&inst, value_sets, &entry.artifacts.setup(tree), variant)?;
-                result.cost += extra;
-                Ok(result)
+                let mut wave = PaResult::default();
+                run_waves(&inst, entry, tree, variant, scratch, &mut wave)?;
+                let k = value_sets.len();
+                let cost = CostReport::with_capacity(
+                    wave.cost.rounds + 3 * (k - 1),
+                    wave.cost.messages * k as u64,
+                    wave.cost.capacity_multiplier,
+                ) + extra;
+                let parts = &entry.partition;
+                let aggregates = value_sets
+                    .iter()
+                    .map(|vs| {
+                        parts
+                            .part_ids()
+                            .map(|p| agg.fold(parts.members(p).iter().map(|&v| vs[v])))
+                            .collect()
+                    })
+                    .collect();
+                Ok(BatchResult { aggregates, cost })
             },
         )?;
         self.core.stats.batches += 1;
@@ -895,15 +907,14 @@ fn run_stage1(graph: &Graph, net: &Network) -> (RootedTree, CostReport) {
     (tree, elect_cost + bfs_cost)
 }
 
-/// Algorithm 1 for `inst` on a checked-out cache entry, into `out`, plus
-/// the checkout's `extra` cost.
+/// Algorithm 1 for `inst` on a checked-out cache entry's wave plan and
+/// the session's solve arenas, into `out`. Charges the waves only.
 fn run_waves(
     inst: &PaInstance<'_>,
     entry: &CacheEntry,
     tree: &RootedTree,
     variant: Variant,
     scratch: &mut SolveScratch,
-    extra: CostReport,
     out: &mut PaResult,
 ) -> Result<(), PaError> {
     let artifacts = &entry.artifacts;
@@ -914,9 +925,7 @@ fn run_waves(
         variant,
         scratch,
         out,
-    )?;
-    out.cost += extra;
-    Ok(())
+    )
 }
 
 /// Removes the entry of `cache` with the oldest `last_used` stamp — the
@@ -958,7 +967,7 @@ mod tests {
         let net = Network::new(g, config.seed);
         let (root, _, elect_cost) = run_leader_election(g, &net).unwrap();
         let (tree, _, bfs_cost) = run_bfs(g, &net, root).unwrap();
-        let artifacts = build_artifacts(inst, config, &tree);
+        let artifacts = build_artifacts(g, inst.partition(), config, &tree);
         let mut result = solve_on(inst, &artifacts.setup(&tree), config.variant).unwrap();
         result.cost += artifacts.setup_cost + elect_cost + bfs_cost;
         result
@@ -1082,22 +1091,119 @@ mod tests {
         assert_eq!(engine.stats().misses, 4);
     }
 
+    /// `k` value sets: `values` shifted by 0, 1, …, k − 1.
+    fn value_sets(values: &[u64], k: u64) -> Vec<Vec<u64>> {
+        (0..k)
+            .map(|i| values.iter().map(|v| v + i).collect())
+            .collect()
+    }
+
     #[test]
     fn batch_charges_setup_once() {
         let (g, parts, values) = grid_instance();
-        let sets: Vec<Vec<u64>> = (0..4u64)
-            .map(|i| values.iter().map(|v| v + i).collect())
+        // Exact (rounds, messages) of the cold and the warm batch: the
+        // cold one pays election + BFS + stages 2–4 once, and the waves
+        // of either add 3(k − 1) rounds and k× messages to one solve's.
+        for (k, cold, warm) in [
+            (1, (243, 2753), (30, 198)),
+            (4, (252, 3347), (39, 792)),
+            (16, (288, 5723), (75, 3168)),
+        ] {
+            let sets = value_sets(&values, k);
+            let mut engine = PaEngine::new(&g, EngineConfig::new());
+            let batch = engine
+                .solve_batch(parts.assignment(), &sets, Aggregate::Max)
+                .unwrap();
+            let again = engine
+                .solve_batch(parts.assignment(), &sets, Aggregate::Max)
+                .unwrap();
+            assert_eq!(batch.aggregates, again.aggregates);
+            assert_eq!((batch.cost.rounds, batch.cost.messages), cold, "k = {k}");
+            assert_eq!((again.cost.rounds, again.cost.messages), warm, "k = {k}");
+            let stats = engine.stats();
+            assert_eq!((stats.hits, stats.misses, stats.solves), (1, 1, 2));
+            assert_eq!(stats.batches, 2);
+        }
+    }
+
+    #[test]
+    fn batch_matches_individual_answers() {
+        let g = gen::grid(6, 6);
+        let parts = Partition::new(&g, gen::grid_row_partition(6, 6)).unwrap();
+        let sets: Vec<Vec<u64>> = (0..5u64)
+            .map(|i| (0..36u64).map(|v| (v * 7 + i * 13) % 97).collect())
             .collect();
         let mut engine = PaEngine::new(&g, EngineConfig::new());
         let batch = engine
             .solve_batch(parts.assignment(), &sets, Aggregate::Max)
             .unwrap();
-        let again = engine
-            .solve_batch(parts.assignment(), &sets, Aggregate::Max)
+        for (i, vs) in sets.iter().enumerate() {
+            for p in parts.part_ids() {
+                let expect = Aggregate::Max.fold(parts.members(p).iter().map(|&v| vs[v]));
+                assert_eq!(batch.aggregates[i][p], expect, "set {i} part {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn batching_beats_sequential_rounds() {
+        let g = gen::grid(5, 20);
+        let parts = Partition::new(&g, gen::grid_row_partition(5, 20)).unwrap();
+        let mut engine = PaEngine::new(&g, EngineConfig::new());
+        let ones = vec![1u64; 100];
+        engine
+            .solve(parts.assignment(), &ones, Aggregate::Sum)
             .unwrap();
-        assert_eq!(batch.aggregates, again.aggregates);
-        assert!(again.cost.rounds < batch.cost.rounds);
-        assert_eq!(engine.stats().batches, 2);
+        // Warm from here on: both charge the waves only.
+        let single = engine
+            .solve(parts.assignment(), &ones, Aggregate::Sum)
+            .unwrap();
+        let k = 16usize;
+        let batch = engine
+            .solve_batch(parts.assignment(), &vec![ones; k], Aggregate::Sum)
+            .unwrap();
+        assert!(
+            batch.cost.rounds < k * single.cost.rounds,
+            "pipelined {} should beat sequential {}",
+            batch.cost.rounds,
+            k * single.cost.rounds
+        );
+        assert_eq!(batch.cost.messages, single.cost.messages * k as u64);
+    }
+
+    #[test]
+    fn batch_rejects_a_short_value_set_before_counting() {
+        let (g, parts, values) = grid_instance();
+        let n = g.n();
+        let mut sets = value_sets(&values, 3);
+        sets[2].truncate(2);
+        let mut engine = PaEngine::new(&g, EngineConfig::new());
+        for _ in 0..2 {
+            // Cold first, then warm: no counter moves and nothing is
+            // cached either way.
+            let before = engine.stats();
+            let err = engine
+                .solve_batch(parts.assignment(), &sets, Aggregate::Min)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                PaError::ValueCountMismatch {
+                    expected: n,
+                    got: 2
+                }
+            );
+            assert_eq!(engine.stats(), before);
+            engine
+                .solve(parts.assignment(), &values, Aggregate::Min)
+                .unwrap();
+        }
+        // A partition error wins over the bad set.
+        let before = engine.stats();
+        let err = engine
+            .solve_batch(&[0; 3], &sets, Aggregate::Min)
+            .unwrap_err();
+        assert!(matches!(err, PaError::Partition(_)), "{err:?}");
+        assert_eq!(engine.stats(), before);
     }
 
     #[test]

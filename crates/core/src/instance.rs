@@ -55,8 +55,9 @@ impl From<PartitionError> for PaError {
 /// A Part-Wise Aggregation instance: graph, connected partition, one value
 /// per node, and the aggregate `f`.
 ///
-/// The public constructors own their partition and values; the engine's
-/// warm path borrows both (its cached partition, the caller's values).
+/// [`PaInstance::from_partition`] owns its partition and values; the
+/// engine's warm path borrows both (its cached partition, the caller's
+/// values).
 #[derive(Debug, Clone)]
 pub struct PaInstance<'g> {
     graph: &'g Graph,
@@ -66,36 +67,8 @@ pub struct PaInstance<'g> {
 }
 
 impl<'g> PaInstance<'g> {
-    /// Builds and validates an instance from a raw part assignment.
-    ///
-    /// # Errors
-    /// Rejects invalid partitions, wrong value counts and disconnected
-    /// graphs.
-    pub fn new(
-        graph: &'g Graph,
-        part_of: Vec<usize>,
-        values: Vec<u64>,
-        aggregate: Aggregate,
-    ) -> Result<PaInstance<'g>, PaError> {
-        if !graph.is_connected() {
-            return Err(PaError::Disconnected);
-        }
-        if values.len() != graph.n() {
-            return Err(PaError::ValueCountMismatch {
-                expected: graph.n(),
-                got: values.len(),
-            });
-        }
-        let partition = Partition::new(graph, part_of)?;
-        Ok(PaInstance {
-            graph,
-            partition: Cow::Owned(partition),
-            values: Cow::Owned(values),
-            aggregate,
-        })
-    }
-
-    /// Builds an instance from an already-validated [`Partition`].
+    /// Builds an instance from an already-validated [`Partition`] (build
+    /// it with [`Partition::new`] from a raw part assignment).
     ///
     /// # Errors
     /// Rejects wrong value counts and disconnected graphs.
@@ -179,13 +152,9 @@ mod tests {
     #[test]
     fn valid_instance() {
         let g = gen::path(6);
-        let inst = PaInstance::new(
-            &g,
-            vec![0, 0, 0, 1, 1, 1],
-            vec![5, 3, 9, 2, 8, 1],
-            Aggregate::Min,
-        )
-        .unwrap();
+        let parts = Partition::new(&g, vec![0, 0, 0, 1, 1, 1]).unwrap();
+        let inst =
+            PaInstance::from_partition(&g, parts, vec![5, 3, 9, 2, 8, 1], Aggregate::Min).unwrap();
         assert_eq!(inst.reference_aggregate(0), 3);
         assert_eq!(inst.reference_aggregate(1), 1);
         assert_eq!(inst.reference_aggregate_of(4), 1);
@@ -194,7 +163,8 @@ mod tests {
     #[test]
     fn rejects_bad_value_count() {
         let g = gen::path(3);
-        let err = PaInstance::new(&g, vec![0, 0, 0], vec![1], Aggregate::Sum).unwrap_err();
+        let parts = Partition::whole(&g).unwrap();
+        let err = PaInstance::from_partition(&g, parts, vec![1], Aggregate::Sum).unwrap_err();
         assert_eq!(
             err,
             PaError::ValueCountMismatch {
@@ -207,14 +177,16 @@ mod tests {
     #[test]
     fn rejects_disconnected_graph() {
         let g = rmo_graph::Graph::from_unweighted_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let err = PaInstance::new(&g, vec![0, 0, 1, 1], vec![0; 4], Aggregate::Sum).unwrap_err();
+        let parts = Partition::new(&g, vec![0, 0, 1, 1]).unwrap();
+        let err = PaInstance::from_partition(&g, parts, vec![0; 4], Aggregate::Sum).unwrap_err();
         assert_eq!(err, PaError::Disconnected);
     }
 
     #[test]
     fn rejects_disconnected_part() {
+        // The partition is checked before an instance can exist.
         let g = gen::path(4);
-        let err = PaInstance::new(&g, vec![0, 1, 0, 1], vec![0; 4], Aggregate::Sum).unwrap_err();
+        let err = PaError::from(Partition::new(&g, vec![0, 1, 0, 1]).unwrap_err());
         assert!(matches!(err, PaError::Partition(_)));
     }
 }

@@ -20,7 +20,7 @@
 //! | Algorithm 9 (leaderless PA) | [`leaderless`] |
 //! | Section 3.1 baselines | [`baseline`] |
 //! | Pipeline stages (Theorem 1.2) | [`pipeline`] |
-//! | Session engine (cached pipelines) | [`engine`] |
+//! | Session engine (cached pipelines, batched PA) | [`engine`] |
 //!
 //! # Quickstart
 //!
@@ -52,13 +52,15 @@
 //!
 //! [`EngineConfig`] is the one configuration type: its builder spans the
 //! whole ablation grid (variant × shortcut × division). A one-shot solve
-//! is a fresh engine used once.
+//! is a fresh engine used once. Below the engine, the value-blind stages
+//! ([`build_artifacts`], Algorithm 2, the phase-A wave) take the graph
+//! and the partition; only Algorithm 1's fold ([`solve_with`],
+//! [`solve_on`]) takes a value-carrying [`PaInstance`].
 
 #![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod baseline;
-pub mod batch;
 pub mod cole_vishkin;
 pub mod engine;
 pub mod instance;
@@ -72,10 +74,9 @@ pub mod subparts_random;
 pub mod verify_block;
 
 pub use aggregate::Aggregate;
-pub use batch::{batch_on, BatchResult};
 pub use engine::{
-    graph_fingerprint, partition_fingerprint, word_fingerprint, DivisionStrategy, EngineConfig,
-    EngineCore, EngineStats, PaEngine,
+    graph_fingerprint, partition_fingerprint, word_fingerprint, BatchResult, DivisionStrategy,
+    EngineConfig, EngineCore, EngineStats, PaEngine,
 };
 pub use instance::{PaError, PaInstance};
 pub use pipeline::{build_artifacts, PipelineArtifacts, ShortcutStrategy};

@@ -22,14 +22,13 @@
 //! them once per partition on the engine's tree.
 
 use rmo_congest::CostReport;
-use rmo_graph::{NodeId, RootedTree};
+use rmo_graph::{Graph, NodeId, Partition, RootedTree};
 use rmo_shortcut::alg8::{construct_deterministic, DetParams};
 use rmo_shortcut::corefast::{construct_randomized, RandParams};
 use rmo_shortcut::trivial::trivial_shortcut;
 use rmo_shortcut::Shortcut;
 
 use crate::engine::{DivisionStrategy, EngineConfig};
-use crate::instance::PaInstance;
 use crate::solve::{PaSetup, WavePlan};
 use crate::subparts::SubPartDivision;
 use crate::subparts_det::deterministic_division;
@@ -82,19 +81,19 @@ impl PipelineArtifacts {
     }
 }
 
-/// Builds stages 2–4 of the pipeline on a borrowed BFS tree.
+/// Builds stages 2–4 of the pipeline for `parts` on a borrowed BFS tree.
+/// No stage reads the aggregated values, so none is passed.
 ///
 /// Borůvka-style applications call PA `O(log n)` times with changing
 /// partitions but a fixed network: they pay for election and BFS once and
 /// build fresh artifacts per phase — [`crate::engine::PaEngine`] wraps
 /// exactly this with a memo keyed by partition fingerprint.
 pub fn build_artifacts(
-    inst: &PaInstance<'_>,
+    g: &Graph,
+    parts: &Partition,
     config: &EngineConfig,
     tree: &RootedTree,
 ) -> PipelineArtifacts {
-    let g = inst.graph();
-    let parts = inst.partition();
     let mut setup_cost = CostReport::zero();
     let d = tree.depth().max(1);
 
@@ -146,7 +145,8 @@ pub fn build_artifacts(
                 setup_cost += cost;
                 // One Algorithm 2 verification per sweep.
                 let verify = verify_block_parameter(
-                    inst,
+                    g,
+                    parts,
                     &PaSetup {
                         tree,
                         shortcut: &shortcut,
@@ -209,11 +209,13 @@ mod tests {
     use super::*;
     use crate::aggregate::Aggregate;
     use crate::engine::PaEngine;
-    use rmo_graph::{gen, Partition};
+    use crate::instance::PaInstance;
+    use rmo_graph::gen;
 
     fn check(inst: &PaInstance<'_>, config: EngineConfig) {
+        let assignment = inst.partition().assignment();
         let res = PaEngine::new(inst.graph(), config)
-            .solve_instance(inst)
+            .solve(assignment, inst.values(), inst.aggregate())
             .expect("pipeline solves");
         for p in inst.partition().part_ids() {
             assert_eq!(
@@ -258,13 +260,14 @@ mod tests {
     fn setup_cost_is_accounted() {
         let g = gen::grid(5, 5);
         let parts = Partition::new(&g, gen::grid_row_partition(5, 5)).unwrap();
-        let inst = PaInstance::from_partition(&g, parts, vec![1; 25], Aggregate::Sum).unwrap();
         let mut engine = PaEngine::new(&g, EngineConfig::new());
-        let stages = build_artifacts(&inst, &EngineConfig::new(), engine.tree()).setup_cost;
+        let stages = build_artifacts(&g, &parts, &EngineConfig::new(), engine.tree()).setup_cost;
         assert!(stages.rounds > 0);
         assert!(stages.messages > 0);
         let setup = stages + engine.stats().base_cost;
-        let res = engine.solve_instance(&inst).unwrap();
+        let res = engine
+            .solve(parts.assignment(), &[1; 25], Aggregate::Sum)
+            .unwrap();
         assert!(res.cost.messages > setup.messages);
     }
 }

@@ -159,11 +159,12 @@ pub fn solve_with(
     scratch: &mut SolveScratch,
     out: &mut PaResult,
 ) -> Result<(), PaError> {
+    let (g, parts) = (inst.graph(), inst.partition());
     let SolveScratch { wave, outcome } = scratch;
-    run_wave_with(inst, setup, plan, variant, wave, outcome);
+    run_wave_with(g, parts, setup, plan, variant, wave, outcome);
     if let Some(v) = outcome.informed.iter().position(|&i| !i) {
         return Err(PaError::BlockBudgetExceeded {
-            part: inst.partition().part_of(v),
+            part: parts.part_of(v),
             budget: setup.block_budget,
         });
     }
@@ -176,7 +177,6 @@ pub fn solve_with(
         .extend_from_slice(&outcome.iterations_per_part);
     // Reserved up front, so a fresh result buffer costs one allocation
     // per vector and a recycled one none.
-    let parts = inst.partition();
     out.aggregates.clear();
     out.aggregates.reserve(parts.num_parts());
     for p in parts.part_ids() {
@@ -188,8 +188,8 @@ pub fn solve_with(
         ..
     } = out;
     node_values.clear();
-    node_values.reserve(inst.graph().n());
-    for v in 0..inst.graph().n() {
+    node_values.reserve(g.n());
+    for v in 0..g.n() {
         node_values.push(aggregates.get(parts.part_of(v)).copied().unwrap_or(0));
     }
     Ok(())
@@ -237,22 +237,18 @@ impl Default for WaveOutcome {
 }
 
 /// Runs phase A (the broadcast wave) and reports the outcome without
-/// failing on budget overruns — Algorithm 2 needs the raw outcome.
+/// failing on budget overruns — Algorithm 2 needs the raw outcome. The
+/// wave reads the graph and the partition, never the values.
 pub fn broadcast_wave_outcome(
-    inst: &PaInstance<'_>,
+    g: &Graph,
+    parts: &Partition,
     setup: &PaSetup<'_>,
     variant: Variant,
 ) -> WaveOutcome {
-    let plan = WavePlan::build(
-        inst.graph(),
-        setup.tree,
-        setup.shortcut,
-        setup.division,
-        inst.partition(),
-    );
+    let plan = WavePlan::build(g, setup.tree, setup.shortcut, setup.division, parts);
     let mut scratch = WaveScratch::default();
     let mut out = WaveOutcome::default();
-    run_wave_with(inst, setup, &plan, variant, &mut scratch, &mut out);
+    run_wave_with(g, parts, setup, &plan, variant, &mut scratch, &mut out);
     out
 }
 
@@ -404,7 +400,8 @@ impl SolveScratch {
 }
 
 fn run_wave_with(
-    inst: &PaInstance<'_>,
+    g: &Graph,
+    parts: &Partition,
     setup: &PaSetup<'_>,
     plan: &WavePlan,
     variant: Variant,
@@ -418,8 +415,6 @@ fn run_wave_with(
         leaders,
         block_budget,
     } = *setup;
-    let g = inst.graph();
-    let parts = inst.partition();
     let n = g.n();
     let np = parts.num_parts();
     let nb = plan.num_blocks();
@@ -932,8 +927,6 @@ mod tests {
     fn wave_trace_shows_monotone_progress() {
         let g = gen::path(32);
         let parts = Partition::whole(&g).unwrap();
-        let inst =
-            PaInstance::from_partition(&g, parts.clone(), vec![1; 32], Aggregate::Sum).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
         let sc = Shortcut::empty(1);
         let mut parent: Vec<Option<NodeId>> = Vec::new();
@@ -948,8 +941,9 @@ mod tests {
             vec![0, 8, 16, 24],
         )
         .unwrap();
-        let wave = crate::solve::broadcast_wave_outcome(
-            &inst,
+        let wave = broadcast_wave_outcome(
+            &g,
+            &parts,
             &PaSetup {
                 tree: &tree,
                 shortcut: &sc,

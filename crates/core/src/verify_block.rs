@@ -9,8 +9,8 @@
 //! learns whether its part's block parameter exceeds `b` (Lemma 4.5).
 
 use rmo_congest::CostReport;
+use rmo_graph::{Graph, Partition};
 
-use crate::instance::PaInstance;
 use crate::solve::{broadcast_wave_outcome, PaSetup, Variant};
 
 /// The verdict of Algorithm 2.
@@ -24,16 +24,16 @@ pub struct BlockVerification {
     pub cost: CostReport,
 }
 
-/// Runs Algorithm 2 with budget `b = setup.block_budget`.
+/// Runs Algorithm 2 with budget `b = setup.block_budget` on the parts of
+/// `parts`.
 pub fn verify_block_parameter(
-    inst: &PaInstance<'_>,
+    g: &Graph,
+    parts: &Partition,
     setup: &PaSetup<'_>,
     variant: Variant,
 ) -> BlockVerification {
-    let g = inst.graph();
-    let parts = inst.partition();
     // Line 2: broadcast an arbitrary message with budget b.
-    let wave = broadcast_wave_outcome(inst, setup, variant);
+    let wave = broadcast_wave_outcome(g, parts, setup, variant);
     let mut cost = wave.cost;
     let mut exceeds = vec![false; parts.num_parts()];
     for (v, &ok) in wave.informed.iter().enumerate() {
@@ -55,7 +55,7 @@ pub fn verify_block_parameter(
         }
         cost += CostReport::new(1, notify);
         // Line 5: one more wave to spread the verdict among informed nodes.
-        let spread = broadcast_wave_outcome(inst, setup, variant);
+        let spread = broadcast_wave_outcome(g, parts, setup, variant);
         cost += spread.cost;
     } else {
         // Line 9: all received — one more wave communicates the exact
@@ -68,24 +68,21 @@ pub fn verify_block_parameter(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::Aggregate;
-    use crate::instance::PaInstance;
     use crate::subparts::SubPartDivision;
-    use rmo_graph::{bfs_tree, gen, NodeId, Partition};
+    use rmo_graph::{bfs_tree, gen, NodeId};
     use rmo_shortcut::trivial::trivial_shortcut_with_threshold;
 
     #[test]
     fn good_shortcut_passes() {
         let g = gen::grid(6, 6);
         let parts = Partition::new(&g, gen::grid_row_partition(6, 6)).unwrap();
-        let inst =
-            PaInstance::from_partition(&g, parts.clone(), vec![0; 36], Aggregate::Sum).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
         let sc = trivial_shortcut_with_threshold(&g, &tree, &parts, 1);
         let leaders: Vec<NodeId> = parts.part_ids().map(|p| parts.members(p)[0]).collect();
         let division = SubPartDivision::one_per_part(&g, &parts, &leaders);
         let v = verify_block_parameter(
-            &inst,
+            &g,
+            &parts,
             &PaSetup {
                 tree: &tree,
                 shortcut: &sc,
@@ -103,8 +100,6 @@ mod tests {
         // Empty shortcut + multi-sub-part part: budget 1 cannot cover it.
         let g = gen::path(16);
         let parts = Partition::whole(&g).unwrap();
-        let inst =
-            PaInstance::from_partition(&g, parts.clone(), vec![0; 16], Aggregate::Sum).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
         let sc = rmo_shortcut::Shortcut::empty(1);
         let division = SubPartDivision::new(
@@ -124,9 +119,9 @@ mod tests {
             leaders: &[0],
             block_budget: b,
         };
-        let v = verify_block_parameter(&inst, &setup(1), Variant::Deterministic);
+        let v = verify_block_parameter(&g, &parts, &setup(1), Variant::Deterministic);
         assert!(v.exceeds[0], "budget 1 cannot cover 4 singleton blocks");
-        let v4 = verify_block_parameter(&inst, &setup(4), Variant::Deterministic);
+        let v4 = verify_block_parameter(&g, &parts, &setup(4), Variant::Deterministic);
         assert!(!v4.exceeds[0], "budget 4 suffices");
     }
 
@@ -134,8 +129,6 @@ mod tests {
     fn cost_is_about_two_waves_on_success() {
         let g = gen::grid(4, 4);
         let parts = Partition::new(&g, gen::grid_row_partition(4, 4)).unwrap();
-        let inst =
-            PaInstance::from_partition(&g, parts.clone(), vec![0; 16], Aggregate::Sum).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
         let sc = trivial_shortcut_with_threshold(&g, &tree, &parts, 1);
         let leaders: Vec<NodeId> = parts.part_ids().map(|p| parts.members(p)[0]).collect();
@@ -147,8 +140,8 @@ mod tests {
             leaders: &leaders,
             block_budget: 1,
         };
-        let wave = broadcast_wave_outcome(&inst, &setup, Variant::Deterministic);
-        let v = verify_block_parameter(&inst, &setup, Variant::Deterministic);
+        let wave = broadcast_wave_outcome(&g, &parts, &setup, Variant::Deterministic);
+        let v = verify_block_parameter(&g, &parts, &setup, Variant::Deterministic);
         assert_eq!(v.cost.rounds, 2 * wave.cost.rounds);
         assert_eq!(v.cost.messages, 2 * wave.cost.messages);
     }

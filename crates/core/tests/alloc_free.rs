@@ -1,4 +1,4 @@
-//! Regression guard: a warm cache-hit [`PaEngine::solve_on`] performs
+//! Regression guard: a warm cache-hit [`PaEngine::solve_into`] performs
 //! **zero** heap allocation. The wave plan is precomputed per partition,
 //! the router batches, informed/active sets and climb stamps live in the
 //! engine's [`SolveScratch`], and the caller-owned `PaResult` buffer is
@@ -12,8 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rmo_core::{Aggregate, EngineConfig, PaEngine, PaInstance, PaResult};
-use rmo_graph::{gen, Partition};
+use rmo_core::{Aggregate, EngineConfig, PaEngine, PaResult};
+use rmo_graph::gen;
 
 /// System allocator wrapper counting every allocation/reallocation.
 struct CountingAlloc;
@@ -43,13 +43,16 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs_during_solves(
     engine: &mut PaEngine<'_>,
-    inst: &PaInstance<'_>,
+    assignment: &[usize],
+    values: &[u64],
     out: &mut PaResult,
     solves: usize,
 ) -> usize {
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..solves {
-        engine.solve_on(inst, out).expect("warm solve succeeds");
+        engine
+            .solve_into(assignment, values, Aggregate::Min, out)
+            .expect("warm solve succeeds");
     }
     ALLOCS.load(Ordering::Relaxed) - before
 }
@@ -60,13 +63,14 @@ fn allocs_during_solves(
 /// thread's own incidental allocations landing in a window.
 fn min_allocs_over_windows(
     engine: &mut PaEngine<'_>,
-    inst: &PaInstance<'_>,
+    assignment: &[usize],
+    values: &[u64],
     out: &mut PaResult,
     windows: usize,
     solves: usize,
 ) -> usize {
     (0..windows)
-        .map(|_| allocs_during_solves(engine, inst, out, solves))
+        .map(|_| allocs_during_solves(engine, assignment, values, out, solves))
         .min()
         .expect("at least one window")
 }
@@ -74,22 +78,21 @@ fn min_allocs_over_windows(
 #[test]
 fn warm_cache_hit_solves_do_not_allocate() {
     let g = gen::grid(8, 12);
-    let parts = Partition::new(&g, gen::grid_row_partition(8, 12)).unwrap();
+    let rows = gen::grid_row_partition(8, 12);
     let values: Vec<u64> = (0..g.n() as u64).map(|v| (v * 31) % 97).collect();
-    let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Min).unwrap();
 
     let mut engine = PaEngine::new(&g, EngineConfig::new());
     let mut out = PaResult::default();
     // Warm-up: the first solve builds stage 1 + artifacts and grows every
     // recycled buffer; a second pass catches any lazily-sized arena.
-    let warmup = allocs_during_solves(&mut engine, &inst, &mut out, 2);
+    let warmup = allocs_during_solves(&mut engine, &rows, &values, &mut out, 2);
     assert!(warmup > 0, "cold solves build the pipeline");
 
     let reference = out.clone();
-    let warm = min_allocs_over_windows(&mut engine, &inst, &mut out, 4, 25);
+    let warm = min_allocs_over_windows(&mut engine, &rows, &values, &mut out, 4, 25);
     assert_eq!(
         warm, 0,
-        "warm cache-hit solve_on must be allocation-free \
+        "warm cache-hit solve_into must be allocation-free \
          (warm-up allocated {warmup}, warm solves allocated {warm})"
     );
     // The recycled buffers still produce the exact same answer.

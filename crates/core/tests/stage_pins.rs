@@ -22,7 +22,7 @@ use rmo_congest::programs::bfs::run_bfs;
 use rmo_congest::programs::leader::run_leader_election;
 use rmo_congest::{DowncastJob, Network, TreeRouter, UpcastJob};
 use rmo_core::subparts_det::deterministic_division;
-use rmo_core::{Aggregate, EngineConfig, PaEngine, PaInstance};
+use rmo_core::{Aggregate, EngineConfig, PaEngine};
 use rmo_graph::{gen, Graph, NodeId, Partition};
 
 fn workloads() -> Vec<(&'static str, Graph, Partition)> {
@@ -146,17 +146,19 @@ fn stage_counts() -> Vec<(String, usize, u64)> {
         let vals: Vec<u64> = (0..g.n() as u64)
             .map(|v| v.wrapping_mul(0x9e37_79b9))
             .collect();
-        let inst = PaInstance::from_partition(&g, parts.clone(), vals, Aggregate::Min)
-            .expect("valid instance");
         let mut engine = PaEngine::new(&g, EngineConfig::new());
-        let cold = engine.solve_instance(&inst).expect("solves");
+        let cold = engine
+            .solve(parts.assignment(), &vals, Aggregate::Min)
+            .expect("solves");
         out.push((
             format!("{label}/engine_cold"),
             cold.cost.rounds,
             cold.cost.messages,
         ));
         out.push((format!("{label}/engine_values"), 0, fp(cold.node_values)));
-        let warm = engine.solve_instance(&inst).expect("solves");
+        let warm = engine
+            .solve(parts.assignment(), &vals, Aggregate::Min)
+            .expect("solves");
         out.push((
             format!("{label}/engine_warm"),
             warm.cost.rounds,

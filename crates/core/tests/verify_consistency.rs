@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use rmo_core::solve::{PaSetup, Variant};
 use rmo_core::subparts_det::deterministic_division;
 use rmo_core::verify_block::verify_block_parameter;
-use rmo_core::{Aggregate, PaInstance};
 use rmo_graph::{bfs_tree, gen};
 use rmo_shortcut::alg8::{construct_deterministic, DetParams};
 use rmo_shortcut::Shortcut;
@@ -27,12 +26,6 @@ proptest! {
         let m = (n - 1 + extra).min(n * (n - 1) / 2);
         let g = gen::random_connected(n, m, seed);
         let parts = gen::random_connected_partition(&g, parts_n, seed ^ 11);
-        let inst = PaInstance::from_partition(
-            &g,
-            parts.clone(),
-            vec![0; n],
-            Aggregate::Sum,
-        ).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
         let leaders: Vec<usize> = parts.part_ids().map(|p| parts.members(p)[0]).collect();
         let d = tree.depth().max(1);
@@ -57,7 +50,8 @@ proptest! {
             })
             .collect();
         let verdict = verify_block_parameter(
-            &inst,
+            &g,
+            &parts,
             &PaSetup {
                 tree: &tree,
                 shortcut: &sc,
@@ -93,9 +87,6 @@ proptest! {
         prop_assume!(len >= 2 * block);
         let g = gen::path(len);
         let parts = rmo_graph::Partition::whole(&g).unwrap();
-        let inst = PaInstance::from_partition(
-            &g, parts.clone(), vec![0; len], Aggregate::Sum,
-        ).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
         let sc = Shortcut::empty(1);
         let k = len / block;
@@ -113,9 +104,9 @@ proptest! {
             leaders: &[0],
             block_budget: b,
         };
-        let fail = verify_block_parameter(&inst, &setup(k - 1), Variant::Deterministic);
+        let fail = verify_block_parameter(&g, &parts, &setup(k - 1), Variant::Deterministic);
         prop_assert!(fail.exceeds[0], "budget k-1 must be insufficient");
-        let pass = verify_block_parameter(&inst, &setup(k), Variant::Deterministic);
+        let pass = verify_block_parameter(&g, &parts, &setup(k), Variant::Deterministic);
         prop_assert!(!pass.exceeds[0], "budget k must suffice");
     }
 }

@@ -38,7 +38,11 @@ pub fn run(quick: bool) {
     let mut rows = Vec::new();
     for (name, cfg) in configs {
         let res = PaEngine::new(&g, cfg)
-            .solve_instance(&inst)
+            .solve(
+                inst.partition().assignment(),
+                inst.values(),
+                inst.aggregate(),
+            )
             .expect("PA solves");
         for p in inst.partition().part_ids() {
             assert_eq!(res.aggregates[p], inst.reference_aggregate(p), "{name}");

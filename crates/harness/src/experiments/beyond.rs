@@ -4,7 +4,7 @@
 //! families beyond those mentioned"*; here we measure what the generic
 //! constructions already achieve on them.
 
-use rmo_core::{Aggregate, EngineConfig, PaEngine, PaInstance};
+use rmo_core::{Aggregate, EngineConfig, PaEngine};
 use rmo_graph::{gen, num::isqrt, two_sweep_diameter_lower_bound};
 
 use crate::util::{print_table, ratio};
@@ -22,9 +22,8 @@ pub fn run() {
         let d = two_sweep_diameter_lower_bound(&g, 0).max(1);
         let parts = gen::random_connected_partition(&g, isqrt(n), 3);
         let values: Vec<u64> = (0..n as u64).collect();
-        let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Min).expect("valid");
         let det = PaEngine::new(&g, EngineConfig::new())
-            .solve_instance(&inst)
+            .solve(parts.assignment(), &values, Aggregate::Min)
             .expect("solves");
         rows.push(vec![
             family.to_string(),

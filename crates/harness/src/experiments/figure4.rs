@@ -2,7 +2,7 @@
 //! activation trace on a 3-block part, straight from the wave's trace API.
 
 use rmo_core::solve::{broadcast_wave_outcome, PaSetup, Variant};
-use rmo_core::{Aggregate, PaInstance, SubPartDivision};
+use rmo_core::SubPartDivision;
 use rmo_graph::{bfs_tree, gen, Partition};
 use rmo_shortcut::Shortcut;
 
@@ -15,7 +15,6 @@ pub fn run() {
     // iteration-by-iteration activation of b1, b2, b3.
     let g = gen::path(24);
     let parts = Partition::whole(&g).unwrap();
-    let inst = PaInstance::from_partition(&g, parts.clone(), vec![1; 24], Aggregate::Sum).unwrap();
     let (tree, _) = bfs_tree(&g, 0);
     let sc = Shortcut::empty(1);
     let division = SubPartDivision::new(
@@ -29,7 +28,8 @@ pub fn run() {
     )
     .unwrap();
     let wave = broadcast_wave_outcome(
-        &inst,
+        &g,
+        &parts,
         &PaSetup {
             tree: &tree,
             shortcut: &sc,

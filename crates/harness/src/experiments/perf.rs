@@ -30,13 +30,13 @@ use rmo_congest::programs::leader::run_leader_election;
 use rmo_congest::programs::pipeline::run_pipeline_broadcast;
 use rmo_congest::{CostReport, DowncastJob, Network, TreeRouter, UpcastJob};
 use rmo_core::subparts_det::deterministic_division;
-use rmo_core::{Aggregate, EngineConfig, PaEngine, PaInstance};
+use rmo_core::{Aggregate, EngineConfig, PaEngine};
 use rmo_graph::gen;
 use rmo_graph::NodeId;
 use rmo_shortcut::alg8::{construct_deterministic, DetParams};
 
-use super::families;
 use super::serve::{HotFleet, Modeled};
+use super::{families, Workload};
 use crate::util::print_table;
 
 /// Interleaved passes over the whole suite per run. At 20 or 30 passes
@@ -191,7 +191,7 @@ fn run_suite(quick: bool) -> Vec<Entry> {
     // --- Table 2 PA, end-to-end (largest quick-mode scale). ---
     let scale = if quick { 12 } else { 20 };
     let table2 = families(scale);
-    let table2_instances: Vec<(&'static str, PaInstance)> = table2
+    let table2_instances: Vec<(&'static str, &Workload, Vec<u64>)> = table2
         .iter()
         .map(|w| {
             let name: &'static str = match w.family {
@@ -204,14 +204,7 @@ fn run_suite(quick: bool) -> Vec<Entry> {
             let pa_values: Vec<u64> = (0..w.graph.n() as u64)
                 .map(|v| v.wrapping_mul(2654435761))
                 .collect();
-            let inst = PaInstance::from_partition(
-                &w.graph,
-                w.partition.clone(),
-                pa_values,
-                Aggregate::Min,
-            )
-            .expect("valid instance");
-            (name, inst)
+            (name, w, pa_values)
         })
         .collect();
 
@@ -219,11 +212,11 @@ fn run_suite(quick: bool) -> Vec<Entry> {
     // divisions, stage-4 shortcut construction, Lemma 4.2 tree routing,
     // and the warm engine solve (the serving steady state). All on the
     // `general` family, the suite's hardest workload.
-    let (_, pinst) = table2_instances
+    let (_, pw, pvalues) = table2_instances
         .iter()
-        .find(|(name, _)| *name == "table2_pa/general")
+        .find(|(name, _, _)| *name == "table2_pa/general")
         .expect("general family exists"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
-    let (pg, partition) = (pinst.graph(), pinst.partition());
+    let (pg, partition) = (&pw.graph, &pw.partition);
     let pnet = Network::new(pg, 7);
     let (proot, _, _) = run_leader_election(pg, &pnet).expect("terminates"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
     let (ptree, _, _) = run_bfs(pg, &pnet, proot).expect("terminates"); // rmo-lint: allow(P1) — bench workload is fixed; abort on failure is intended
@@ -272,7 +265,9 @@ fn run_suite(quick: bool) -> Vec<Entry> {
     // cache-hit path plus Algorithm 1 alone — what every serve-path
     // query pays at steady state.
     let mut engine = PaEngine::new(pg, EngineConfig::new());
-    engine.solve_instance(pinst).expect("cold solve"); // warm cache outside the clock; rmo-lint: allow(P1) — bench abort intended
+    engine
+        .solve(partition.assignment(), pvalues, Aggregate::Min)
+        .expect("cold solve"); // warm cache outside the clock; rmo-lint: allow(P1) — bench abort intended
 
     // --- Serving path: a mixed batch on a fresh fleet, sequential mode
     // (single-threaded, so the clock measures work, not contention). ---
@@ -337,10 +332,10 @@ fn run_suite(quick: bool) -> Vec<Entry> {
             || reference_impls::election(&g_elect, &net_elect),
         ),
     ];
-    for (name, inst) in &table2_instances {
+    for (name, w, pa_values) in &table2_instances {
         benches.push(bench(name, move || {
-            PaEngine::new(inst.graph(), EngineConfig::new())
-                .solve_instance(inst)
+            PaEngine::new(&w.graph, EngineConfig::new())
+                .solve(w.partition.assignment(), pa_values, Aggregate::Min)
                 .expect("PA solves")
                 .cost
         }));
@@ -372,8 +367,11 @@ fn run_suite(quick: bool) -> Vec<Entry> {
         bench("pipeline/warm_solve", || {
             let mut total = CostReport::zero();
             for _ in 0..8 {
-                // rmo-lint: allow(P1) — bench abort intended
-                total += engine.solve_instance(pinst).expect("warm solve").cost;
+                total += engine
+                    .solve(partition.assignment(), pvalues, Aggregate::Min)
+                    // rmo-lint: allow(P1) — bench abort intended
+                    .expect("warm solve")
+                    .cost;
             }
             total
         }),

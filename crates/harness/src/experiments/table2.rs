@@ -1,7 +1,7 @@
 //! Table 2 — measured PA round complexity per family, deterministic and
 //! randomized, against `Õ(D + √n)` / `Õ(D·param)` scaling.
 
-use rmo_core::{Aggregate, EngineConfig, PaEngine, PaInstance};
+use rmo_core::{Aggregate, EngineConfig, PaEngine};
 use rmo_graph::two_sweep_diameter_lower_bound;
 
 use super::families;
@@ -19,14 +19,12 @@ pub fn run(quick: bool) {
             let n = w.graph.n();
             let d = two_sweep_diameter_lower_bound(&w.graph, 0).max(1);
             let values: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(2654435761)).collect();
-            let inst =
-                PaInstance::from_partition(&w.graph, w.partition.clone(), values, Aggregate::Min)
-                    .expect("valid instance");
+            let assignment = w.partition.assignment();
             let det = PaEngine::new(&w.graph, EngineConfig::new())
-                .solve_instance(&inst)
+                .solve(assignment, &values, Aggregate::Min)
                 .expect("det PA solves");
             let rand = PaEngine::new(&w.graph, EngineConfig::new().randomized(5))
-                .solve_instance(&inst)
+                .solve(assignment, &values, Aggregate::Min)
                 .expect("rand PA solves");
             let budget = (d as f64) + (n as f64).sqrt();
             rows.push(vec![

@@ -64,7 +64,7 @@ pub fn classify(path: &str) -> FileClass {
         || path == "crates/apps/src/stream.rs";
     let timing_exempt = path.starts_with("crates/harness/") || path.starts_with("crates/bench/");
     let cost_accounting = path == "crates/congest/src/metrics.rs"
-        || path == "crates/core/src/batch.rs"
+        || path == "crates/core/src/engine.rs"
         || path == "crates/core/src/pipeline.rs";
     let lock_discipline =
         library && (path.ends_with("/service.rs") || path == "crates/apps/src/stream.rs");

@@ -269,8 +269,9 @@ const BLOCKING: &[&str] = &[
     "recv",
     "recv_timeout",
     "solve",
+    "solve_into",
+    "solve_batch",
     "solve_on",
-    "batch_on",
     "pipeline_for",
     "run_query",
     "join",

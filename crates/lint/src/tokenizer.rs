@@ -166,7 +166,13 @@ pub fn tokenize(source: &str) -> Vec<Token> {
             i += if c == 'b' { 2 } else { 1 };
             while i < n {
                 match chars[i] {
-                    '\\' => i += 2,
+                    '\\' => {
+                        // A `\` line continuation still ends a line.
+                        if peek(i, 1) == Some('\n') {
+                            line += 1;
+                        }
+                        i += 2;
+                    }
                     '"' => {
                         i += 1;
                         break;
@@ -323,6 +329,12 @@ mod tests {
         let toks = tokenize("a\nb\n\nc");
         let lines: Vec<usize> = toks.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
+        // A string's line continuation is a newline too.
+        let toks = tokenize("f(\"x \\\n y\", z)");
+        assert_eq!(
+            toks.iter().find(|t| t.is_ident("z")).map(|t| t.line),
+            Some(2)
+        );
     }
 
     #[test]

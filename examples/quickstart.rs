@@ -11,13 +11,14 @@
 //! round/message costs.
 
 use rmo::core::{Aggregate, EngineConfig, PaEngine, PaInstance};
-use rmo::graph::gen;
+use rmo::graph::{gen, Partition};
 
 fn main() {
     let g = gen::grid(16, 16);
-    let parts = gen::grid_row_partition(16, 16);
+    let parts =
+        Partition::new(&g, gen::grid_row_partition(16, 16)).expect("grid rows are connected parts");
     let values: Vec<u64> = (0..g.n() as u64).map(|v| (v * 37) % 1000).collect();
-    let inst = PaInstance::new(&g, parts, values, Aggregate::Min)
+    let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Min)
         .expect("grid rows form a valid PA instance");
 
     println!("PA on a 16x16 grid, rows as parts, f = min");
@@ -40,7 +41,11 @@ fn main() {
         // A fresh engine per configuration: its first solve pays the
         // whole pipeline.
         let result = PaEngine::new(&g, config)
-            .solve_instance(&inst)
+            .solve(
+                inst.partition().assignment(),
+                inst.values(),
+                inst.aggregate(),
+            )
             .expect("PA solves");
         // Every node knows its part's aggregate — check against the fold.
         for v in 0..g.n() {

@@ -13,7 +13,7 @@ fn check_all_configs(g: &rmo::graph::Graph, parts: Partition, f: Aggregate) {
     let inst = PaInstance::from_partition(g, parts, values, f).expect("valid instance");
     for cfg in common::config_grid() {
         let res = PaEngine::new(g, cfg)
-            .solve_instance(&inst)
+            .solve(inst.partition().assignment(), inst.values(), f)
             .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
         for p in inst.partition().part_ids() {
             assert_eq!(

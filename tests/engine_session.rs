@@ -41,7 +41,7 @@ fn from_scratch(inst: &PaInstance<'_>, config: &EngineConfig) -> PaResult {
     let net = Network::new(g, config.seed);
     let (root, _, elect_cost) = run_leader_election(g, &net).unwrap();
     let (tree, _, bfs_cost) = run_bfs(g, &net, root).unwrap();
-    let artifacts = build_artifacts(inst, config, &tree);
+    let artifacts = build_artifacts(g, inst.partition(), config, &tree);
     let mut result = solve_on(inst, &artifacts.setup(&tree), config.variant).unwrap();
     result.cost += artifacts.setup_cost + elect_cost + bfs_cost;
     result

@@ -78,7 +78,6 @@ fn figure2_separation_at_depth_32() {
 fn figure4_three_blocks_three_iterations() {
     let g = gen::path(24);
     let parts = Partition::whole(&g).unwrap();
-    let inst = PaInstance::from_partition(&g, parts.clone(), vec![1; 24], Aggregate::Sum).unwrap();
     let (tree, _) = bfs_tree(&g, 0);
     let sc = Shortcut::empty(1);
     let division = SubPartDivision::new(
@@ -92,7 +91,8 @@ fn figure4_three_blocks_three_iterations() {
     )
     .unwrap();
     let wave = broadcast_wave_outcome(
-        &inst,
+        &g,
+        &parts,
         &PaSetup {
             tree: &tree,
             shortcut: &sc,

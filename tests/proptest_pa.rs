@@ -42,7 +42,9 @@ proptest! {
             .collect();
         let inst = PaInstance::from_partition(&g, parts, values, f).unwrap();
         for cfg in common::config_grid() {
-            let res = PaEngine::new(&g, cfg.seed(seed)).solve_instance(&inst).unwrap();
+            let res = PaEngine::new(&g, cfg.seed(seed))
+                .solve(inst.partition().assignment(), inst.values(), f)
+                .unwrap();
             for p in inst.partition().part_ids() {
                 prop_assert_eq!(res.aggregates[p], inst.reference_aggregate(p));
             }
@@ -66,9 +68,12 @@ proptest! {
         let g = gen::random_connected(n, m, seed);
         let parts = gen::random_connected_partition(&g, parts_target, seed);
         let values: Vec<u64> = (0..n as u64).collect();
-        let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Sum).unwrap();
-        let a = PaEngine::new(&g, EngineConfig::new()).solve_instance(&inst).unwrap();
-        let b = PaEngine::new(&g, EngineConfig::new()).solve_instance(&inst).unwrap();
+        let solve = || {
+            PaEngine::new(&g, EngineConfig::new())
+                .solve(parts.assignment(), &values, Aggregate::Sum)
+                .unwrap()
+        };
+        let (a, b) = (solve(), solve());
         prop_assert_eq!(a.cost, b.cost);
         prop_assert_eq!(a.aggregates, b.aggregates);
     }

@@ -2,13 +2,15 @@
 //! Section 1.3): measured rounds and messages stay within generous
 //! polylog envelopes of the stated bounds.
 
-use rmo::core::{Aggregate, EngineConfig, PaEngine, PaInstance, PaResult};
+use rmo::core::{Aggregate, EngineConfig, PaEngine, PaResult};
 use rmo::graph::{gen, two_sweep_diameter_lower_bound, Partition};
 
-/// One PA solve on a fresh engine: the full pipeline, setup included.
-fn solve(inst: &PaInstance<'_>, config: EngineConfig) -> PaResult {
-    PaEngine::new(inst.graph(), config)
-        .solve_instance(inst)
+/// One PA solve (`min` over values `0..n`) on a fresh engine: the full
+/// pipeline, setup included.
+fn solve(g: &rmo::graph::Graph, parts: &Partition, config: EngineConfig) -> PaResult {
+    let values: Vec<u64> = (0..g.n() as u64).collect();
+    PaEngine::new(g, config)
+        .solve(parts.assignment(), &values, Aggregate::Min)
         .expect("PA solves")
 }
 
@@ -24,11 +26,9 @@ fn check_theorem_1_2(g: &rmo::graph::Graph, parts: Partition) {
     let n = g.n();
     let m = g.m() as f64;
     let d = two_sweep_diameter_lower_bound(g, 0).max(1) as f64;
-    let values: Vec<u64> = (0..n as u64).collect();
-    let inst = PaInstance::from_partition(g, parts, values, Aggregate::Min).unwrap();
 
-    let det = solve(&inst, EngineConfig::new());
-    let rand = solve(&inst, EngineConfig::new().randomized(1));
+    let det = solve(g, &parts, EngineConfig::new());
+    let rand = solve(g, &parts, EngineConfig::new().randomized(1));
     let budget_rounds = (d + (n as f64).sqrt()) * polylog(n);
     let budget_msgs = m * polylog(n);
     for (name, cost) in [("det", det.cost), ("rand", rand.cost)] {
@@ -90,9 +90,7 @@ fn planar_rounds_track_diameter() {
     for side in [8usize, 16] {
         let g = gen::grid(side, side);
         let parts = Partition::new(&g, gen::grid_row_partition(side, side)).unwrap();
-        let values: Vec<u64> = (0..g.n() as u64).collect();
-        let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Min).unwrap();
-        let res = solve(&inst, EngineConfig::new());
+        let res = solve(&g, &parts, EngineConfig::new());
         if prev_rounds > 0 {
             // Doubling the side at most ~quadruples rounds (log factors on
             // top of linear growth); it must not grow with area (x4 side
@@ -114,9 +112,7 @@ fn planar_rounds_track_diameter() {
 fn apex_grid_messages_stay_near_linear() {
     let g = gen::grid_with_apex(16, 64);
     let parts = Partition::new(&g, gen::grid_row_partition_with_apex(16, 64)).unwrap();
-    let values: Vec<u64> = (0..g.n() as u64).collect();
-    let inst = PaInstance::from_partition(&g, parts, values, Aggregate::Min).unwrap();
-    let res = solve(&inst, EngineConfig::new());
+    let res = solve(&g, &parts, EngineConfig::new());
     let bound = g.m() as f64 * polylog(g.n());
     assert!(
         (res.cost.messages as f64) <= bound,
