@@ -70,8 +70,8 @@ pub use dispatch::{run_query, FailReason, Query, QueryResponse, VerifyCheck};
 pub use mincut::{approx_min_cut, MinCutConfig, MinCutResult};
 pub use mst::{pa_mst, PaMstResult};
 pub use service::{
-    colliding_graph_ids, mixed_workload, zipf_workload, ClusterStats, GraphId, PaCluster,
-    SchedulePolicy, ServeLog, ServeReport, StealEvent,
+    colliding_graph_ids, mixed_workload, zipf_workload, ClusterStats, GraphId, PaCluster, ServeLog,
+    ServeReport, StealEvent,
 };
 pub use sssp::{approx_sssp, SsspConfig, SsspResult};
 pub use stream::{

@@ -8,12 +8,10 @@
 //!   into one **graph group** per batch (same-graph, then same-affinity
 //!   queries back-to-back — see [`Query::affinity`] — maximizing warm
 //!   cache hits without changing any answer);
-//! * **places** groups on shards by policy ([`SchedulePolicy`]): the
-//!   default `Balanced` mode estimates each group's work
-//!   ([`Query::weight`], superseded by observed demand history once a
-//!   graph has served traffic) and runs an LPT assignment — heaviest
-//!   group first, onto the least-loaded shard — while the legacy
-//!   `Pinned` mode hashes each [`GraphId`] to a fixed shard;
+//! * **places** groups on shards by one rule: it estimates each group's
+//!   work ([`Query::weight`], superseded by observed demand history once
+//!   a graph has served traffic) and runs an LPT assignment — heaviest
+//!   group first, onto the least-loaded shard;
 //! * optionally **splits** one hot graph's group across shards
 //!   ([`ReplicaPolicy`], off by default): a group whose estimated work
 //!   exceeds a threshold fraction of the mean per-shard load is cut
@@ -25,14 +23,16 @@
 //!   replica's counters absorbed into it, and each fork is recorded as
 //!   a [`ReplicaEvent`] in the batch's [`ServeLog`];
 //! * serves the shards on `std::thread::scope` workers that stream
-//!   responses back over an `mpsc` channel ([`PaCluster::serve`]); in
-//!   `Balanced` mode an **idle worker steals** whole parked graph
-//!   groups from the most loaded shard's tail (legal because a group's
+//!   responses back over an `mpsc` channel ([`PaCluster::serve`]); an
+//!   **idle worker steals** whole parked graph groups from the most
+//!   loaded shard's tail (legal because a group's
 //!   [`rmo_core::EngineCore`] is `Send` and parked between groups),
 //!   and every steal is recorded in an epoch log ([`ServeLog`]);
 //! * replays any recorded final assignment deterministically on the
 //!   calling thread ([`PaCluster::serve_replay`]), with
-//!   [`PaCluster::serve_sequential`] as the no-steal reference replay;
+//!   [`PaCluster::serve_sequential`] as the no-steal reference replay —
+//!   including the hash placement of every group on its graph's home
+//!   shard, written as a log by [`PaCluster::home_placement`];
 //! * parks each engine's warm state ([`rmo_core::EngineCore`]) between
 //!   batches, so a follow-up batch on the same fleet starts hot.
 //!
@@ -98,7 +98,7 @@
 //! assert_eq!(replay.responses, report.responses);
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::{mpsc, Mutex};
 
@@ -113,10 +113,11 @@ use rmo_core::{
 
 use crate::dispatch::{run_query, FailReason, Query, QueryResponse, VerifyCheck};
 
-/// The cluster-wide name of a registered graph. The `Pinned` policy
-/// hashes the id (stable FNV-1a), so ids chosen by the caller —
-/// database keys, tenant ids — spread over shards without coordination;
-/// the `Balanced` policy places by estimated work instead.
+/// The cluster-wide name of a registered graph. Its stable FNV-1a hash
+/// names the graph's home shard ([`PaCluster::shard_of`]), so ids
+/// chosen by the caller — database keys, tenant ids — spread over
+/// shards without coordination; serving places groups by estimated
+/// work instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GraphId(pub u64);
 
@@ -126,23 +127,6 @@ impl fmt::Display for GraphId {
     }
 }
 
-/// How the batch scheduler places graph groups on shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// Every graph is pinned to `stable_hash(id) % shards` for the
-    /// cluster's lifetime, and workers never steal. Placement is
-    /// workload-oblivious: a hot graph (or several graphs hashing to
-    /// one shard) serializes on one worker while the rest idle.
-    Pinned,
-    /// The default: an LPT (longest-processing-time-first) assignment
-    /// of graph groups by estimated work — [`Query::weight`] a priori,
-    /// observed demand history once a graph has served traffic — plus
-    /// run-time work stealing between the threaded workers. Every steal
-    /// lands in the batch's [`ServeLog`] so the placement is replayable.
-    #[default]
-    Balanced,
-}
-
 /// A registered graph: the topology plus the engine profile its
 /// sessions run with.
 struct GraphSlot {
@@ -150,10 +134,10 @@ struct GraphSlot {
     config: EngineConfig,
 }
 
-/// One recorded steal: during a threaded `Balanced` batch, the idle
-/// worker `to` took graph `graph`'s whole group from shard `from`'s
-/// queue tail. `epoch` is the global steal sequence number within the
-/// batch (steals are totally ordered by the scheduler lock).
+/// One recorded steal: during a threaded batch, the idle worker `to`
+/// took graph `graph`'s whole group from shard `from`'s queue tail.
+/// `epoch` is the global steal sequence number within the batch
+/// (steals are totally ordered by the scheduler lock).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealEvent {
     /// Position in the batch's global steal order (0-based).
@@ -166,8 +150,8 @@ pub struct StealEvent {
     pub to: usize,
 }
 
-/// How the `Balanced` planner splits one hot graph's group across
-/// shards (see the replica-scheduling paragraph in the module docs).
+/// How the planner splits one hot graph's group across shards (see
+/// the replica-scheduling paragraph in the module docs).
 ///
 /// A group is eligible when its estimated work exceeds
 /// `threshold × mean per-shard load` of the batch, the graph's engine
@@ -246,7 +230,8 @@ pub struct ServeLog {
     /// chunk (`0` for unsplit groups). Hand-built or hand-edited logs
     /// may leave entries out; a missing index replays as replica 0.
     pub replica_indices: Vec<Vec<usize>>,
-    /// Every steal, in epoch order (empty for sequential/pinned runs).
+    /// Every steal, in epoch order (empty for sequential runs and
+    /// replays).
     pub steals: Vec<StealEvent>,
     /// Every planner fork of this batch, in plan order.
     pub forks: Vec<ReplicaEvent>,
@@ -265,7 +250,7 @@ pub struct ClusterStats {
     /// The cluster's shard count.
     pub shards: usize,
     /// Graph groups stolen across shards over the cluster lifetime
-    /// (nonzero only for threaded `Balanced` serving).
+    /// (nonzero only for threaded serving).
     pub steals: u64,
     /// [`rmo_core::EngineCore::fork`] calls over the cluster lifetime
     /// (replica engines created by the planner).
@@ -361,7 +346,7 @@ impl SchedState {
         let shards = shard_groups.len();
         let loads = shard_groups
             .iter()
-            .map(|groups| groups.iter().map(|g| g.weight).sum())
+            .map(|groups| groups.iter().map(|g| g.weight).fold(0, u64::saturating_add))
             .collect();
         SchedState {
             queues: shard_groups.into_iter().map(VecDeque::from).collect(),
@@ -394,7 +379,9 @@ impl SchedState {
     /// the worker is done.
     fn next_group(&mut self, worker: usize, steal: bool) -> Option<Group> {
         if let Some(group) = self.queues[worker].pop_front() {
-            self.loads[worker] -= group.weight;
+            if let Some(load) = self.loads.get_mut(worker) {
+                *load = load.saturating_sub(group.weight);
+            }
             self.note_executed(worker, &group);
             return Some(group);
         }
@@ -405,7 +392,9 @@ impl SchedState {
             .filter(|&s| s != worker && !self.queues[s].is_empty())
             .max_by_key(|&s| (self.loads[s], std::cmp::Reverse(s)))?;
         let group = self.queues[victim].pop_back()?;
-        self.loads[victim] -= group.weight;
+        if let Some(load) = self.loads.get_mut(victim) {
+            *load = load.saturating_sub(group.weight);
+        }
         self.steals.push(StealEvent {
             epoch: self.steals.len() as u64,
             graph: group.id,
@@ -521,7 +510,7 @@ impl GroupHistory {
 /// streaming front-end ([`crate::stream::StreamGateway`]) can drive the
 /// same batch lifecycle as the public `serve*` entry points.
 pub(crate) enum ExecMode<'a> {
-    /// One scoped worker per shard, stealing enabled under `Balanced`.
+    /// One scoped worker per shard, stealing enabled.
     Threaded,
     /// Shard by shard on the calling thread, no steals.
     Sequential,
@@ -543,16 +532,15 @@ pub(crate) type ResponseHook<'a> = &'a mut dyn FnMut(usize, &QueryResponse);
 /// graph (see the module docs for the full serving story).
 pub struct PaCluster {
     shards: usize,
-    policy: SchedulePolicy,
-    /// When (and how far) the `Balanced` planner splits hot groups
-    /// into replica chunks. Disabled by default.
+    /// When (and how far) the planner splits hot groups into replica
+    /// chunks. Disabled by default.
     replica_policy: ReplicaPolicy,
     /// `BTreeMap` so every iteration order is deterministic.
     slots: BTreeMap<GraphId, GraphSlot>,
     /// Parked warm engine state, keyed like `slots`. Engines are built
     /// lazily: a graph that never sees a query never pays election+BFS.
     cores: BTreeMap<GraphId, EngineCore>,
-    /// Observed per-graph demand (drives `Balanced` group weights).
+    /// Observed per-graph demand (drives LPT group weights).
     /// Decays every batch (see [`GroupHistory`]), so drifting workloads
     /// don't steer LPT placement with stale weights.
     history: BTreeMap<GraphId, GroupHistory>,
@@ -565,24 +553,15 @@ pub struct PaCluster {
 }
 
 impl PaCluster {
-    /// A cluster with `shards` worker threads, no graphs yet, and the
-    /// default [`SchedulePolicy::Balanced`] scheduler.
+    /// A cluster with `shards` worker threads, no graphs yet, and
+    /// replica scheduling off.
     ///
     /// # Panics
     /// Panics if `shards` is zero.
     pub fn new(shards: usize) -> PaCluster {
-        PaCluster::with_policy(shards, SchedulePolicy::default())
-    }
-
-    /// A cluster with an explicit scheduling policy.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn with_policy(shards: usize, policy: SchedulePolicy) -> PaCluster {
         assert!(shards > 0, "a cluster needs at least one shard");
         PaCluster {
             shards,
-            policy,
             replica_policy: ReplicaPolicy::disabled(),
             slots: BTreeMap::new(),
             cores: BTreeMap::new(),
@@ -595,20 +574,9 @@ impl PaCluster {
         }
     }
 
-    /// The active scheduling policy.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
-    }
-
-    /// The active replica policy (see [`ReplicaPolicy`]).
-    pub fn replica_policy(&self) -> ReplicaPolicy {
-        self.replica_policy
-    }
-
     /// Switches the replica policy for subsequent batches. Always safe:
     /// splitting moves *where* queries execute (and which fork of a warm
-    /// engine serves them), never what they answer. Splitting only
-    /// happens under [`SchedulePolicy::Balanced`].
+    /// engine serves them), never what they answer.
     pub fn set_replica_policy(&mut self, policy: ReplicaPolicy) {
         self.replica_policy = policy;
     }
@@ -658,11 +626,12 @@ impl PaCluster {
         Ok(())
     }
 
-    /// The shard the `Pinned` policy routes `id` to: a stable hash of
-    /// the id, so the mapping survives restarts and is identical on
-    /// every platform (the hash consumes the full `u64` id — no `usize`
-    /// round trip). Under `Balanced` this is only the hash, not the
-    /// placement.
+    /// The home shard of `id`: a stable hash of the id, so the mapping
+    /// survives restarts and is identical on every platform (the hash
+    /// consumes the full `u64` id — no `usize` round trip). Stream
+    /// admission charges each query to its graph's home shard, and
+    /// [`PaCluster::home_placement`] places every group there; serving
+    /// itself places by estimated work.
     // `x % shards` is < shards, which is a `usize`: no truncation.
     #[allow(clippy::cast_possible_truncation)]
     pub fn shard_of(&self, id: GraphId) -> usize {
@@ -708,30 +677,30 @@ impl PaCluster {
     /// A group's work estimate: observed demand history when the graph
     /// has served traffic (mean work × query count), otherwise the
     /// a-priori [`Query::weight`] sum. Never zero, so LPT ties stay
-    /// well-defined.
+    /// well-defined; saturating, because a hostile query's weight is
+    /// already `u64::MAX`.
     fn group_weight(&self, id: GraphId, indices: &[usize], queries: &[(GraphId, Query)]) -> u64 {
         let graph = &self.slots[&id].graph;
         match self.history.get(&id).and_then(GroupHistory::mean_work) {
-            Some(mean) => mean * indices.len() as u64,
+            Some(mean) => mean.saturating_mul(indices.len() as u64),
             None => indices
                 .iter()
                 .map(|&idx| queries[idx].1.weight(graph.n(), graph.m()))
-                .sum::<u64>()
+                .fold(0, u64::saturating_add)
                 .max(1),
         }
     }
 
     /// How many chunks the planner cuts `group` into: 1 (no split)
-    /// unless replica scheduling is enabled under `Balanced`, the
-    /// graph's engine is warm (forking a cold core would rebuild stage
-    /// 1 twice for nothing), the group holds more than one query, and
-    /// its estimated work clears `threshold × mean_load` — then the
+    /// unless replica scheduling is enabled, the graph's engine is
+    /// warm (forking a cold core would rebuild stage 1 twice for
+    /// nothing), the group holds more than one query, and its
+    /// estimated work clears `threshold × mean_load` — then the
     /// configured cap, bounded by the shard count (every chunk gets a
     /// distinct shard) and the query count (every chunk gets work).
     fn replica_fanout(&self, group: &Group, mean_load: u64) -> usize {
         let policy = self.replica_policy;
         if policy.max_replicas <= 1
-            || self.policy != SchedulePolicy::Balanced
             || !self.cores.contains_key(&group.id)
             || group.indices.len() <= 1
         {
@@ -752,9 +721,9 @@ impl PaCluster {
     /// (first-appearance order; affinity classes batched inside, in
     /// first-appearance order with submission order inside a class),
     /// hot groups split into replica chunks per [`ReplicaPolicy`],
-    /// placed per the active policy. Queries naming unregistered graphs
-    /// are answered immediately with [`QueryResponse::Failed`] instead
-    /// of scheduling (or panicking) — one bad query never kills a batch.
+    /// placed by LPT. Queries naming unregistered graphs are answered
+    /// immediately with [`QueryResponse::Failed`] instead of scheduling
+    /// (or panicking) — one bad query never kills a batch.
     #[allow(clippy::type_complexity)]
     fn plan(
         &self,
@@ -817,10 +786,13 @@ impl PaCluster {
 
         // Replica pass: cut each hot group into contiguous chunks, one
         // fork of the warmed engine per chunk ([`replica_fanout`] is 1
-        // for everything unless the policy is enabled under Balanced).
-        // Runs before the LPT sort, in first-appearance order, so the
-        // fork record is deterministic in the (workload, history) pair.
-        let total: u64 = groups.iter().map(|group| group.weight).sum();
+        // for everything unless the policy is enabled). Runs before the
+        // LPT sort, in first-appearance order, so the fork record is
+        // deterministic in the (workload, history) pair.
+        let total = groups
+            .iter()
+            .map(|group| group.weight)
+            .fold(0, u64::saturating_add);
         let mean_load = total.checked_div(self.shards as u64).unwrap_or(0).max(1);
         let mut forks: Vec<ReplicaEvent> = Vec::new();
         let mut chunked: Vec<Group> = Vec::with_capacity(groups.len());
@@ -866,57 +838,34 @@ impl PaCluster {
         // Where each split chunk landed, for the fork record and the
         // distinct-shard constraint below.
         let mut chunk_shards: BTreeMap<(GraphId, usize), usize> = BTreeMap::new();
-        match self.policy {
-            SchedulePolicy::Pinned => {
-                for group in groups {
-                    let shard = self.shard_of(group.id);
-                    shard_groups[shard].push(group);
-                }
+        // LPT: heaviest first (stable sort keeps first-appearance order
+        // among equal weights), each onto the least-loaded shard, ties
+        // to the lowest index. Deterministic in the (workload, history)
+        // pair.
+        groups.sort_by_key(|group| std::cmp::Reverse(group.weight));
+        let mut loads = vec![0u64; self.shards];
+        for group in groups {
+            // Least-loaded shard, ties to the lowest index (the first
+            // minimum). Chunks of one split graph must land on distinct
+            // shards, so the shards its siblings already took are
+            // masked out (fanout ≤ shards guarantees one remains).
+            let taken: Vec<usize> = chunk_shards
+                .range((group.id, 0)..=(group.id, usize::MAX))
+                .map(|(_, &shard)| shard)
+                .collect();
+            let shard = loads
+                .iter()
+                .enumerate()
+                .filter(|(s, _)| !taken.contains(s))
+                .min_by_key(|&(_, &load)| load)
+                .map_or(0, |(s, _)| s);
+            if group.replicas > 1 {
+                chunk_shards.insert((group.id, group.replica), shard);
             }
-            SchedulePolicy::Balanced => {
-                // LPT: heaviest first (stable sort keeps first-appearance
-                // order among equal weights), each onto the least-loaded
-                // shard, ties to the lowest index. Deterministic in the
-                // (workload, history) pair.
-                groups.sort_by_key(|group| std::cmp::Reverse(group.weight));
-                let mut loads = vec![0u64; self.shards];
-                for group in groups {
-                    // Chunks of one split graph must land on distinct
-                    // shards: mask the shards its siblings already took
-                    // out of the selection (fanout ≤ shards guarantees
-                    // an unmasked shard remains), restore after.
-                    let mut masked: Vec<(usize, u64)> = Vec::new();
-                    if group.replicas > 1 {
-                        for (_, &taken) in
-                            chunk_shards.range((group.id, 0)..=(group.id, usize::MAX))
-                        {
-                            if let Some(load) = loads.get_mut(taken) {
-                                masked.push((taken, *load));
-                                *load = u64::MAX;
-                            }
-                        }
-                    }
-                    // Least-loaded shard, ties to the lowest index. The
-                    // constructor guarantees at least one shard, so the
-                    // fold over indices 1.. always has a valid start.
-                    let mut shard = 0usize;
-                    for s in 1..self.shards {
-                        if loads[s] < loads[shard] {
-                            shard = s;
-                        }
-                    }
-                    for (taken, load) in masked {
-                        if let Some(slot) = loads.get_mut(taken) {
-                            *slot = load;
-                        }
-                    }
-                    if group.replicas > 1 {
-                        chunk_shards.insert((group.id, group.replica), shard);
-                    }
-                    loads[shard] += group.weight;
-                    shard_groups[shard].push(group);
-                }
+            if let Some(load) = loads.get_mut(shard) {
+                *load = load.saturating_add(group.weight);
             }
+            shard_groups[shard].push(group);
         }
         for event in &mut forks {
             event.shards = (0..event.replicas)
@@ -978,15 +927,15 @@ impl PaCluster {
         first_panic
     }
 
-    /// Runs every worker concurrently (one scoped thread per shard),
-    /// streaming `(index, response)` pairs back over an `mpsc` channel
-    /// while the calling thread collects. Panics contained by the
-    /// workers come back as payloads instead of poisoning the batch.
+    /// Runs every worker concurrently (one scoped thread per shard,
+    /// stealing when idle), streaming `(index, response)` pairs back
+    /// over an `mpsc` channel while the calling thread collects. Panics
+    /// contained by the workers come back as payloads instead of
+    /// poisoning the batch.
     fn run_threaded(
         slots: &BTreeMap<GraphId, GraphSlot>,
         state: &Mutex<SchedState>,
         shards: usize,
-        steal: bool,
         queries: &[(GraphId, Query)],
         responses: &mut [Option<QueryResponse>],
         mut hook: Option<ResponseHook<'_>>,
@@ -1005,7 +954,7 @@ impl PaCluster {
                             // then degrades that query to `Failed`.
                             let _ = tx.send((idx, resp));
                         };
-                        Self::run_worker(shard, steal, state, slots, queries, &mut emit)
+                        Self::run_worker(shard, true, state, slots, queries, &mut emit)
                     })
                 })
                 .collect();
@@ -1134,14 +1083,12 @@ impl PaCluster {
                 };
             }
         }
-        let steal = matches!(mode, ExecMode::Threaded) && self.policy == SchedulePolicy::Balanced;
         let state = Mutex::new(SchedState::new(shard_groups));
         let panics = match mode {
             ExecMode::Threaded => Self::run_threaded(
                 &self.slots,
                 &state,
                 self.shards,
-                steal,
                 queries,
                 &mut responses,
                 hook,
@@ -1241,8 +1188,8 @@ impl PaCluster {
 
     /// Serves a batch concurrently: one worker thread per shard, each
     /// pulling graph groups off the shared scheduler — stealing from
-    /// loaded shards when idle under [`SchedulePolicy::Balanced`] — and
-    /// streaming `(index, response)` pairs back over an `mpsc` channel.
+    /// loaded shards when idle — and streaming `(index, response)` pairs
+    /// back over an `mpsc` channel.
     ///
     /// Responses come back in submission order; results and per-query
     /// costs are bit-identical to [`PaCluster::serve_sequential`]
@@ -1305,6 +1252,32 @@ impl PaCluster {
     /// (unregistered graphs) appear on no shard.
     pub fn planned_execution(&self, queries: &[(GraphId, Query)]) -> Vec<Vec<usize>> {
         planned_indices(&self.plan(queries).0)
+    }
+
+    /// The batch's *home placement* as a log for
+    /// [`PaCluster::serve_replay`]: every registered graph's group on
+    /// its home shard ([`PaCluster::shard_of`]), each shard's groups in
+    /// first-appearance order — stable-hash routing, written as data.
+    /// The log has no replica indices, steals or forks, and replaying
+    /// it answers and counts exactly like any other placement.
+    ///
+    /// A batch the planner *splits* (see [`ReplicaPolicy`]) does not
+    /// fit the log: like any foreign log, it replays nothing and every
+    /// query answers [`FailReason::NeverScheduled`].
+    pub fn home_placement(&self, queries: &[(GraphId, Query)]) -> ServeLog {
+        let mut assignments: Vec<Vec<GraphId>> = vec![Vec::new(); self.shards];
+        let mut placed = BTreeSet::new();
+        for (id, _) in queries {
+            if self.slots.contains_key(id) && placed.insert(*id) {
+                if let Some(shard) = assignments.get_mut(self.shard_of(*id)) {
+                    shard.push(*id);
+                }
+            }
+        }
+        ServeLog {
+            assignments,
+            ..ServeLog::default()
+        }
     }
 }
 
@@ -1415,11 +1388,11 @@ fn pooled_workload(
 }
 
 /// A seeded mixed workload over a cluster's registered graphs: the
-/// query mix a PA service sees in the harness `serve` experiment, the
-/// `service_throughput` bench, and the determinism tests — mostly PA
-/// solves and verification traffic with a tail of heavier analytics
-/// (MST, SSSP, eccentricity, small min-cut and CDS runs). Graphs are
-/// drawn uniformly; see [`zipf_workload`] for skewed popularity.
+/// query mix a PA service sees in the harness `serve` experiment and
+/// the determinism tests — mostly PA solves and verification traffic
+/// with a tail of heavier analytics (MST, SSSP, eccentricity, small
+/// min-cut and CDS runs). Graphs are drawn uniformly; see
+/// [`zipf_workload`] for skewed popularity.
 ///
 /// Partitions and subgraphs are drawn from a small per-graph pool
 /// (three connected partitions, three edge subsets, two `k` values), so
@@ -1437,7 +1410,7 @@ pub fn mixed_workload(cluster: &PaCluster, count: usize, seed: u64) -> Vec<(Grap
 /// with probability proportional to `1/(r+1)^exponent`. `exponent = 0`
 /// is uniform; realistic serving skew is `0.8–1.5`; large exponents
 /// send almost all traffic to the first graph — the hot-graph scenario
-/// that starves a hash-pinned scheduler. Fully deterministic in
+/// that starves a hash placement. Fully deterministic in
 /// `(cluster graphs, count, seed, exponent)`.
 pub fn zipf_workload(
     cluster: &PaCluster,
@@ -1462,12 +1435,11 @@ pub fn zipf_workload(
     })
 }
 
-/// The first `count` graph ids that [`SchedulePolicy::Pinned`] would
-/// all route to shard `shard` of a `shards`-wide cluster — the
-/// adversarial fleet that serializes hash-pinned serving on one worker.
-/// Shared by the skew tests, the harness `serve --skew` experiment, and
-/// the `service_throughput` bench so all three exercise the same
-/// collision structure.
+/// The first `count` graph ids whose home shard
+/// ([`PaCluster::shard_of`]) is `shard` of a `shards`-wide cluster — the
+/// adversarial fleet whose home placement serializes on one worker.
+/// Shared by the skew tests and the harness `serve --skew` experiment
+/// so both exercise the same collision structure.
 ///
 /// # Panics
 /// Panics if `shard >= shards`.
@@ -1494,7 +1466,7 @@ mod tests {
 
     #[test]
     fn plan_groups_by_graph_then_affinity() {
-        let mut cluster = PaCluster::with_policy(1, SchedulePolicy::Pinned);
+        let mut cluster = PaCluster::new(1);
         cluster.add_graph(GraphId(1), gen::grid(4, 5));
         cluster.add_graph(GraphId(2), gen::path(18));
         let rows_a = vec![
@@ -1518,12 +1490,14 @@ mod tests {
         assert!(prefailed.iter().all(|r| r.is_none()));
         assert!(forks.is_empty(), "replicas are strictly opt-in");
         assert_eq!(shard_groups.len(), 1);
-        // Graph 1 first (first appearance), its rows_a class batched
-        // (indices 0 then 3), then whole (2); then graph 2's group.
+        // LPT on one shard: graph 2's two MSTs outweigh graph 1's three
+        // PA solves, so its group leads. Inside graph 1's group the
+        // rows_a class is batched (indices 0 then 3), then whole (2).
         let ids: Vec<GraphId> = shard_groups[0].iter().map(|g| g.id).collect();
-        assert_eq!(ids, vec![GraphId(1), GraphId(2)]);
-        assert_eq!(shard_groups[0][0].indices, vec![0, 3, 2]);
-        assert_eq!(shard_groups[0][1].indices, vec![1, 4]);
+        assert_eq!(ids, vec![GraphId(2), GraphId(1)]);
+        assert!(shard_groups[0][0].weight > shard_groups[0][1].weight);
+        assert_eq!(shard_groups[0][0].indices, vec![1, 4]);
+        assert_eq!(shard_groups[0][1].indices, vec![0, 3, 2]);
         assert!(shard_groups[0].iter().all(|g| g.weight > 0));
         // Serving it agrees with the plan.
         let report = cluster.serve(&queries);
@@ -1531,8 +1505,38 @@ mod tests {
     }
 
     #[test]
+    fn hostile_weights_saturate_instead_of_panicking_the_planner() {
+        // `Query::weight` saturates a hostile trial count to u64::MAX;
+        // the group, batch and shard-load sums over it must saturate
+        // too, so the query reaches `run_query` and fails there.
+        let hostile = Query::MinCut { trials: usize::MAX };
+        let batch = vec![
+            (GraphId(0), hostile.clone()),
+            (GraphId(0), hostile),
+            (GraphId(1), Query::Mst),
+        ];
+        for shards in [1usize, 2] {
+            let cluster = || {
+                let mut cluster = PaCluster::new(shards);
+                cluster.add_graph(GraphId(0), Graph::from_edges(1, &[]).unwrap());
+                cluster.add_graph(GraphId(1), gen::path(8));
+                cluster
+            };
+            let (shard_groups, _, _) = cluster().plan(&batch);
+            assert_eq!(shard_groups[0][0].id, GraphId(0), "heaviest group first");
+            let threaded = cluster().serve(&batch);
+            let sequential = cluster().serve_sequential(&batch);
+            assert_eq!(threaded.responses, sequential.responses, "{shards} shards");
+            assert_eq!(threaded.stats.engine, sequential.stats.engine);
+            let too_small = QueryResponse::Failed(FailReason::MinCutTooSmall { nodes: 1 });
+            assert_eq!(threaded.responses[..2], [too_small.clone(), too_small]);
+            assert!(threaded.responses[2].is_ok(), "{:?}", threaded.responses[2]);
+        }
+    }
+
+    #[test]
     fn lpt_spreads_groups_by_weight() {
-        let mut cluster = PaCluster::with_policy(2, SchedulePolicy::Balanced);
+        let mut cluster = PaCluster::new(2);
         cluster.add_graph(GraphId(1), gen::grid(8, 8));
         cluster.add_graph(GraphId(2), gen::path(10));
         cluster.add_graph(GraphId(3), gen::path(11));
@@ -1613,7 +1617,7 @@ mod tests {
 
     #[test]
     fn replica_plan_splits_the_hot_group_onto_distinct_shards() {
-        let mut cluster = PaCluster::with_policy(4, SchedulePolicy::Balanced);
+        let mut cluster = PaCluster::new(4);
         cluster.add_graph(GraphId(1), gen::grid(5, 5));
         cluster.add_graph(GraphId(2), gen::path(12));
         cluster.set_replica_policy(ReplicaPolicy::new(0.5, 3));
@@ -1663,7 +1667,7 @@ mod tests {
     fn replica_chunks_fold_into_one_demand_history() {
         let mut windows = Vec::new();
         for threaded in [true, false] {
-            let mut cluster = PaCluster::with_policy(4, SchedulePolicy::Balanced);
+            let mut cluster = PaCluster::new(4);
             cluster.add_graph(GraphId(1), gen::grid(5, 5));
             cluster.set_replica_policy(ReplicaPolicy::new(0.5, 4));
             let rows: Vec<usize> = (0..25).map(|v| v / 5).collect();

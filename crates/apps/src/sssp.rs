@@ -229,21 +229,20 @@ mod tests {
     fn check_bounds(g: &Graph, source: NodeId, config: &SsspConfig, max_ratio: f64) {
         let truth = reference::dijkstra(g, source);
         let res = sssp(g, source, config);
-        for v in 0..g.n() {
+        assert_eq!(res.estimates.len(), g.n(), "one estimate per node");
+        for (v, (&estimate, &exact)) in res.estimates.iter().zip(&truth).enumerate() {
             assert!(
-                res.estimates[v] >= truth[v],
-                "node {v}: estimate {} below true {}",
-                res.estimates[v],
-                truth[v]
+                estimate >= exact,
+                "node {v}: estimate {estimate} below true {exact}"
             );
-            if truth[v] > 0 {
-                let ratio = res.estimates[v] as f64 / truth[v] as f64;
+            if exact > 0 {
+                let ratio = estimate as f64 / exact as f64;
                 assert!(
                     ratio <= max_ratio,
                     "node {v}: ratio {ratio} exceeds {max_ratio}"
                 );
             } else {
-                assert_eq!(res.estimates[v], 0, "the source knows distance 0");
+                assert_eq!(estimate, 0, "the source knows distance 0");
             }
         }
     }

@@ -45,9 +45,10 @@ proptest! {
             .expect("solves");
         let truth = reference::dijkstra(&g, source);
         prop_assert_eq!(res.estimates[source], 0);
-        for v in 0..n {
-            prop_assert!(res.estimates[v] >= truth[v], "node {} undercuts", v);
-            prop_assert!(res.estimates[v] < u64::MAX, "connected graph: all reachable");
+        prop_assert_eq!(res.estimates.len(), n);
+        for (v, (&estimate, &exact)) in res.estimates.iter().zip(&truth).enumerate() {
+            prop_assert!(estimate >= exact, "node {} undercuts", v);
+            prop_assert!(estimate < u64::MAX, "connected graph: all reachable");
         }
     }
 

@@ -124,14 +124,6 @@ impl EngineConfig {
         }
     }
 
-    /// Switches to the fully deterministic profile (the default).
-    pub fn deterministic(mut self) -> EngineConfig {
-        self.variant = Variant::Deterministic;
-        self.shortcut = ShortcutStrategy::Deterministic;
-        self.division = DivisionStrategy::Deterministic;
-        self
-    }
-
     /// Switches to the paper's randomized headline (`Õ(bD + c)` rounds
     /// w.h.p.) with the given seed.
     pub fn randomized(mut self, seed: u64) -> EngineConfig {

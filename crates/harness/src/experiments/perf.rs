@@ -4,10 +4,11 @@
 //! primitives (BFS, tree casts, pipelining, election), the Table 2 PA
 //! pipeline end to end, the isolated pipeline stages (stage-1 tree,
 //! divisions, shortcuts, tree routing, warm engine solves), a mixed
-//! `PaCluster` batch, and the three replica-scheduling setups of
-//! `serve --hot` (`cluster/hot_*`, timed on `serve_sequential`; the
-//! threaded executor's wall time is not gated). Each entry reports wall
-//! time plus exact round/message counts.
+//! `PaCluster` batch, and the three scheduling setups of `serve --hot`
+//! (`cluster/hot_*`, timed on the calling thread: `serve_sequential`,
+//! or `serve_replay` of the home placement for `cluster/hot_pinned`;
+//! the threaded executor's wall time is not gated). Each entry reports
+//! wall time plus exact round/message counts.
 //!
 //! Every fixture is built once; the suite then runs in [`PASSES`]
 //! interleaved passes of [`PASS_BUDGET`] per entry (see [`measure`]).
@@ -35,7 +36,7 @@ use rmo_graph::gen;
 use rmo_graph::NodeId;
 use rmo_shortcut::alg8::{construct_deterministic, DetParams};
 
-use super::serve::{HotFleet, Modeled};
+use super::serve::{home_plan, HotFleet, Modeled};
 use super::{families, Workload};
 use crate::util::print_table;
 
@@ -392,17 +393,26 @@ fn run_suite(quick: bool) -> Vec<Entry> {
         }),
     ]);
     // The replica-scheduling rows: each sample builds and warms a fresh
-    // cluster outside the clock, then times the sequential executor
-    // (with more shard threads than cores, threaded wall time is too
-    // noisy to gate). The counts are the modeled pre-steal critical path.
-    for (name, policy, replicas) in HotFleet::scenarios() {
+    // cluster and plans the batch outside the clock, then times the
+    // sequential executor (with more shard threads than cores, threaded
+    // wall time is too noisy to gate) — on the LPT plan, or replaying
+    // the home placement. The counts are the modeled pre-steal critical
+    // path.
+    for (name, replicas, home) in HotFleet::scenarios() {
         let hot = &hot;
         benches.push(Bench {
             name,
             sample: Box::new(move || {
-                let mut cluster = hot.warmed_cluster(policy, replicas);
-                let plan = cluster.planned_execution(&hot.workload);
-                let (ms, report) = clocked(|| cluster.serve_sequential(&hot.workload));
+                let mut cluster = hot.warmed_cluster(replicas);
+                let (ms, report, plan) = if home {
+                    let (log, plan) = home_plan(&cluster, &hot.workload);
+                    let (ms, report) = clocked(|| cluster.serve_replay(&hot.workload, &log));
+                    (ms, report, plan)
+                } else {
+                    let plan = cluster.planned_execution(&hot.workload);
+                    let (ms, report) = clocked(|| cluster.serve_sequential(&hot.workload));
+                    (ms, report, plan)
+                };
                 let (rounds, messages) = Modeled::new(&plan, &report.responses).crit;
                 let rounds = usize::try_from(rounds).unwrap_or(usize::MAX);
                 (ms, CostReport::new(rounds, messages))

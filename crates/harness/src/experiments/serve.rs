@@ -18,23 +18,26 @@
 //!
 //! With `--skew`, three imbalanced scenarios are added (zipf graph
 //! popularity; an adversarial fleet whose ids all hash to one shard,
-//! under zipf and uniform popularity) and served under both scheduling
-//! policies. The skew table compares the *modeled* critical path — the
-//! busiest shard's share of the deterministic per-query cost
-//! (rounds + messages) under the pre-steal plan, a hardware-independent
-//! number — and asserts the `Balanced` scheduler beats hash-pinning by
-//! ≥ 1.5× on both adversarial fleets. Steal-log replays are also
-//! asserted bit-exact here.
+//! under zipf and uniform popularity). Each is served once under the
+//! LPT scheduler (`Balanced` rows), and its home placement — every
+//! graph group on its id's hash shard, the hash-pinning baseline
+//! (`Pinned` rows) — is replayed on a fresh cluster and asserted to
+//! answer and count exactly like the LPT run. The skew table compares
+//! the *modeled* critical path — the busiest shard's share of the
+//! deterministic per-query cost (rounds + messages) under the pre-steal
+//! plan, a hardware-independent number — and asserts LPT beats
+//! hash-pinning by ≥ 1.5× on both adversarial fleets. Steal-log replays
+//! are also asserted bit-exact here.
 //!
 //! With `--hot`, the single-hot-graph fleet runs instead: one heavy
-//! graph plus light satellites, served Pinned / Balanced /
-//! Balanced+replicas. Work-stealing moves whole groups, so for this
-//! fleet Balanced degenerates to one shard's critical path; replica
+//! graph plus light satellites, served on its home placement, by LPT,
+//! and by LPT with replicas. Work-stealing moves whole groups, so for
+//! this fleet LPT degenerates to one shard's critical path; replica
 //! scheduling (`ReplicaPolicy`) forks the warmed `EngineCore` and
 //! splits the hot group's runs over distinct shards. The scenario
-//! asserts replicas beat Balanced ≥ 1.8× on the modeled pre-steal
-//! critical path, and asserts threaded ≡ sequential ≡ replay bit-match
-//! (fork events included). [`HotFleet`] builds this fixture for both
+//! asserts replicas beat LPT ≥ 1.8× on the modeled pre-steal critical
+//! path, and asserts threaded ≡ sequential ≡ replay bit-match (fork
+//! events included). [`HotFleet`] builds this fixture for both
 //! experiments: `perf` times the same three setups sequentially as its
 //! `cluster/hot_*` entries and gates them against `BENCH_perf.json`.
 
@@ -42,7 +45,7 @@ use std::time::Instant;
 
 use rmo_apps::service::{
     colliding_graph_ids, mixed_workload, zipf_workload, GraphId, PaCluster, ReplicaPolicy,
-    SchedulePolicy, ServeReport,
+    ServeLog, ServeReport,
 };
 use rmo_apps::{Query, QueryResponse};
 use rmo_graph::gen;
@@ -131,6 +134,39 @@ fn serve_timed(
     let start = Instant::now();
     let report = cluster.serve(queries);
     (report, plan, start.elapsed().as_secs_f64() * 1e3)
+}
+
+/// The home placement of `queries` on `cluster` (every graph group on
+/// its id's hash shard) as a replay log, with each shard's query
+/// indices under it — the plan [`Modeled`] reads.
+pub(crate) fn home_plan(
+    cluster: &PaCluster,
+    queries: &[(GraphId, Query)],
+) -> (ServeLog, Vec<Vec<usize>>) {
+    let log = cluster.home_placement(queries);
+    let on_shard = |ids: &Vec<GraphId>| {
+        let indices = 0..queries.len();
+        indices.filter(|&i| ids.contains(&queries[i].0)).collect()
+    };
+    let plan = log.assignments.iter().map(on_shard).collect();
+    (log, plan)
+}
+
+/// Replays `queries`' home placement on `cluster`, timed at this edge,
+/// and asserts it answers and counts exactly like `lpt`, the LPT run of
+/// an identically prepared cluster. Returns what [`serve_timed`] does.
+fn serve_home_timed(
+    cluster: &mut PaCluster,
+    queries: &[(GraphId, Query)],
+    lpt: &ServeReport,
+) -> (ServeReport, Vec<Vec<usize>>, f64) {
+    let (log, plan) = home_plan(cluster, queries);
+    let start = Instant::now();
+    let report = cluster.serve_replay(queries, &log);
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(report.responses, lpt.responses, "home placement answers");
+    assert_eq!(report.stats.engine, lpt.stats.engine, "home counters");
+    (report, plan, wall_ms)
 }
 
 pub fn run(quick: bool, skew: bool, hot: bool) {
@@ -255,52 +291,51 @@ fn run_skew(quick: bool) {
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     for (name, fleet, exponent) in scenarios {
-        let cluster_with = |policy: SchedulePolicy| {
-            let mut cluster = PaCluster::with_policy(shards, policy);
+        let cluster = || {
+            let mut cluster = PaCluster::new(shards);
             for (id, g) in fleet {
                 cluster.add_graph(*id, g.clone());
             }
             cluster
         };
         let workload = if exponent > 0.0 {
-            zipf_workload(
-                &cluster_with(SchedulePolicy::Balanced),
-                count,
-                2718,
-                exponent,
-            )
+            zipf_workload(&cluster(), count, 2718, exponent)
         } else {
-            mixed_workload(&cluster_with(SchedulePolicy::Balanced), count, 2718)
+            mixed_workload(&cluster(), count, 2718)
         };
-        let mut crit_by_policy = Vec::new();
-        for policy in [SchedulePolicy::Pinned, SchedulePolicy::Balanced] {
-            let (report, plan, _) = serve_timed(&mut cluster_with(policy), &workload);
-            // Determinism under skew: sequential replay bit-matches, and
-            // the steal log reproduces the exact placement.
-            let sequential = cluster_with(policy).serve_sequential(&workload);
-            assert_eq!(report.responses, sequential.responses, "{name}/{policy:?}");
-            assert_eq!(report.stats.engine, sequential.stats.engine);
-            let replayed = cluster_with(policy).serve_replay(&workload, &report.log);
-            assert_eq!(replayed.responses, report.responses);
-            assert_eq!(replayed.log.assignments, report.log.assignments);
+        let (report, plan, _) = serve_timed(&mut cluster(), &workload);
+        // Determinism under skew: sequential replay bit-matches, and
+        // the steal log reproduces the exact placement.
+        let sequential = cluster().serve_sequential(&workload);
+        assert_eq!(report.responses, sequential.responses, "{name}");
+        assert_eq!(report.stats.engine, sequential.stats.engine);
+        let replayed = cluster().serve_replay(&workload, &report.log);
+        assert_eq!(replayed.responses, report.responses);
+        assert_eq!(replayed.log.assignments, report.log.assignments);
+        let (home, home_shards, _) = serve_home_timed(&mut cluster(), &workload, &report);
 
-            // The pre-steal plan — the deterministic LPT (or pinned)
-            // placement — makes the table and the >= 1.5x bound below
-            // reproducible on any machine. The threaded run's steals
-            // (recorded in `report.log`) only redistribute further.
-            let modeled = Modeled::new(&plan, &report.responses);
+        // The pre-steal plans — the home placement and the
+        // deterministic LPT placement — make the table and the >= 1.5x
+        // bound below reproducible on any machine. The threaded run's
+        // steals (recorded in `report.log`) only redistribute further.
+        let mut crits = Vec::new();
+        for (label, report, plan) in [
+            ("Pinned", &home, &home_shards),
+            ("Balanced", &report, &plan),
+        ] {
+            let modeled = Modeled::new(plan, &report.responses);
             let crit = modeled.work() as f64;
-            crit_by_policy.push(crit);
+            crits.push(crit);
             rows.push(vec![
                 name.to_string(),
-                format!("{policy:?}"),
+                label.to_string(),
                 modeled.busy_shards.to_string(),
                 format!("{:.0}k", crit / 1e3),
                 format!("{:.2}x", modeled.balance()),
                 report.log.steals.len().to_string(),
             ]);
         }
-        ratios.push((name, crit_by_policy[0] / crit_by_policy[1].max(1.0)));
+        ratios.push((name, crits[0] / crits[1].max(1.0)));
     }
     print_table(
         &format!("Serve --skew — scheduler balance under skew ({shards} shards)"),
@@ -386,15 +421,17 @@ impl HotFleet {
         }
     }
 
-    /// The three scheduling setups, named as `perf` entries.
-    pub(crate) fn scenarios() -> [(&'static str, SchedulePolicy, Option<ReplicaPolicy>); 3] {
+    /// The three scheduling setups, named as `perf` entries: the
+    /// replica policy, and whether the batch replays its home placement
+    /// instead of the LPT plan.
+    pub(crate) fn scenarios() -> [(&'static str, Option<ReplicaPolicy>, bool); 3] {
         [
-            ("cluster/hot_pinned", SchedulePolicy::Pinned, None),
-            ("cluster/hot_balanced", SchedulePolicy::Balanced, None),
+            ("cluster/hot_pinned", None, true),
+            ("cluster/hot_balanced", None, false),
             (
                 "cluster/hot_replicas",
-                SchedulePolicy::Balanced,
                 Some(ReplicaPolicy::new(0.5, 4)),
+                false,
             ),
         ]
     }
@@ -402,12 +439,8 @@ impl HotFleet {
     /// A fresh cluster holding the fleet, with one core per graph warmed
     /// by the warm-up batch: replica scheduling only forks a *warmed*
     /// engine, and the steady state is what the scenario measures.
-    pub(crate) fn warmed_cluster(
-        &self,
-        policy: SchedulePolicy,
-        replicas: Option<ReplicaPolicy>,
-    ) -> PaCluster {
-        let mut cluster = PaCluster::with_policy(HOT_SHARDS, policy);
+    pub(crate) fn warmed_cluster(&self, replicas: Option<ReplicaPolicy>) -> PaCluster {
+        let mut cluster = PaCluster::new(HOT_SHARDS);
         for (id, g) in &self.fleet {
             cluster.add_graph(*id, g.clone());
         }
@@ -424,35 +457,38 @@ impl HotFleet {
 }
 
 /// `--hot`: the single-hot-graph fleet. Without replica scheduling the
-/// hot graph's group is one unsplittable unit, so Pinned and Balanced
-/// both bottom out at its whole cost on one shard; with `ReplicaPolicy`
-/// enabled the planner forks the warmed engine and splits the group's
-/// runs across shards. Asserts the replica win (≥ 1.8× on the modeled
-/// pre-steal critical path) and the determinism contract (threaded ≡
-/// sequential ≡ replay, fork events included).
+/// hot graph's group is one unsplittable unit, so the home placement
+/// and LPT both bottom out at its whole cost on one shard; with
+/// `ReplicaPolicy` enabled the planner forks the warmed engine and
+/// splits the group's runs across shards. Asserts the replica win
+/// (≥ 1.8× on the modeled pre-steal critical path) and the determinism
+/// contract (threaded ≡ sequential ≡ replay, fork events included; the
+/// home placement's replay ≡ the LPT run).
 fn run_hot(quick: bool) {
     let hot = HotFleet::new(quick);
     let mut rows = Vec::new();
     let mut crits: Vec<u64> = Vec::new();
-    for (name, policy, replicas) in HotFleet::scenarios() {
+    for (name, replicas, home) in HotFleet::scenarios() {
         // The pre-steal plan of the warmed cluster is the modeled
         // placement — replica chunks appear on their own shards here,
         // so the critical path credits the split.
-        let (report, plan, wall_ms) =
-            serve_timed(&mut hot.warmed_cluster(policy, replicas), &hot.workload);
+        let (mut report, mut plan, mut wall_ms) =
+            serve_timed(&mut hot.warmed_cluster(replicas), &hot.workload);
         // Determinism under replicas: the sequential run and the
         // fork-event replay bit-match the threaded run.
-        let sequential = hot
-            .warmed_cluster(policy, replicas)
-            .serve_sequential(&hot.workload);
+        let sequential = hot.warmed_cluster(replicas).serve_sequential(&hot.workload);
         assert_eq!(report.responses, sequential.responses, "{name}");
         assert_eq!(report.stats.engine, sequential.stats.engine, "{name}");
         let replayed = hot
-            .warmed_cluster(policy, replicas)
+            .warmed_cluster(replicas)
             .serve_replay(&hot.workload, &report.log);
         assert_eq!(replayed.responses, report.responses, "{name}");
         assert_eq!(replayed.log.assignments, report.log.assignments, "{name}");
         assert_eq!(replayed.log.forks, report.log.forks, "{name}");
+        if home {
+            (report, plan, wall_ms) =
+                serve_home_timed(&mut hot.warmed_cluster(replicas), &hot.workload, &report);
+        }
 
         let modeled = Modeled::new(&plan, &report.responses);
         crits.push(modeled.work());

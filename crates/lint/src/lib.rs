@@ -10,7 +10,7 @@
 //!   `apps::{dispatch,service}`).
 //! * **D2** — no `RandomState`/`DefaultHasher` anywhere.
 //! * **D3** — no `Instant::now`/`SystemTime`/`thread::current` outside
-//!   harness/bench timing code.
+//!   harness timing code.
 //! * **C1** — no unchecked narrowing `as` casts in cost-accounting code.
 //! * **P1** — `unwrap()`/`expect()` in non-test library code, tracked by
 //!   the [`ratchet`] file whose budgets only decrease.
@@ -62,7 +62,7 @@ pub fn classify(path: &str) -> FileClass {
         || path == "crates/apps/src/dispatch.rs"
         || path == "crates/apps/src/service.rs"
         || path == "crates/apps/src/stream.rs";
-    let timing_exempt = path.starts_with("crates/harness/") || path.starts_with("crates/bench/");
+    let timing_exempt = path.starts_with("crates/harness/");
     let cost_accounting = path == "crates/congest/src/metrics.rs"
         || path == "crates/core/src/engine.rs"
         || path == "crates/core/src/pipeline.rs";

@@ -4,7 +4,7 @@
 //! |------|------|
 //! | `D1` | no order-escaping iteration over `HashMap`/`HashSet` in deterministic modules |
 //! | `D2` | no `RandomState`/`DefaultHasher` anywhere |
-//! | `D3` | no `Instant::now`/`SystemTime`/`thread::current` outside harness/bench timing code |
+//! | `D3` | no `Instant::now`/`SystemTime`/`thread::current` outside harness timing code |
 //! | `C1` | no unchecked narrowing `as` casts in cost-accounting code |
 //! | `P1` | `unwrap()`/`expect()` in non-test library code (ratcheted, see [`crate::ratchet`]) |
 //! | `L2` | no second `lock()` and no blocking op while a `MutexGuard` binding is live (lock-discipline modules) |
@@ -61,7 +61,7 @@ pub struct FileClass {
     /// Deterministic module (D1 applies): `congest`, `core`, `shortcut`,
     /// `apps::{dispatch,service}`.
     pub deterministic: bool,
-    /// Harness/bench timing code (D3 exempt).
+    /// Harness timing code (D3 exempt).
     pub timing_exempt: bool,
     /// Cost-accounting code (C1 applies).
     pub cost_accounting: bool,

@@ -75,8 +75,8 @@ fn d3_fires_on_wall_clock_and_thread_identity() {
 }
 
 #[test]
-fn d3_exempts_harness_bench_and_test_code() {
-    for path in [HARNESS_PATH, "crates/bench/src/fixture.rs", TEST_PATH] {
+fn d3_exempts_harness_and_test_code() {
+    for path in [HARNESS_PATH, TEST_PATH] {
         let findings = lint_source(path, include_str!("../fixtures/bad_d3.rs"));
         assert!(
             !rules_of(&findings).contains(&"D3"),

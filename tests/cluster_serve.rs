@@ -2,26 +2,30 @@
 //!
 //! * Threaded serving bit-matches the sequential replay — responses
 //!   *and* per-query cost accounting — on a seeded mixed workload over
-//!   grid/path/gnp graphs, at several shard counts, under both
-//!   scheduling policies.
+//!   grid/path/gnp graphs, at several shard counts.
 //! * A threaded run's [`ServeLog`] (LPT placement + recorded steals)
 //!   replayed through `serve_replay` reproduces the run bit-for-bit,
 //!   final assignment included — at shards 1/2/4/7; a sequential run
 //!   and the replay of its own log are equal as whole reports.
 //! * Skewed workloads (all traffic on one graph; every graph hashing
-//!   to one shard) stay deterministic, and the `Balanced` scheduler
-//!   spreads the adversarial fleet that starves hash-pinning.
+//!   to one shard) stay deterministic, and LPT spreads the adversarial
+//!   fleet whose home placement (`home_placement`, every group on its
+//!   id's hash shard) starves three shards.
 //! * `PaEngine`/`EngineCore` are statically `Send` (what lets engines
 //!   live on shard worker threads — and hop between them when stolen).
-//! * The `Pinned` policy pins every graph to exactly one shard, stably.
+//! * `shard_of` is stable, and replaying the home placement runs every
+//!   graph on exactly that shard.
+//! * Degenerate fleets (one node, one edge, a star, a triangle, a long
+//!   path) under saturating query parameters never panic, and serve
+//!   and stream identically in every mode.
 
-use rmo_apps::dispatch::{Query, QueryResponse};
+use rmo_apps::dispatch::{FailReason, Query, QueryResponse, VerifyCheck};
 use rmo_apps::service::{
-    colliding_graph_ids, mixed_workload, zipf_workload, GraphId, PaCluster, ReplicaPolicy,
-    SchedulePolicy, ServeLog,
+    colliding_graph_ids, mixed_workload, zipf_workload, GraphId, PaCluster, ReplicaPolicy, ServeLog,
 };
+use rmo_apps::stream::{stamp_arrivals, StreamConfig, StreamGateway};
 use rmo_core::{Aggregate, EngineCore, PaEngine};
-use rmo_graph::gen;
+use rmo_graph::{gen, Graph};
 
 fn fleet() -> Vec<(GraphId, rmo_graph::Graph)> {
     vec![
@@ -34,21 +38,17 @@ fn fleet() -> Vec<(GraphId, rmo_graph::Graph)> {
     ]
 }
 
-fn fleet_with_policy(shards: usize, policy: SchedulePolicy) -> PaCluster {
-    let mut cluster = PaCluster::with_policy(shards, policy);
+fn fleet_cluster(shards: usize) -> PaCluster {
+    let mut cluster = PaCluster::new(shards);
     for (id, g) in fleet() {
         cluster.add_graph(id, g);
     }
     cluster
 }
 
-fn fleet_cluster(shards: usize) -> PaCluster {
-    fleet_with_policy(shards, SchedulePolicy::default())
-}
-
-fn one_shard_cluster(shards: usize, policy: SchedulePolicy) -> (PaCluster, Vec<GraphId>) {
+fn one_shard_cluster(shards: usize) -> (PaCluster, Vec<GraphId>) {
     let ids = colliding_graph_ids(shards, 0, 5);
-    let mut cluster = PaCluster::with_policy(shards, policy);
+    let mut cluster = PaCluster::new(shards);
     for (rank, &id) in ids.iter().enumerate() {
         cluster.add_graph(id, gen::grid(4, 4 + rank));
     }
@@ -64,26 +64,24 @@ fn threaded_serving_bit_matches_sequential_replay() {
         "the generated workload is always servable"
     );
     for shards in [1usize, 2, 4, 7] {
-        for policy in [SchedulePolicy::Balanced, SchedulePolicy::Pinned] {
-            let mut cluster = fleet_with_policy(shards, policy);
-            let threaded = cluster.serve(&workload);
-            // Answers and per-query CostReports are inside the responses:
-            // equality is the full determinism contract, including cost
-            // accounting (who paid election+BFS, setup, waves) — and it
-            // holds regardless of placement policy or stealing.
-            assert_eq!(
-                threaded.responses, baseline.responses,
-                "threaded responses diverged at {shards} shards under {policy:?}"
-            );
-            // Engine counters (hits/misses/evictions/base/charged) too.
-            let replay = fleet_with_policy(shards, policy).serve_sequential(&workload);
-            assert_eq!(
-                threaded.stats.engine, replay.stats.engine,
-                "engine counters diverged at {shards} shards under {policy:?}"
-            );
-            assert_eq!(threaded.stats.queries, workload.len() as u64);
-            assert_eq!(threaded.stats.failed, 0);
-        }
+        let mut cluster = fleet_cluster(shards);
+        let threaded = cluster.serve(&workload);
+        // Answers and per-query CostReports are inside the responses:
+        // equality is the full determinism contract, including cost
+        // accounting (who paid election+BFS, setup, waves) — and it
+        // holds regardless of placement or stealing.
+        assert_eq!(
+            threaded.responses, baseline.responses,
+            "threaded responses diverged at {shards} shards"
+        );
+        // Engine counters (hits/misses/evictions/base/charged) too.
+        let replay = fleet_cluster(shards).serve_sequential(&workload);
+        assert_eq!(
+            threaded.stats.engine, replay.stats.engine,
+            "engine counters diverged at {shards} shards"
+        );
+        assert_eq!(threaded.stats.queries, workload.len() as u64);
+        assert_eq!(threaded.stats.failed, 0);
     }
 }
 
@@ -175,34 +173,35 @@ fn hot_graph_skew_stays_deterministic() {
 
 #[test]
 fn balanced_policy_spreads_an_adversarially_hashed_fleet() {
-    // Five graphs whose ids all hash to shard 0 of 4. Pinned serving
-    // serializes the whole batch on that shard; Balanced (LPT) spreads
-    // the groups — and both produce identical responses.
+    // Five graphs whose ids all hash to shard 0 of 4. Their home
+    // placement serializes the whole batch on that shard; LPT spreads
+    // the groups — and both produce identical responses and counters.
     let shards = 4;
-    let (pinned_cluster, ids) = one_shard_cluster(shards, SchedulePolicy::Pinned);
+    let (probe, ids) = one_shard_cluster(shards);
     for &id in &ids {
-        assert_eq!(pinned_cluster.shard_of(id), 0, "ids hash to shard 0");
+        assert_eq!(probe.shard_of(id), 0, "ids hash to shard 0");
     }
-    let workload = mixed_workload(&pinned_cluster, 40, 5);
-
-    let (mut pinned, _) = one_shard_cluster(shards, SchedulePolicy::Pinned);
-    let p = pinned.serve(&workload);
+    let workload = mixed_workload(&probe, 40, 5);
     let busy_shards = |report: &rmo_apps::ServeReport| {
         let assignments = report.log.assignments.iter();
         assignments.filter(|ids| !ids.is_empty()).count()
     };
-    assert_eq!(busy_shards(&p), 1, "hash-pinning starves three shards");
-    assert_eq!(p.log.assignments[0].len(), ids.len(), "all on shard 0");
 
-    let (mut balanced, _) = one_shard_cluster(shards, SchedulePolicy::Balanced);
-    let b = balanced.serve_sequential(&workload);
+    let (mut lpt, _) = one_shard_cluster(shards);
+    let b = lpt.serve_sequential(&workload);
     assert!(
         busy_shards(&b) >= 3,
         "LPT spreads 5 groups over the fleet, got {} busy shards",
         busy_shards(&b)
     );
-    assert_eq!(b.responses, p.responses, "placement never changes answers");
-    assert_eq!(b.stats.engine, p.stats.engine);
+
+    let (mut home, _) = one_shard_cluster(shards);
+    let log = home.home_placement(&workload);
+    let h = home.serve_replay(&workload, &log);
+    assert_eq!(busy_shards(&h), 1, "hash-pinning starves three shards");
+    assert_eq!(h.log.assignments[0].len(), ids.len(), "all on shard 0");
+    assert_eq!(h.responses, b.responses, "placement never changes answers");
+    assert_eq!(h.stats.engine, b.stats.engine);
 }
 
 #[test]
@@ -236,32 +235,34 @@ fn engine_and_core_are_send() {
 
 #[test]
 fn every_graph_is_pinned_to_one_shard_under_pinned_policy() {
-    let pinned_fleet = |shards: usize| fleet_with_policy(shards, SchedulePolicy::Pinned);
-    let cluster = pinned_fleet(4);
+    let cluster = fleet_cluster(4);
     let pinned: Vec<usize> = cluster
         .graph_ids()
         .iter()
         .map(|&id| cluster.shard_of(id))
         .collect();
     // Stable: the same mapping on every call and every rebuild.
-    let rebuilt = pinned_fleet(4);
+    let rebuilt = fleet_cluster(4);
     for (i, &id) in cluster.graph_ids().iter().enumerate() {
         assert!(pinned[i] < 4, "shard out of range");
         assert_eq!(rebuilt.shard_of(id), pinned[i], "routing must be stable");
     }
 
-    // Serving confirms the pin: across several batches, each graph only
-    // ever appears in its own shard's served set.
-    let mut cluster = pinned_fleet(4);
+    // Replaying the home placement confirms the pin: across several
+    // batches, each graph only ever runs on its own home shard.
+    let mut cluster = fleet_cluster(4);
     for seed in [1u64, 2, 3] {
         let workload = mixed_workload(&cluster, 30, seed);
-        let report = cluster.serve(&workload);
+        let log = cluster.home_placement(&workload);
+        let report = cluster.serve_replay(&workload, &log);
+        assert!(report.responses.iter().all(|r| r.is_ok()));
+        assert_eq!(report.log.assignments, log.assignments);
         for (shard, ids) in report.log.assignments.iter().enumerate() {
             for &id in ids {
                 assert_eq!(
                     cluster.shard_of(id),
                     shard,
-                    "graph {id} served off its pinned shard"
+                    "graph {id} served off its home shard"
                 );
             }
         }
@@ -392,7 +393,7 @@ fn contract_violations_fail_gracefully_across_the_cluster() {
 
 /// A replica-enabled cluster: one hot graph, one satellite, 4 shards.
 fn replica_cluster() -> PaCluster {
-    let mut cluster = PaCluster::with_policy(4, SchedulePolicy::Balanced);
+    let mut cluster = PaCluster::new(4);
     cluster.add_graph(GraphId(1), gen::grid(5, 5));
     cluster.add_graph(GraphId(2), gen::path(12));
     cluster.set_replica_policy(ReplicaPolicy::new(0.5, 3));
@@ -522,4 +523,86 @@ fn scheduler_batching_yields_cross_query_cache_hits() {
     // 6 hits.
     assert_eq!(report.stats.engine.misses, 2);
     assert_eq!(report.stats.engine.hits, 6);
+}
+
+#[test]
+fn degenerate_fleets_serve_hostile_parameters_identically_in_every_mode() {
+    // One node, one edge, a star, a triangle and a long path, each hit
+    // with every query kind at saturating parameters. Nothing panics;
+    // threaded, sequential, steal-log replay and the stream gateway
+    // agree; the only failure is min-cut on the one-node graph.
+    let fleet = [
+        Graph::from_edges(1, &[]).unwrap(),
+        gen::path(2),
+        gen::star(7),
+        gen::cycle(3),
+        gen::path(300),
+    ];
+    let cluster = |shards: usize| {
+        let mut cluster = PaCluster::new(shards);
+        for (id, g) in (0..).zip(&fleet) {
+            cluster.add_graph(GraphId(id), g.clone());
+        }
+        cluster
+    };
+    let mut workload = Vec::new();
+    for (id, g) in (0..).zip(&fleet) {
+        let (n, every_edge): (usize, Vec<usize>) = (g.n(), (0..g.m()).collect());
+        let pa = |assignment| Query::Pa {
+            assignment,
+            values: (0..n as u64).collect(),
+            agg: Aggregate::Sum,
+        };
+        let verify = |check| Query::Verify {
+            check,
+            h_edges: every_edge.clone(),
+        };
+        let queries = [
+            pa(vec![0; n]),
+            pa((0..n).collect()),
+            Query::Kdom { k: usize::MAX },
+            Query::Eccentricity { k: usize::MAX },
+            Query::Cds {
+                node_weights: vec![u64::MAX; n],
+            },
+            Query::Sssp { source: n - 1 },
+            Query::MinCut { trials: 2 },
+            Query::Mst,
+            Query::Components { h_edges: vec![] },
+            Query::Components {
+                h_edges: every_edge.clone(),
+            },
+            verify(VerifyCheck::Mst),
+            verify(VerifyCheck::TwoEdgeConnected),
+            verify(VerifyCheck::Bipartite),
+        ];
+        workload.extend(queries.map(|query| (GraphId(id), query)));
+    }
+    let baseline = cluster(1).serve_sequential(&workload);
+    let too_small = QueryResponse::Failed(FailReason::MinCutTooSmall { nodes: 1 });
+    for ((id, query), response) in workload.iter().zip(&baseline.responses) {
+        if *id == GraphId(0) && matches!(query, Query::MinCut { .. }) {
+            assert_eq!(response, &too_small);
+        } else {
+            assert!(response.is_ok(), "{query:?} on {id}: {response:?}");
+        }
+    }
+    for shards in [1usize, 3] {
+        let threaded = cluster(shards).serve(&workload);
+        let sequential = cluster(shards).serve_sequential(&workload);
+        let replay = cluster(shards).serve_replay(&workload, &threaded.log);
+        for report in [&threaded, &sequential, &replay] {
+            assert_eq!(report.responses, baseline.responses, "{shards} shards");
+            assert_eq!(report.stats.engine, sequential.stats.engine);
+        }
+        assert_eq!(replay.log.assignments, threaded.log.assignments);
+
+        let trace = stamp_arrivals(workload.clone(), 7, 3);
+        let config = StreamConfig::new().with_high_water(trace.len());
+        let streamed = StreamGateway::new(cluster(shards), config).run(&trace);
+        let reference = StreamGateway::new(cluster(shards), config).run_sequential(&trace);
+        assert_eq!(streamed.outcomes, reference.outcomes, "{shards} shards");
+        assert_eq!(streamed.stats, reference.stats);
+        assert_eq!(streamed.stats.admitted, trace.len() as u64);
+    }
 }

@@ -1,18 +1,19 @@
 //! Property-based determinism of the serving layer: for arbitrary shard
-//! counts, seeds, skew exponents, scheduling policies, and replica
-//! policies, threaded serving (LPT placement + replica splitting +
-//! work stealing) bit-matches the sequential replay — responses,
-//! per-query costs, and engine counters — and the recorded steal/fork
-//! log reproduces the exact placement.
+//! counts, seeds, skew exponents and replica policies, threaded serving
+//! (LPT placement + replica splitting + work stealing) bit-matches the
+//! sequential replay — responses, per-query costs, and engine counters
+//! — and the recorded steal/fork log reproduces the exact placement.
+//! With replicas off, the replayed home placement (every group on its
+//! id's hash shard) answers and counts like the LPT run too.
 
 use proptest::prelude::*;
 
-use rmo::apps::service::{zipf_workload, GraphId, PaCluster, ReplicaPolicy, SchedulePolicy};
+use rmo::apps::service::{zipf_workload, GraphId, PaCluster, ReplicaPolicy};
 use rmo::apps::Query;
 use rmo::graph::gen;
 
-fn skew_cluster(shards: usize, policy: SchedulePolicy) -> PaCluster {
-    let mut cluster = PaCluster::with_policy(shards, policy);
+fn skew_cluster(shards: usize) -> PaCluster {
+    let mut cluster = PaCluster::new(shards);
     cluster.add_graph(GraphId(0), gen::grid(4, 5));
     cluster.add_graph(GraphId(1), gen::path(16));
     cluster.add_graph(GraphId(2), gen::gnp_connected(18, 0.2, 5));
@@ -35,20 +36,25 @@ proptest! {
         max_replicas in 1usize..5,
         threshold_tenths in 1u32..16,
     ) {
-        let policy = if pinned { SchedulePolicy::Pinned } else { SchedulePolicy::Balanced };
-        let replica = ReplicaPolicy::new(f64::from(threshold_tenths) / 10.0, max_replicas);
+        // The home placement only fits unsplit batches, so its runs
+        // keep replicas off.
+        let replica = if pinned {
+            ReplicaPolicy::disabled()
+        } else {
+            ReplicaPolicy::new(f64::from(threshold_tenths) / 10.0, max_replicas)
+        };
         // Identically prepared clusters with *warm* cores: replica
         // splitting only forks warmed engines, so the warm-up batch is
         // what makes the policy dimension actually bite.
         let warmup: Vec<(GraphId, Query)> = (0..4).map(|g| (GraphId(g), Query::Mst)).collect();
         let prepared = || {
-            let mut cluster = skew_cluster(shards, policy);
+            let mut cluster = skew_cluster(shards);
             cluster.set_replica_policy(replica);
             cluster.serve_sequential(&warmup);
             cluster
         };
         let workload = zipf_workload(
-            &skew_cluster(1, policy),
+            &skew_cluster(1),
             20,
             seed,
             f64::from(exponent) / 10.0,
@@ -69,5 +75,17 @@ proptest! {
         prop_assert_eq!(&r.log.replica_indices, &t.log.replica_indices);
         prop_assert_eq!(&r.log.forks, &t.log.forks);
         prop_assert!(r.log.steals.is_empty());
+        if pinned {
+            let mut home = prepared();
+            let log = home.home_placement(&workload);
+            let h = home.serve_replay(&workload, &log);
+            prop_assert_eq!(&h.responses, &t.responses);
+            prop_assert_eq!(h.stats.engine, t.stats.engine);
+            prop_assert!(h.log.steals.is_empty());
+            for (shard, ids) in h.log.assignments.iter().enumerate() {
+                prop_assert!(ids.iter().all(|&id| home.shard_of(id) == shard));
+            }
+            prop_assert_eq!(h.log.assignments, log.assignments);
+        }
     }
 }
