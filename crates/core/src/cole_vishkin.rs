@@ -158,7 +158,7 @@ mod tests {
             let mut items: Vec<usize> = (0..n).collect();
             // Fisher-Yates
             for i in (1..n).rev() {
-                let j = (rng.random::<u64>() % (i as u64 + 1)) as usize;
+                let j = usize::try_from(rng.random::<u64>() % (i as u64 + 1)).expect("j <= i");
                 items.swap(i, j);
             }
             let mut idx = 0;

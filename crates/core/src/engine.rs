@@ -20,12 +20,14 @@
 //!   and the pre-warming [`PaEngine::pipeline_for`]; each looks its part
 //!   vector up once in an LRU-bounded memo keyed by a fingerprint of the
 //!   vector; only a miss validates the vector against the graph and
-//!   rebuilds stages 2–4, and a hit reuses the partition validated then;
-//! * the solves run Algorithm 1 on the entry's cached wave plan and the
-//!   engine's recycled solve arenas;
+//!   rebuilds stages 2–4 and runs Algorithm 1's phase A, and a hit reuses
+//!   the partition validated then;
+//! * the solves replay the entry's recorded phase A: phase B folds the
+//!   values backwards along its delivery record and phase C copies each
+//!   part's result forwards, in the engine's recycled accumulator;
 //! * costs are charged *incrementally*: election + BFS on the first
-//!   solve, stage 2–4 setup once per distinct partition, and only the
-//!   three wave phases on a cache hit;
+//!   solve, stage 2–4 setup once per distinct partition, and on a cache
+//!   hit only the three wave phases, each at phase A's recorded cost;
 //! * [`EngineStats`] surfaces hit/miss/eviction counters so harness
 //!   experiments and benches can report the savings.
 //!
@@ -306,8 +308,8 @@ pub struct EngineCore {
     /// Whole-graph divisions by completion threshold, each with its
     /// last-used `clock` stamp; LRU-bounded like `cache`.
     division_cache: BTreeMap<usize, (DetDivisionResult, u64)>,
-    /// Recycled per-solve arenas: once warmed up to the workload size, a
-    /// cache-hit [`PaEngine::solve_into`] performs zero heap allocations.
+    /// The recycled phase-B accumulator: once it has grown to the graph,
+    /// a cache-hit [`PaEngine::solve_into`] performs zero heap allocations.
     scratch: SolveScratch,
     clock: u64,
     stats: EngineStats,
@@ -624,7 +626,7 @@ impl<'g> PaEngine<'g> {
     }
 
     /// Checks `assignment` out of the artifact cache and runs `on_entry` on
-    /// the entry, the stage-1 tree and the solve arenas. `key` is the
+    /// the entry, the stage-1 tree and the solve scratch. `key` is the
     /// vector's [`partition_fingerprint`].
     ///
     /// A hit (equal key, equal part vector) reuses the partition
@@ -742,7 +744,8 @@ impl<'g> PaEngine<'g> {
     /// node, as for [`Partition::new`].
     ///
     /// A part vector the engine has cached is not validated again: the
-    /// solve reuses the cached partition and charges only the waves.
+    /// solve reuses the cached partition, replays its recorded wave and
+    /// charges only the waves.
     ///
     /// # Errors
     /// [`PaError::Partition`] if `assignment` is not a valid partition of
@@ -761,7 +764,7 @@ impl<'g> PaEngine<'g> {
     }
 
     /// [`PaEngine::solve`] into a caller-owned result buffer, recycling
-    /// the session's solve arenas. This is the allocation-free serving
+    /// the session's solve scratch. This is the allocation-free serving
     /// path: once the engine and `out` have warmed up on a partition, a
     /// cache-hit solve performs zero heap allocations (pinned by
     /// `tests/alloc_free.rs`).
@@ -776,7 +779,6 @@ impl<'g> PaEngine<'g> {
         out: &mut PaResult,
     ) -> Result<(), PaError> {
         let graph = self.graph;
-        let variant = self.core.config.variant;
         let key = partition_fingerprint(assignment);
         self.checkout(
             key,
@@ -784,7 +786,7 @@ impl<'g> PaEngine<'g> {
             Some(values.len()),
             |entry, tree, scratch, extra| {
                 let inst = PaInstance::borrowed(graph, &entry.partition, values, agg);
-                run_waves(&inst, entry, tree, variant, scratch, out)?;
+                replay(&inst, entry, tree, scratch, out)?;
                 out.cost += extra;
                 Ok(())
             },
@@ -796,8 +798,9 @@ impl<'g> PaEngine<'g> {
     ///
     /// Applications routinely aggregate many word-sized values over one
     /// partition (the min-cut sketches, the CDS labels). The wave's
-    /// routes do not depend on the values, so the `k` values stream
-    /// behind each other like the pipelined broadcast primitive
+    /// routes do not depend on the values, so each value set replays the
+    /// entry's recorded wave, and the `k` values stream behind each other
+    /// like the pipelined broadcast primitive
     /// (`congest::programs::pipeline`, `O(depth + k)` rounds): each of
     /// the three phases adds `k - 1` rounds to one solve's, and every
     /// message carries `k` values, so messages are `k` times one solve's.
@@ -817,12 +820,9 @@ impl<'g> PaEngine<'g> {
         value_sets: &[Vec<u64>],
         agg: Aggregate,
     ) -> Result<BatchResult, PaError> {
-        let Some(first) = value_sets.first() else {
-            panic!("batch needs at least one value set");
-        };
+        assert!(!value_sets.is_empty(), "batch needs at least one value set");
         let graph = self.graph;
         let n = graph.n();
-        let variant = self.core.config.variant;
         let key = partition_fingerprint(assignment);
         let count = value_sets
             .iter()
@@ -834,25 +834,19 @@ impl<'g> PaEngine<'g> {
             assignment,
             Some(count),
             |entry, tree, scratch, extra| {
-                let inst = PaInstance::borrowed(graph, &entry.partition, first, agg);
-                let mut wave = PaResult::default();
-                run_waves(&inst, entry, tree, variant, scratch, &mut wave)?;
+                let mut one = PaResult::default();
+                let mut aggregates = Vec::with_capacity(value_sets.len());
+                for values in value_sets {
+                    let inst = PaInstance::borrowed(graph, &entry.partition, values, agg);
+                    replay(&inst, entry, tree, scratch, &mut one)?;
+                    aggregates.push(one.aggregates.clone());
+                }
                 let k = value_sets.len();
                 let cost = CostReport::with_capacity(
-                    wave.cost.rounds + 3 * (k - 1),
-                    wave.cost.messages * k as u64,
-                    wave.cost.capacity_multiplier,
+                    one.cost.rounds + 3 * (k - 1),
+                    one.cost.messages * k as u64,
+                    one.cost.capacity_multiplier,
                 ) + extra;
-                let parts = &entry.partition;
-                let aggregates = value_sets
-                    .iter()
-                    .map(|vs| {
-                        parts
-                            .part_ids()
-                            .map(|p| agg.fold(parts.members(p).iter().map(|&v| vs[v])))
-                            .collect()
-                    })
-                    .collect();
                 Ok(BatchResult { aggregates, cost })
             },
         )?;
@@ -899,25 +893,18 @@ fn run_stage1(graph: &Graph, net: &Network) -> (RootedTree, CostReport) {
     (tree, elect_cost + bfs_cost)
 }
 
-/// Algorithm 1 for `inst` on a checked-out cache entry's wave plan and
-/// the session's solve arenas, into `out`. Charges the waves only.
-fn run_waves(
+/// Algorithm 1 for `inst` on a checked-out cache entry, into `out`:
+/// phases B and C replay the entry's recorded phase A in the session's
+/// solve scratch. Charges the waves only.
+fn replay(
     inst: &PaInstance<'_>,
     entry: &CacheEntry,
     tree: &RootedTree,
-    variant: Variant,
     scratch: &mut SolveScratch,
     out: &mut PaResult,
 ) -> Result<(), PaError> {
     let artifacts = &entry.artifacts;
-    solve_with(
-        inst,
-        &artifacts.setup(tree),
-        &artifacts.wave_plan,
-        variant,
-        scratch,
-        out,
-    )
+    solve_with(inst, &artifacts.setup(tree), &artifacts.wave, scratch, out)
 }
 
 /// Removes the entry of `cache` with the oldest `last_used` stamp — the

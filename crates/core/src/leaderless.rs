@@ -12,12 +12,11 @@
 use std::collections::BTreeMap;
 
 use rmo_congest::CostReport;
-use rmo_graph::{num::ceil_log2, NodeId, RootedTree};
+use rmo_graph::{num::ceil_log2, Graph, NodeId, RootedTree};
 use rmo_shortcut::trivial::trivial_shortcut;
 
-use crate::aggregate::Aggregate;
 use crate::instance::{PaError, PaInstance};
-use crate::solve::{solve_on, PaResult, PaSetup, Variant};
+use crate::solve::{broadcast_wave_outcome, solve_on, PaResult, PaSetup, Variant};
 use crate::star_join::star_joining;
 use crate::subparts::SubPartDivision;
 use rmo_graph::Partition;
@@ -36,22 +35,25 @@ pub struct LeaderlessResult {
 
 /// Cost of one invocation of the underlying PA algorithm `A` on the given
 /// intermediate classes: a trivial-shortcut, one-sub-part-per-class run.
+/// Its three phases each cost the value-blind phase-A wave.
+///
+/// # Panics
+/// Panics if the wave leaves a node uninformed, which the trivial
+/// shortcut's block parameter of 1 rules out.
 fn cost_of_a(
-    inst: &PaInstance<'_>,
+    g: &Graph,
     tree: &RootedTree,
     assignment: &[usize],
     leaders: &[NodeId],
     variant: Variant,
 ) -> CostReport {
-    let g = inst.graph();
     let classes =
         Partition::new(g, assignment.to_vec()).expect("coarsening classes stay connected");
-    let dummy = PaInstance::from_partition(g, classes.clone(), vec![0; g.n()], Aggregate::Min)
-        .expect("instance stays valid");
     let sc = trivial_shortcut(g, tree, &classes);
     let division = SubPartDivision::one_per_part(g, &classes, leaders);
-    solve_on(
-        &dummy,
+    let wave = broadcast_wave_outcome(
+        g,
+        &classes,
         &PaSetup {
             tree,
             shortcut: &sc,
@@ -60,9 +62,12 @@ fn cost_of_a(
             block_budget: 1,
         },
         variant,
-    )
-    .expect("trivial shortcut has block parameter 1")
-    .cost
+    );
+    assert!(
+        wave.informed.iter().all(|&i| i),
+        "trivial shortcut has block parameter 1"
+    );
+    wave.cost.repeated(3)
 }
 
 /// Runs Algorithm 9: solves `inst` without assuming known leaders.
@@ -115,7 +120,7 @@ pub fn leaderless_pa(
         // part-wise aggregation over the classes).
         let (dense_assign, class_order) = remap(&class_of);
         let current_leaders: Vec<NodeId> = class_order.iter().map(|c| leader_of_class[c]).collect();
-        let a_cost = cost_of_a(inst, tree, &dense_assign, &current_leaders, variant);
+        let a_cost = cost_of_a(g, tree, &dense_assign, &current_leaders, variant);
         cost += a_cost;
 
         // Line 6: star joining over classes (O(log* n) runs of A).
@@ -194,6 +199,7 @@ fn remap(class_of: &[usize]) -> (Vec<usize>, Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::Aggregate;
     use rmo_graph::{bfs_tree, gen};
 
     #[test]

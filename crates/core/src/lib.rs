@@ -54,8 +54,9 @@
 //! whole ablation grid (variant × shortcut × division). A one-shot solve
 //! is a fresh engine used once. Below the engine, the value-blind stages
 //! ([`build_artifacts`], Algorithm 2, the phase-A wave) take the graph
-//! and the partition; only Algorithm 1's fold ([`solve_with`],
-//! [`solve_on`]) takes a value-carrying [`PaInstance`].
+//! and the partition; only Algorithm 1's phases B and C ([`solve_with`],
+//! [`solve_on`]), which fold the values along phase A's delivery record,
+//! take a value-carrying [`PaInstance`].
 
 #![forbid(unsafe_code)]
 

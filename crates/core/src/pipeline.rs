@@ -18,8 +18,9 @@
 //!    verification charged per construction sweep.
 //! 5. **Algorithm 1** — the PA solve proper ([`crate::solve`]).
 //!
-//! Stages 2–4 depend only on the partition; [`build_artifacts`] builds
-//! them once per partition on the engine's tree.
+//! Stages 2–4 and Algorithm 1's phase A depend only on the partition;
+//! [`build_artifacts`] builds them once per partition on the engine's
+//! tree, and each solve replays the recorded wave with its values.
 
 use rmo_congest::CostReport;
 use rmo_graph::{Graph, NodeId, Partition, RootedTree};
@@ -29,7 +30,7 @@ use rmo_shortcut::trivial::trivial_shortcut;
 use rmo_shortcut::Shortcut;
 
 use crate::engine::{DivisionStrategy, EngineConfig};
-use crate::solve::{PaSetup, WavePlan};
+use crate::solve::{run_wave, PaSetup, WaveOutcome, WavePlan};
 use crate::subparts::SubPartDivision;
 use crate::subparts_det::deterministic_division;
 use crate::subparts_random::random_division;
@@ -47,10 +48,10 @@ pub enum ShortcutStrategy {
 }
 
 /// The partition-dependent pipeline stages (2–4): part leaders, sub-part
-/// division, shortcut, and the derived block budget. These are what
-/// [`crate::engine::PaEngine`] memoizes per partition fingerprint — the
-/// BFS tree they were built on lives once in the engine and is only
-/// borrowed here.
+/// division, shortcut, the derived block budget, and the phase-A wave
+/// run once on them. These are what [`crate::engine::PaEngine`]
+/// memoizes per partition fingerprint — the BFS tree they were built on
+/// lives once in the engine and is only borrowed here.
 #[derive(Debug, Clone)]
 pub struct PipelineArtifacts {
     /// Discovered part leaders.
@@ -61,9 +62,11 @@ pub struct PipelineArtifacts {
     pub division: SubPartDivision,
     /// Terminal-block budget to pass to Algorithm 1.
     pub block_budget: usize,
-    /// Precomputed wave routing plan (block structure + congestion
-    /// estimate) — lets warm solves skip all per-solve index building.
-    pub wave_plan: WavePlan,
+    /// Phase A of Algorithm 1 on these artifacts: its cost, iteration
+    /// counts and delivery record. It reads no values, so every solve on
+    /// the partition replays it ([`crate::solve::solve_with`]) instead of
+    /// running the wave again.
+    pub wave: WaveOutcome,
     /// Cost of building stages 2–4 (excludes election and BFS).
     pub setup_cost: CostReport,
 }
@@ -81,8 +84,13 @@ impl PipelineArtifacts {
     }
 }
 
-/// Builds stages 2–4 of the pipeline for `parts` on a borrowed BFS tree.
-/// No stage reads the aggregated values, so none is passed.
+/// Builds stages 2–4 of the pipeline for `parts` on a borrowed BFS tree,
+/// and runs Algorithm 1's phase A on them once. No stage reads the
+/// aggregated values, so none is passed.
+///
+/// Each wave and each [`WavePlan`] is built once: every doubling sweep
+/// plans its shortcut once and verifies it on that plan, and the last
+/// plan yields both the block budget and the wave the artifacts keep.
 ///
 /// Borůvka-style applications call PA `O(log n)` times with changing
 /// partitions but a fixed network: they pay for election and BFS once and
@@ -120,11 +128,13 @@ pub fn build_artifacts(
     let terminals: Vec<Vec<NodeId>> = parts.part_ids().map(|p| division.reps_of_part(p)).collect();
 
     // Stage 4: shortcut construction with doubling budgets.
-    let shortcut = match config.shortcut {
+    let (shortcut, plan) = match config.shortcut {
         ShortcutStrategy::Trivial => {
             // Computing part sizes distributedly: one in-part aggregation.
             setup_cost += CostReport::new(2 * d, 2 * g.n() as u64);
-            trivial_shortcut(g, tree, parts)
+            let shortcut = trivial_shortcut(g, tree, parts);
+            let plan = WavePlan::build(g, tree, &shortcut, &division, parts);
+            (shortcut, plan)
         }
         // The doubling trick: Alg. 4 or Alg. 8 with budgets `(b, c)`
         // doubling until every part is satisfied.
@@ -144,6 +154,7 @@ pub fn build_artifacts(
                     };
                 setup_cost += cost;
                 // One Algorithm 2 verification per sweep.
+                let plan = WavePlan::build(g, tree, &shortcut, &division, parts);
                 let verify = verify_block_parameter(
                     g,
                     parts,
@@ -154,41 +165,42 @@ pub fn build_artifacts(
                         leaders: &leaders,
                         block_budget: (3 * budget).max(1),
                     },
+                    &plan,
                     config.variant,
                 );
                 setup_cost += verify_scaled(verify.cost, iterations);
                 budget *= 2;
                 if unsatisfied.is_empty() || budget > g.n() {
-                    break shortcut; // on give-up, Algorithm 1 may still cover via part edges
+                    // On give-up, Algorithm 1 may still cover via part edges.
+                    break (shortcut, plan);
                 }
             }
         }
     };
 
-    // Terminal-block budget for Algorithm 1.
-    let block_budget = parts
-        .part_ids()
-        .map(|p| {
-            if shortcut.is_direct(p) {
-                division.subpart_count_of_part(p)
-            } else {
-                shortcut
-                    .blocks_for_terminals(g, tree, p, &terminals[p])
-                    .len()
-            }
-        })
-        .max()
-        .unwrap_or(1)
-        .max(1);
-
-    let wave_plan = WavePlan::build(g, tree, &shortcut, &division, parts);
+    // Algorithm 1's phase A, at the terminal-block budget of the final
+    // shortcut.
+    let block_budget = plan.block_budget();
+    let wave = run_wave(
+        g,
+        parts,
+        &PaSetup {
+            tree,
+            shortcut: &shortcut,
+            division: &division,
+            leaders: &leaders,
+            block_budget,
+        },
+        &plan,
+        config.variant,
+    );
 
     PipelineArtifacts {
         leaders,
         shortcut,
         division,
         block_budget,
-        wave_plan,
+        wave,
         setup_cost,
     }
 }

@@ -13,14 +13,20 @@
 //!    sub-part boundaries; freshly notified nodes climb to their own
 //!    representatives, which become the next iteration's active set.
 //!
-//! Phase B computes `f(Pᵢ)` at the leader *symmetrically* (the same wave
-//! run in reverse: every broadcast becomes an aggregating convergecast
-//! with identical round and message counts), and phase C broadcasts the
-//! result back out — again the same wave. We therefore charge phases B
-//! and C the measured cost of phase A each; the aggregate value itself is
-//! the fold of the part's values, which is order-independent because `f`
-//! is commutative and associative (Definition 1.1), and is checked
-//! against the instance's reference in every test.
+//! Phase A reads the partition and its infrastructure, never the values,
+//! so it runs once per partition ([`run_wave`]) and leaves a
+//! [`DeliveryRecord`]: the node that first informed each node, and the
+//! order in which nodes were informed. The informers form a spanning
+//! forest of the parts rooted at the leaders. Phase B computes `f(Pᵢ)` at
+//! the leader by folding the values backwards along the record, each node
+//! handing its partial aggregate to its informer after all of its own
+//! receivers have; phase C copies each part's result forwards along it.
+//! So every answer is what the wave's delivery tree carries, and the fold
+//! order does not matter because `f` is commutative and associative
+//! (Definition 1.1). Phase B is the wave run in reverse (every broadcast
+//! becomes an aggregating convergecast with identical round and message
+//! counts) and phase C replays it, so each is charged the measured cost of
+//! phase A: a solve costs 3 × A.
 //!
 //! The deterministic variant runs `BlockRoute` at CONGEST capacity 1 with
 //! the Lemma 4.2 tie-breaking. The randomized variant (Section 4.2)
@@ -37,6 +43,7 @@ use rmo_congest::CostReport;
 use rmo_graph::{num::ceil_log2, Graph, NodeId, Partition, RootedTree};
 use rmo_shortcut::Shortcut;
 
+use crate::aggregate::Aggregate;
 use crate::instance::{PaError, PaInstance};
 use crate::subparts::SubPartDivision;
 
@@ -56,11 +63,12 @@ pub enum Variant {
 /// The outcome of a PA run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PaResult {
-    /// Aggregate per part.
+    /// Aggregate per part: what its leader folded in phase B.
     pub aggregates: Vec<u64>,
-    /// Aggregate delivered at each node (its part's aggregate).
+    /// Aggregate delivered at each node in phase C (its part's
+    /// aggregate).
     pub node_values: Vec<u64>,
-    /// Total measured cost (all three phases).
+    /// Total charged cost: phase A's measured cost, once per phase.
     pub cost: CostReport,
     /// Cost of the broadcast wave alone (phase A) — what Algorithm 2
     /// charges per verification.
@@ -113,12 +121,10 @@ pub struct PaSetup<'a> {
     pub block_budget: usize,
 }
 
-/// Runs Algorithm 1 on prepared infrastructure.
-///
-/// Convenience wrapper over [`solve_with`] that builds the
-/// [`WavePlan`] and a fresh [`SolveScratch`] per call; repeated solves
-/// over one partition should cache both (what
-/// [`crate::engine::PaEngine`] does).
+/// Runs Algorithm 1 on prepared infrastructure: phase A on a fresh
+/// [`WavePlan`], then [`solve_with`] on its outcome with a fresh
+/// [`SolveScratch`]. Repeated solves over one partition should keep the
+/// outcome and the scratch (what [`crate::engine::PaEngine`] does).
 ///
 /// # Errors
 /// [`PaError::BlockBudgetExceeded`] if some part is not covered within
@@ -128,70 +134,69 @@ pub fn solve_on(
     setup: &PaSetup<'_>,
     variant: Variant,
 ) -> Result<PaResult, PaError> {
-    let plan = WavePlan::build(
-        inst.graph(),
-        setup.tree,
-        setup.shortcut,
-        setup.division,
-        inst.partition(),
-    );
-    let mut scratch = SolveScratch::new();
+    let wave = broadcast_wave_outcome(inst.graph(), inst.partition(), setup, variant);
     let mut out = PaResult::default();
-    solve_with(inst, setup, &plan, variant, &mut scratch, &mut out)?;
+    solve_with(inst, setup, &wave, &mut SolveScratch::new(), &mut out)?;
     Ok(out)
 }
 
-/// Runs Algorithm 1 into a reusable result buffer, threading recycled
-/// scratch arenas through every stage: once `scratch` and `out` have
-/// warmed up to the workload size, a solve performs no heap allocation.
+/// Runs phases B and C of Algorithm 1 on a recorded phase A, into a
+/// reusable result buffer: once `scratch` and `out` have grown to the
+/// graph's size, a solve performs no heap allocation.
 ///
-/// `plan` must have been built (via [`WavePlan::build`]) for exactly the
-/// instance's partition and the setup's tree/shortcut/division.
+/// `wave` must be phase A run (by [`run_wave`] or
+/// [`broadcast_wave_outcome`]) on exactly the instance's partition and
+/// this `setup`; the charged cost and the iteration counts are its own.
 ///
 /// # Errors
-/// [`PaError::BlockBudgetExceeded`] if some part is not covered within
-/// `setup.block_budget` iterations.
+/// [`PaError::BlockBudgetExceeded`] if the wave left some part uncovered
+/// within `setup.block_budget` iterations.
 pub fn solve_with(
     inst: &PaInstance<'_>,
     setup: &PaSetup<'_>,
-    plan: &WavePlan,
-    variant: Variant,
+    wave: &WaveOutcome,
     scratch: &mut SolveScratch,
     out: &mut PaResult,
 ) -> Result<(), PaError> {
-    let (g, parts) = (inst.graph(), inst.partition());
-    let SolveScratch { wave, outcome } = scratch;
-    run_wave_with(g, parts, setup, plan, variant, wave, outcome);
-    if let Some(v) = outcome.informed.iter().position(|&i| !i) {
+    if let Some(v) = wave.informed.iter().position(|&i| !i) {
         return Err(PaError::BlockBudgetExceeded {
-            part: parts.part_of(v),
+            part: inst.partition().part_of(v),
             budget: setup.block_budget,
         });
     }
-    // Phases B (convergecast of f) and C (broadcast of the result) replay
-    // the wave's communication pattern; their cost equals phase A's.
-    out.cost = outcome.cost + outcome.cost + outcome.cost;
-    out.broadcast_cost = outcome.cost;
+    // Phase B runs the wave in reverse and phase C replays it: each costs
+    // what phase A measured.
+    out.cost = wave.cost.repeated(3);
+    out.broadcast_cost = wave.cost;
     out.iterations_per_part.clear();
     out.iterations_per_part
-        .extend_from_slice(&outcome.iterations_per_part);
-    // Reserved up front, so a fresh result buffer costs one allocation
-    // per vector and a recycled one none.
+        .extend_from_slice(&wave.iterations_per_part);
+    // Phase B: each leader ends up holding its part's fold.
+    let acc = &mut scratch.acc;
+    acc.clear();
+    acc.extend_from_slice(inst.values());
+    wave.record.convergecast(inst.aggregate(), acc);
     out.aggregates.clear();
-    out.aggregates.reserve(parts.num_parts());
-    for p in parts.part_ids() {
-        out.aggregates.push(inst.reference_aggregate(p));
-    }
+    out.aggregates.extend(
+        setup
+            .leaders
+            .iter()
+            .map(|&l| acc.get(l).copied().unwrap_or(0)),
+    );
+    // Phase C: every node learns its informer's value, leaders first.
     let PaResult {
         aggregates,
         node_values,
         ..
     } = out;
     node_values.clear();
-    node_values.reserve(g.n());
-    for v in 0..g.n() {
-        node_values.push(aggregates.get(parts.part_of(v)).copied().unwrap_or(0));
+    node_values.resize(inst.graph().n(), 0);
+    for (&l, &a) in setup.leaders.iter().zip(aggregates.iter()) {
+        if let Some(slot) = node_values.get_mut(l) {
+            *slot = a;
+        }
     }
+    wave.record.broadcast(node_values);
     Ok(())
 }
 
@@ -209,8 +214,13 @@ pub struct WaveIteration {
     pub active_after: usize,
 }
 
-/// Outcome of the phase-A wave: cost, per-part iteration counts, and
-/// whether every node was informed (used directly by Algorithm 2).
+/// Outcome of the phase-A wave: its cost, the per-part iteration counts,
+/// which nodes were informed (Algorithm 2 reads this directly), and the
+/// delivery record phases B and C replay.
+///
+/// None of it depends on the values, so [`crate::engine::PaEngine`]
+/// keeps one per cached partition (in
+/// [`crate::pipeline::PipelineArtifacts`]) and every solve replays it.
 #[derive(Debug, Clone)]
 pub struct WaveOutcome {
     /// Measured cost of the wave.
@@ -221,24 +231,96 @@ pub struct WaveOutcome {
     pub informed: Vec<bool>,
     /// Per-global-iteration trace.
     pub trace: Vec<WaveIteration>,
+    /// Who informed whom, and in which order.
+    pub record: DeliveryRecord,
 }
 
-impl Default for WaveOutcome {
-    /// An empty outcome buffer for `run_wave_with` to fill; its vectors
-    /// are recycled across solves.
-    fn default() -> WaveOutcome {
-        WaveOutcome {
-            cost: CostReport::zero(),
-            iterations_per_part: Vec::new(),
-            informed: Vec::new(),
-            trace: Vec::new(),
+/// The informer slot of a node nobody informed: a leader, or a node the
+/// wave never reached.
+const NO_INFORMER: NodeId = NodeId::MAX;
+
+/// The value-blind delivery tree of one phase-A run.
+///
+/// A node's informer is the node that first delivered `mᵢ` to it: the
+/// leader for its representative (line 8), the first source of the
+/// routed block for a block terminal (step 1), the sub-part parent for a
+/// sub-part member (step 2), the notifying neighbor across a sub-part
+/// boundary (step 3), and the climbing node for a representative reached
+/// by a climb (step 4). Leaders have no informer. `order` lists the
+/// informed nodes in the order they were first informed, so every node
+/// comes after its informer; on a successful wave it holds every node
+/// once, and the informers form a spanning forest of the parts rooted at
+/// the leaders.
+#[derive(Debug, Clone)]
+pub struct DeliveryRecord {
+    /// Informer per node, [`NO_INFORMER`] for leaders and unreached nodes.
+    informer: Vec<NodeId>,
+    /// Informed nodes in delivery order.
+    order: Vec<NodeId>,
+}
+
+impl DeliveryRecord {
+    /// The node that first informed `v`: `None` for a leader and for a
+    /// node the wave never reached.
+    pub fn informer(&self, v: NodeId) -> Option<NodeId> {
+        self.informer.get(v).copied().filter(|&u| u != NO_INFORMER)
+    }
+
+    /// The informed nodes, in the order they were first informed.
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
+    /// Phase B: walks the order backwards and folds each node's partial
+    /// aggregate into its informer's, so a node is folded only after all
+    /// the nodes it informed. Afterwards each leader's slot holds the
+    /// fold of its whole delivery tree.
+    fn convergecast(&self, agg: Aggregate, acc: &mut [u64]) {
+        for &v in self.order.iter().rev() {
+            let (Some(u), Some(&x)) = (self.informer(v), acc.get(v)) else {
+                continue;
+            };
+            if let Some(slot) = acc.get_mut(u) {
+                *slot = agg.apply(*slot, x);
+            }
+        }
+    }
+
+    /// Phase C: walks the order forwards and copies each informer's value
+    /// to the node it informed, so the leaders' values reach every node.
+    fn broadcast(&self, values: &mut [u64]) {
+        for &v in &self.order {
+            let Some(x) = self.informer(v).and_then(|u| values.get(u).copied()) else {
+                continue;
+            };
+            if let Some(slot) = values.get_mut(v) {
+                *slot = x;
+            }
         }
     }
 }
 
-/// Runs phase A (the broadcast wave) and reports the outcome without
-/// failing on budget overruns — Algorithm 2 needs the raw outcome. The
-/// wave reads the graph and the partition, never the values.
+/// Delivers `mᵢ` to `v`, from `by` ([`NO_INFORMER`] at a leader). The
+/// first delivery marks `v` informed and records it; returns whether
+/// this was it.
+fn deliver(informed: &mut [bool], record: &mut DeliveryRecord, v: NodeId, by: NodeId) -> bool {
+    match informed.get_mut(v) {
+        Some(seen) if !*seen => {
+            *seen = true;
+            if let Some(slot) = record.informer.get_mut(v) {
+                *slot = by;
+            }
+            record.order.push(v);
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Runs phase A (the broadcast wave) on a fresh [`WavePlan`] and reports
+/// the outcome without failing on budget overruns — Algorithm 2 needs
+/// the raw outcome. The wave reads the graph and the partition, never
+/// the values.
 pub fn broadcast_wave_outcome(
     g: &Graph,
     parts: &Partition,
@@ -246,21 +328,18 @@ pub fn broadcast_wave_outcome(
     variant: Variant,
 ) -> WaveOutcome {
     let plan = WavePlan::build(g, setup.tree, setup.shortcut, setup.division, parts);
-    let mut scratch = WaveScratch::default();
-    let mut out = WaveOutcome::default();
-    run_wave_with(g, parts, setup, &plan, variant, &mut scratch, &mut out);
-    out
+    run_wave(g, parts, setup, &plan, variant)
 }
 
 /// The partition-level routing plan of the wave: the terminal-block
-/// structure (block roots, terminals, rep→block map) plus the shortcut's
-/// congestion estimate for the randomized variant's delays.
+/// structure (block roots, terminals, rep→block map), the largest
+/// per-part block count, and the shortcut's congestion estimate for the
+/// randomized variant's delays.
 ///
-/// This is everything `run_wave_with` needs beyond the [`PaSetup`] views
-/// that does *not* depend on the aggregated values — so
-/// [`crate::engine::PaEngine`] builds it once per partition (inside
-/// [`crate::pipeline::build_artifacts`]) and every warm solve reuses it,
-/// instead of rebuilding the old per-solve `BTreeMap` block index.
+/// This is everything [`run_wave`] needs beyond the [`PaSetup`] views.
+/// [`crate::pipeline::build_artifacts`] builds one per doubling sweep,
+/// verifies the sweep's shortcut on it, and runs the cached partition's
+/// wave on the last one.
 #[derive(Debug, Clone, Default)]
 pub struct WavePlan {
     /// Routing root per block.
@@ -271,6 +350,8 @@ pub struct WavePlan {
     term: Vec<NodeId>,
     /// Block of each representative (`usize::MAX` for non-reps).
     block_of_rep: Vec<usize>,
+    /// Largest number of blocks of one part.
+    max_part_blocks: usize,
     /// Max shortcut congestion over all edges (randomized delays).
     c_est: usize,
 }
@@ -293,6 +374,7 @@ impl WavePlan {
         };
         for p in parts.part_ids() {
             let reps = division.reps_of_part(p);
+            let first = plan.block_root.len();
             if shortcut.is_direct(p) {
                 for &r in &reps {
                     let id = plan.block_root.len();
@@ -316,13 +398,19 @@ impl WavePlan {
                     plan.term_off.push(plan.term.len());
                 }
             }
+            plan.max_part_blocks = plan.max_part_blocks.max(plan.block_root.len() - first);
         }
         plan.c_est = shortcut.congestion_map(g).into_iter().max().unwrap_or(0);
         plan
     }
 
-    /// Number of blocks across all parts.
-    pub fn num_blocks(&self) -> usize {
+    /// The terminal-block budget Algorithm 1 needs on this plan: the
+    /// largest number of blocks of one part, and at least 1.
+    pub fn block_budget(&self) -> usize {
+        self.max_part_blocks.max(1)
+    }
+
+    fn num_blocks(&self) -> usize {
         self.block_root.len()
     }
 
@@ -341,35 +429,6 @@ impl WavePlan {
     }
 }
 
-/// Recycled wave-internal arenas (see [`SolveScratch`]).
-#[derive(Debug, Default)]
-struct WaveScratch {
-    router: RouterScratch,
-    up: UpcastBatch,
-    down: DowncastBatch,
-    /// Informed-representative set: membership bits + insertion list
-    /// (what the old per-solve `BTreeSet` held; iteration order differs
-    /// but every consumer sorts or is order-independent).
-    rep_in: Vec<bool>,
-    rep_list: Vec<NodeId>,
-    subpart_spread: Vec<bool>,
-    block_done: Vec<bool>,
-    exhausted: Vec<bool>,
-    active: Vec<Vec<NodeId>>,
-    /// `(block, seq, rep)` triples of one part's active reps; sorting
-    /// reproduces the old `BTreeMap` grouping (ascending block, reps in
-    /// active order).
-    srcs: Vec<(usize, usize, NodeId)>,
-    touched_blocks: Vec<usize>,
-    spreading: Vec<usize>,
-    newly_touched: Vec<NodeId>,
-    /// Climb dedup stamps, per node: `stamp[v] == climb_gen` means `v`'s
-    /// parent edge was already charged this global iteration. Never
-    /// cleared — the generation bump invalidates all stamps at once.
-    climb_stamp: Vec<u64>,
-    climb_gen: u64,
-}
-
 /// Marks `r` informed-as-representative; true if it was new.
 fn rep_insert(rep_in: &mut [bool], rep_list: &mut Vec<NodeId>, r: NodeId) -> bool {
     match rep_in.get_mut(r) {
@@ -382,32 +441,33 @@ fn rep_insert(rep_in: &mut [bool], rep_list: &mut Vec<NodeId>, r: NodeId) -> boo
     }
 }
 
-/// Reusable state for allocation-free solves: the wave's arenas (router
-/// scratch and batches, informed/active sets, climb stamps) plus the
-/// wave-outcome buffer. One instance serves any number of solves over
-/// any partitions; buffers grow to the high-water mark and stay.
+/// Reusable state for allocation-free solves: the accumulator phase B
+/// folds in. One instance serves any number of solves over any
+/// partitions; it grows to the largest graph and stays.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
-    wave: WaveScratch,
-    outcome: WaveOutcome,
+    acc: Vec<u64>,
 }
 
 impl SolveScratch {
-    /// A fresh scratch; arenas grow on first use and are recycled after.
+    /// A fresh scratch; the accumulator grows on first use and is
+    /// recycled after.
     pub fn new() -> SolveScratch {
         SolveScratch::default()
     }
 }
 
-fn run_wave_with(
+/// Runs phase A (the broadcast wave) on `plan`, which must have been
+/// built for `parts` and the setup's tree, shortcut and division, and
+/// records who informed whom. Like [`broadcast_wave_outcome`], it reports
+/// budget overruns in the outcome instead of failing.
+pub fn run_wave(
     g: &Graph,
     parts: &Partition,
     setup: &PaSetup<'_>,
     plan: &WavePlan,
     variant: Variant,
-    scratch: &mut WaveScratch,
-    out: &mut WaveOutcome,
-) {
+) -> WaveOutcome {
     let PaSetup {
         tree,
         shortcut: _,
@@ -441,53 +501,36 @@ fn run_wave_with(
         }
     };
     let router = TreeRouter::with_capacity(tree, capacity);
+    let mut rscratch = RouterScratch::default();
+    let mut up = UpcastBatch::default();
+    let mut down = DowncastBatch::default();
 
-    let WaveOutcome {
-        cost,
-        iterations_per_part: iterations,
-        informed,
-        trace,
-    } = out;
-    informed.clear();
-    informed.resize(n, false);
-    iterations.clear();
-    iterations.resize(np, 0);
-    trace.clear();
-    let WaveScratch {
-        router: rscratch,
-        up,
-        down,
-        rep_in,
-        rep_list,
-        subpart_spread,
-        block_done,
-        exhausted,
-        active,
-        srcs,
-        touched_blocks,
-        spreading,
-        newly_touched,
-        climb_stamp,
-        climb_gen,
-    } = scratch;
-    rep_in.clear();
-    rep_in.resize(n, false);
-    rep_list.clear();
-    subpart_spread.clear();
-    subpart_spread.resize(division.num_subparts(), false);
-    block_done.clear();
-    block_done.resize(nb, false);
-    exhausted.clear();
-    exhausted.resize(np, false);
-    for a in active.iter_mut() {
-        a.clear(); // stale entries past np stay empty and are harmless
-    }
-    if active.len() < np {
-        active.resize_with(np, Vec::new);
-    }
-    if climb_stamp.len() < n {
-        climb_stamp.resize(n, 0); // stale stamps never match a fresh gen
-    }
+    let mut informed = vec![false; n];
+    let mut record = DeliveryRecord {
+        informer: vec![NO_INFORMER; n],
+        order: Vec::with_capacity(n),
+    };
+    let mut iterations = vec![0usize; np];
+    let mut trace = Vec::new();
+    // Informed-representative set: membership bits + insertion list.
+    let mut rep_in = vec![false; n];
+    let mut rep_list: Vec<NodeId> = Vec::new();
+    let mut subpart_spread = vec![false; division.num_subparts()];
+    let mut block_done = vec![false; nb];
+    let mut exhausted = vec![false; np];
+    let mut active: Vec<Vec<NodeId>> = vec![Vec::new(); np];
+    // `(block, seq, rep)` triples of one part's active reps; sorting
+    // groups them by ascending block, reps in active order.
+    let mut srcs: Vec<(usize, usize, NodeId)> = Vec::new();
+    // `(block, first source)` of every block routed this iteration.
+    let mut touched_blocks: Vec<(usize, NodeId)> = Vec::new();
+    let mut spreading: Vec<usize> = Vec::new();
+    let mut newly_touched: Vec<NodeId> = Vec::new();
+    // A member's uninformed ancestors, bottom-up (step 2).
+    let mut path: Vec<NodeId> = Vec::new();
+    // Climb dedup stamps, per node: `climb_stamp[v] == gen` means `v`'s
+    // parent edge was already charged in global iteration `gen`.
+    let mut climb_stamp = vec![0usize; n];
 
     let mut rounds = max_delay;
     let mut messages = 0u64;
@@ -496,16 +539,12 @@ fn run_wave_with(
     let mut init_rounds = 0usize;
     for p in parts.part_ids() {
         let Some(&li) = leaders.get(p) else { continue };
-        if let Some(i) = informed.get_mut(li) {
-            *i = true;
-        }
+        deliver(&mut informed, &mut record, li, NO_INFORMER);
         let r = division.rep_of(li);
         messages += division.depth_of(li) as u64;
         init_rounds = init_rounds.max(division.depth_of(li));
-        if let Some(i) = informed.get_mut(r) {
-            *i = true;
-        }
-        rep_insert(rep_in, rep_list, r);
+        deliver(&mut informed, &mut record, r, li);
+        rep_insert(&mut rep_in, &mut rep_list, r);
         if let Some(a) = active.get_mut(p) {
             a.push(r);
         }
@@ -515,7 +554,7 @@ fn run_wave_with(
     // The wave. Global iterations run all parts in lockstep; per-part
     // iteration counters enforce the block budget individually.
     let global_cap = block_budget.max(1) + nb + 2;
-    for _ in 0..global_cap {
+    for gen in 1..=global_cap {
         if active.iter().all(Vec::is_empty) {
             break;
         }
@@ -554,13 +593,13 @@ fn run_wave_with(
             }
             srcs.sort_unstable();
             for grp in srcs.chunk_by(|a, b| a.0 == b.0) {
-                let Some(&(b, _, _)) = grp.first() else {
+                let Some(&(b, _, first)) = grp.first() else {
                     continue;
                 };
                 if let Some(d) = block_done.get_mut(b) {
                     *d = true;
                 }
-                touched_blocks.push(b);
+                touched_blocks.push((b, first));
                 let root = plan.root_of(b);
                 up.begin_job(b, root);
                 for &(_, _, r) in grp {
@@ -574,19 +613,17 @@ fn run_wave_with(
             act.clear();
         }
         if !up.is_empty() {
-            let up_cost = router.upcast_batch(up, rscratch, |a, _| a);
-            let down_cost = router.downcast_batch(down, rscratch);
+            let up_cost = router.upcast_batch(&up, &mut rscratch, |a, _| a);
+            let down_cost = router.downcast_batch(&down, &mut rscratch);
             rounds += (up_cost.rounds + down_cost.rounds) * meta_factor;
             messages += up_cost.messages + down_cost.messages;
         }
         // All terminals of a routed block are now informed representatives;
         // step 2 below spreads every informed rep's un-spread sub-part.
-        for &b in touched_blocks.iter() {
+        for &(b, first) in touched_blocks.iter() {
             for &t in plan.terminals(b) {
-                if let Some(i) = informed.get_mut(t) {
-                    *i = true;
-                }
-                rep_insert(rep_in, rep_list, t);
+                deliver(&mut informed, &mut record, t, first);
+                rep_insert(&mut rep_in, &mut rep_list, t);
             }
         }
 
@@ -613,8 +650,21 @@ fn run_wave_with(
             step2_depth = step2_depth.max(division.subpart_depth(s));
             messages += (division.members(s).len() - 1) as u64;
             for &v in division.members(s) {
-                if let Some(i) = informed.get_mut(v) {
-                    *i = true;
+                // Members come in node-id order, so a member may precede
+                // its sub-part parent: deliver its uninformed ancestors
+                // first, top-down from the informed one.
+                path.clear();
+                let mut cur = v;
+                while !informed.get(cur).copied().unwrap_or(true) {
+                    path.push(cur);
+                    let Some(parent) = division.parent_of(cur) else {
+                        break;
+                    };
+                    cur = parent;
+                }
+                for &u in path.iter().rev() {
+                    let parent = division.parent_of(u).unwrap_or(NO_INFORMER);
+                    deliver(&mut informed, &mut record, u, parent);
                 }
             }
         }
@@ -631,11 +681,8 @@ fn run_wave_with(
                 for (v, _) in g.neighbors(u) {
                     if parts.part_of(v) == p && division.subpart_of(v) != s {
                         messages += 1;
-                        if let Some(i) = informed.get_mut(v) {
-                            if !*i {
-                                *i = true;
-                                newly_touched.push(v);
-                            }
+                        if deliver(&mut informed, &mut record, v, u) {
+                            newly_touched.push(v);
                         }
                     }
                 }
@@ -643,8 +690,6 @@ fn run_wave_with(
         }
 
         // --- Step 4 (lines 16-18): climb to representatives. ---
-        *climb_gen += 1;
-        let gen = *climb_gen;
         let mut climb_count = 0u64;
         let mut step4_depth = 0usize;
         newly_touched.sort_unstable();
@@ -668,10 +713,8 @@ fn run_wave_with(
                 cur = parent;
             }
             let r = division.rep_of(v);
-            if let Some(i) = informed.get_mut(r) {
-                *i = true;
-            }
-            if rep_insert(rep_in, rep_list, r) {
+            deliver(&mut informed, &mut record, r, v);
+            if rep_insert(&mut rep_in, &mut rep_list, r) {
                 let p = division.part_of_subpart(s);
                 if let Some(a) = active.get_mut(p) {
                     if !a.contains(&r) {
@@ -685,12 +728,18 @@ fn run_wave_with(
         trace.push(WaveIteration {
             blocks_routed: touched_blocks.len(),
             subparts_spread: spreading.len(),
-            informed_after: informed.iter().filter(|&&i| i).count(),
+            informed_after: record.order.len(),
             active_after: active.iter().map(Vec::len).sum(),
         });
     }
 
-    *cost = CostReport::with_capacity(rounds, messages, capacity);
+    WaveOutcome {
+        cost: CostReport::with_capacity(rounds, messages, capacity),
+        iterations_per_part: iterations,
+        informed,
+        trace,
+        record,
+    }
 }
 
 #[cfg(test)]

@@ -207,7 +207,7 @@ mod tests {
             let n = 40;
             let out: Vec<Option<usize>> = (0..n)
                 .map(|i| {
-                    let mut t = (rng.random::<u64>() % n as u64) as usize;
+                    let mut t = usize::try_from(rng.random::<u64>() % n as u64).expect("t < n");
                     if t == i {
                         t = (t + 1) % n;
                     }
@@ -230,7 +230,7 @@ mod tests {
             let n = 60;
             let out: Vec<Option<usize>> = (0..n)
                 .map(|i| {
-                    let mut t = (rng.random::<u64>() % n as u64) as usize;
+                    let mut t = usize::try_from(rng.random::<u64>() % n as u64).expect("t < n");
                     if t == i {
                         t = (t + 1) % n;
                     }

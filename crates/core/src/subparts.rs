@@ -279,8 +279,8 @@ mod tests {
         let leaders: Vec<NodeId> = parts.part_ids().map(|p| parts.members(p)[0]).collect();
         let d = SubPartDivision::one_per_part(&g, &parts, &leaders);
         assert_eq!(d.num_subparts(), 4);
-        for p in 0..4 {
-            assert_eq!(d.reps_of_part(p), vec![leaders[p]]);
+        for (p, &leader) in leaders.iter().enumerate() {
+            assert_eq!(d.reps_of_part(p), vec![leader]);
             assert_eq!(d.subpart_depth(p), 4, "row of 5 from its end has depth 4");
         }
         for v in 0..g.n() {

@@ -165,8 +165,8 @@ mod tests {
         // d larger than any part -> every part is one sub-part.
         let res = random_division(&g, &parts, &leaders, 10, 1);
         assert_eq!(res.division.num_subparts(), 4);
-        for p in 0..4 {
-            assert_eq!(res.division.reps_of_part(p), vec![leaders[p]]);
+        for (p, &leader) in leaders.iter().enumerate() {
+            assert_eq!(res.division.reps_of_part(p), vec![leader]);
         }
     }
 
@@ -192,9 +192,9 @@ mod tests {
         let parts = Partition::whole(&g).unwrap();
         let d = 32;
         let res = random_division(&g, &parts, &[0], d, 3);
-        let expected = (512f64 * (512f64).ln() / d as f64).ceil() as usize;
+        let expected = (512f64 * (512f64).ln() / d as f64).ceil();
         assert!(
-            res.division.num_subparts() <= 4 * expected,
+            res.division.num_subparts() as f64 <= 4.0 * expected,
             "{} sub-parts >> expectation {}",
             res.division.num_subparts(),
             expected

@@ -1,9 +1,9 @@
 //! Regression guard: a warm cache-hit [`PaEngine::solve_into`] performs
-//! **zero** heap allocation. The wave plan is precomputed per partition,
-//! the router batches, informed/active sets and climb stamps live in the
-//! engine's [`SolveScratch`], and the caller-owned `PaResult` buffer is
-//! recycled; once everything has grown to the workload's high-water
-//! mark, a solve must never touch the allocator again.
+//! **zero** heap allocation. Phase A ran once, when the partition was
+//! cached; a warm solve only replays its delivery record, folding the
+//! values in the engine's [`SolveScratch`] accumulator and writing the
+//! caller-owned `PaResult` buffer. Once both have grown to the graph, a
+//! solve must never touch the allocator again.
 //!
 //! Pinned with a counting global allocator. This file holds a single
 //! `#[test]` (integration tests each get their own binary), so no

@@ -15,8 +15,10 @@
 //! cost, and its exact shape — sub-part of every node, tree parents,
 //! representatives — with its iteration count), stage 4 (Algorithm 8
 //! shortcut), Lemma 4.2 routing (upcast + downcast, with value
-//! fingerprints), and the engine end-to-end (cold build + warm
-//! cache-hit solve).
+//! fingerprints), the engine end-to-end (cold build + warm cache-hit
+//! solve), and the delivery record of the engine's phase-A wave (how
+//! many nodes it informed, and a fingerprint of every node's informer
+//! followed by the delivery order).
 
 use rmo_congest::programs::bfs::run_bfs;
 use rmo_congest::programs::leader::run_leader_election;
@@ -164,6 +166,14 @@ fn stage_counts() -> Vec<(String, usize, u64)> {
             warm.cost.rounds,
             warm.cost.messages,
         ));
+        let record = &engine.pipeline_for(&parts).expect("cached").wave.record;
+        out.push((
+            format!("{label}/delivery_record"),
+            record.order().len(),
+            fp((0..g.n())
+                .map(|v| record.informer(v).map_or(u64::MAX, |u| u as u64))
+                .chain(record.order().iter().map(|&v| v as u64))),
+        ));
     }
     out
 }
@@ -199,6 +209,7 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("grid/engine_cold", 251, 3783),
     ("grid/engine_values", 0, 2881715486837125157),
     ("grid/engine_warm", 30, 264),
+    ("grid/delivery_record", 64, 17972936683993857189),
     ("path/stage1", 80, 694),
     // The path/grid division + routing rows coincide with the grid by
     // construction: both carve 64 nodes into eight blocks {8p..8p+8},
@@ -214,6 +225,9 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("path/engine_cold", 551, 3863),
     ("path/engine_values", 0, 2881715486837125157),
     ("path/engine_warm", 93, 540),
+    // The grid's record too: each part's internal edges are the same
+    // path on the same node ids, so the wave delivers identically.
+    ("path/delivery_record", 64, 17972936683993857189),
     ("gnp/stage1", 12, 1291),
     ("gnp/division", 53, 922),
     ("gnp/division_shape", 2, 13795475112051269341),
@@ -225,6 +239,7 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("gnp/engine_cold", 212, 3049),
     ("gnp/engine_values", 0, 10697206274894757293),
     ("gnp/engine_warm", 42, 420),
+    ("gnp/delivery_record", 60, 17370693003175388419),
     // The serving benchmark's sparse-graph size: a 24-part miss runs
     // five Algorithm 6 iterations over 142 final sub-parts.
     ("gnp3000/stage1", 28, 62503),
@@ -238,4 +253,5 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("gnp3000/engine_cold", 4854, 265838),
     ("gnp3000/engine_values", 0, 13373790033412595723),
     ("gnp3000/engine_warm", 261, 12684),
+    ("gnp3000/delivery_record", 3000, 4932155005447995484),
 ];

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use rmo_core::solve::{PaSetup, Variant};
+use rmo_core::solve::{PaSetup, Variant, WavePlan};
 use rmo_core::subparts_det::deterministic_division;
 use rmo_core::verify_block::verify_block_parameter;
 use rmo_graph::{bfs_tree, gen};
@@ -49,6 +49,7 @@ proptest! {
                 }
             })
             .collect();
+        let plan = WavePlan::build(&g, &tree, &sc, &division, &parts);
         let verdict = verify_block_parameter(
             &g,
             &parts,
@@ -59,6 +60,7 @@ proptest! {
                 leaders: &leaders,
                 block_budget: budget_pick,
             },
+            &plan,
             Variant::Deterministic,
         );
         for p in parts.part_ids() {
@@ -104,9 +106,10 @@ proptest! {
             leaders: &[0],
             block_budget: b,
         };
-        let fail = verify_block_parameter(&g, &parts, &setup(k - 1), Variant::Deterministic);
+        let plan = WavePlan::build(&g, &tree, &sc, &division, &parts);
+        let fail = verify_block_parameter(&g, &parts, &setup(k - 1), &plan, Variant::Deterministic);
         prop_assert!(fail.exceeds[0], "budget k-1 must be insufficient");
-        let pass = verify_block_parameter(&g, &parts, &setup(k), Variant::Deterministic);
+        let pass = verify_block_parameter(&g, &parts, &setup(k), &plan, Variant::Deterministic);
         prop_assert!(!pass.exceeds[0], "budget k must suffice");
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests of the PA stack: on arbitrary connected graphs,
 //! partitions, values and aggregates, the distributed result equals the
-//! centralized fold and the cost accounting stays sane.
+//! centralized fold, the delivery record it is folded along is a
+//! spanning forest of the parts, and the cost accounting stays sane.
 
 mod common;
 
@@ -56,6 +57,49 @@ proptest! {
             prop_assert!(res.cost.messages >= 1);
             let generous = (g.m() as u64 + n as u64) * 64 * 64;
             prop_assert!(res.cost.messages <= generous, "messages {} blow up", res.cost.messages);
+        }
+    }
+
+    #[test]
+    fn delivery_record_is_a_spanning_forest_rooted_at_the_leaders(
+        (n, extra, seed) in graph_params(),
+        parts_target in 1usize..10,
+    ) {
+        // The answers are folded along the record, so a record that is
+        // not a forest of the parts could still give a lucky `Min`
+        // answer: check its shape directly.
+        let m = (n - 1 + extra).min(n * (n - 1) / 2);
+        let g = gen::random_connected(n, m, seed);
+        let parts = gen::random_connected_partition(&g, parts_target, seed ^ 0xabcd);
+        for cfg in common::config_grid() {
+            let mut engine = PaEngine::new(&g, cfg.seed(seed));
+            let artifacts = engine.pipeline_for(&parts).unwrap();
+            let record = &artifacts.wave.record;
+            let mut position = vec![None; n];
+            for (i, &v) in record.order().iter().enumerate() {
+                prop_assert!(position[v].is_none(), "node {} delivered twice", v);
+                position[v] = Some(i);
+            }
+            for v in 0..n {
+                let leader = artifacts.leaders[parts.part_of(v)];
+                if v == leader {
+                    prop_assert_eq!(record.informer(v), None, "leader {} has an informer", v);
+                    continue;
+                }
+                let Some(at) = position[v] else {
+                    return Err(TestCaseError::fail(format!("node {v} is not in the order")));
+                };
+                let Some(u) = record.informer(v) else {
+                    return Err(TestCaseError::fail(format!("node {v} has no informer")));
+                };
+                prop_assert_eq!(parts.part_of(u), parts.part_of(v), "{} informed {}", u, v);
+                prop_assert!(
+                    position[u].is_some_and(|before| before < at),
+                    "informer {} of {} is not earlier in the order",
+                    u,
+                    v
+                );
+            }
         }
     }
 
