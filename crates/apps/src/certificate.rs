@@ -78,39 +78,39 @@ pub fn sparse_certificate(
     })
 }
 
-/// Minimum number of edges whose removal disconnects `g` (global edge
-/// connectivity), by |V| − 1 max-flow-free contractions — a reference
-/// oracle for small graphs (uses Stoer–Wagner on unit weights).
-pub fn edge_connectivity(g: &Graph) -> u64 {
-    if g.n() < 2 || !g.is_connected() {
-        return 0;
-    }
-    let unit = g.reweighted(|_, _| 1);
-    rmo_graph::reference::stoer_wagner(&unit).weight
-}
-
-/// Checks the certificate property on small graphs: `cert` preserves
-/// k-edge-connectivity decisions, i.e.
-/// `min(k, λ(G)) == min(k, λ(H))` where `λ` is edge connectivity.
-pub fn certificate_preserves_connectivity(g: &Graph, cert: &[EdgeId], k: usize) -> bool {
-    let lambda_g = edge_connectivity(g).min(k as u64);
-    let keep: Vec<bool> = {
-        let set: std::collections::HashSet<EdgeId> = cert.iter().copied().collect();
-        (0..g.m()).map(|e| set.contains(&e)).collect()
-    };
-    let (h, _) = g.edge_subgraph(&keep);
-    let lambda_h = if h.is_connected() {
-        edge_connectivity(&h).min(k as u64)
-    } else {
-        0
-    };
-    lambda_g == lambda_h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rmo_graph::gen;
+
+    /// Minimum number of edges whose removal disconnects `g` (global edge
+    /// connectivity), by |V| − 1 max-flow-free contractions — a reference
+    /// oracle for small graphs (uses Stoer–Wagner on unit weights).
+    fn edge_connectivity(g: &Graph) -> u64 {
+        if g.n() < 2 || !g.is_connected() {
+            return 0;
+        }
+        let unit = g.reweighted(|_, _| 1);
+        rmo_graph::reference::stoer_wagner(&unit).weight
+    }
+
+    /// Checks the certificate property on small graphs: `cert` preserves
+    /// k-edge-connectivity decisions, i.e.
+    /// `min(k, λ(G)) == min(k, λ(H))` where `λ` is edge connectivity.
+    fn certificate_preserves_connectivity(g: &Graph, cert: &[EdgeId], k: usize) -> bool {
+        let lambda_g = edge_connectivity(g).min(k as u64);
+        let keep: Vec<bool> = {
+            let set: std::collections::HashSet<EdgeId> = cert.iter().copied().collect();
+            (0..g.m()).map(|e| set.contains(&e)).collect()
+        };
+        let (h, _) = g.edge_subgraph(&keep);
+        let lambda_h = if h.is_connected() {
+            edge_connectivity(&h).min(k as u64)
+        } else {
+            0
+        };
+        lambda_g == lambda_h
+    }
 
     #[test]
     fn certificate_is_sparse() {

@@ -80,7 +80,12 @@ pub fn approx_eccentricities(engine: &mut PaEngine<'_>, k: usize) -> Eccentricit
 mod tests {
     use super::*;
     use rmo_core::EngineConfig;
-    use rmo_graph::{eccentricity, gen, Graph};
+    use rmo_graph::{bfs_distances, gen, Graph};
+
+    /// The true eccentricity of `v` in a connected graph.
+    fn eccentricity(g: &Graph, v: usize) -> usize {
+        bfs_distances(g, v).into_iter().max().unwrap_or(0)
+    }
 
     fn ecc(g: &Graph, k: usize) -> EccentricityResult {
         approx_eccentricities(&mut PaEngine::new(g, EngineConfig::new()), k)

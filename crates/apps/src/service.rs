@@ -378,7 +378,7 @@ impl SchedState {
     /// disturbance). Steals are recorded in epoch order. `None` means
     /// the worker is done.
     fn next_group(&mut self, worker: usize, steal: bool) -> Option<Group> {
-        if let Some(group) = self.queues[worker].pop_front() {
+        if let Some(group) = self.queues.get_mut(worker).and_then(VecDeque::pop_front) {
             if let Some(load) = self.loads.get_mut(worker) {
                 *load = load.saturating_sub(group.weight);
             }
@@ -388,10 +388,14 @@ impl SchedState {
         if !steal {
             return None;
         }
-        let victim = (0..self.queues.len())
-            .filter(|&s| s != worker && !self.queues[s].is_empty())
-            .max_by_key(|&s| (self.loads[s], std::cmp::Reverse(s)))?;
-        let group = self.queues[victim].pop_back()?;
+        let victim = self
+            .queues
+            .iter()
+            .enumerate()
+            .filter(|&(s, queue)| s != worker && !queue.is_empty())
+            .map(|(s, _)| s)
+            .max_by_key(|&s| (self.loads.get(s).copied(), std::cmp::Reverse(s)))?;
+        let group = self.queues.get_mut(victim)?.pop_back()?;
         if let Some(load) = self.loads.get_mut(victim) {
             *load = load.saturating_sub(group.weight);
         }
@@ -485,7 +489,9 @@ impl GroupHistory {
     /// same factor, so the mean work per query is preserved; only the
     /// window's *mass* (its resistance to new evidence) fades.
     fn decay(&mut self) {
+        // rmo-lint: allow(R1) — DEMAND_DECAY_DEN is the constant 4
         self.queries = self.queries * DEMAND_DECAY_NUM / DEMAND_DECAY_DEN;
+        // rmo-lint: allow(R1) — DEMAND_DECAY_DEN is the constant 4
         self.work = self.work * DEMAND_DECAY_NUM / DEMAND_DECAY_DEN;
     }
 
@@ -582,8 +588,8 @@ impl PaCluster {
     }
 
     /// Registers `graph` under `id` with the default (deterministic)
-    /// engine profile: the panicking convenience over
-    /// [`PaCluster::register`].
+    /// engine profile, panicking where the checked `register` below
+    /// returns an error.
     ///
     /// # Panics
     /// Panics if `id` is already registered or the graph is empty or
@@ -609,12 +615,7 @@ impl PaCluster {
     /// # Panics
     /// Panics if `id` is already registered (a programmer error, unlike
     /// a bad graph, which may come from data).
-    pub fn register(
-        &mut self,
-        id: GraphId,
-        graph: Graph,
-        config: EngineConfig,
-    ) -> Result<(), PaError> {
+    fn register(&mut self, id: GraphId, graph: Graph, config: EngineConfig) -> Result<(), PaError> {
         if graph.n() == 0 || !graph.is_connected() {
             return Err(PaError::Disconnected);
         }
@@ -635,7 +636,10 @@ impl PaCluster {
     // `x % shards` is < shards, which is a `usize`: no truncation.
     #[allow(clippy::cast_possible_truncation)]
     pub fn shard_of(&self, id: GraphId) -> usize {
-        (word_fingerprint([id.0]) % self.shards as u64) as usize
+        // `shards ≥ 1` (`PaCluster::new` asserts it), so the `0` is never taken.
+        word_fingerprint([id.0])
+            .checked_rem(self.shards as u64)
+            .unwrap_or(0) as usize
     }
 
     /// Number of shards.
@@ -680,14 +684,22 @@ impl PaCluster {
     /// well-defined; saturating, because a hostile query's weight is
     /// already `u64::MAX`.
     fn group_weight(&self, id: GraphId, indices: &[usize], queries: &[(GraphId, Query)]) -> u64 {
-        let graph = &self.slots[&id].graph;
         match self.history.get(&id).and_then(GroupHistory::mean_work) {
             Some(mean) => mean.saturating_mul(indices.len() as u64),
-            None => indices
-                .iter()
-                .map(|&idx| queries[idx].1.weight(graph.n(), graph.m()))
-                .fold(0, u64::saturating_add)
-                .max(1),
+            // The planner groups only registered graphs' in-range indices,
+            // so both lookups always hit.
+            None => {
+                let (n, m) = self
+                    .slots
+                    .get(&id)
+                    .map_or((0, 0), |slot| (slot.graph.n(), slot.graph.m()));
+                indices
+                    .iter()
+                    .filter_map(|&idx| queries.get(idx))
+                    .map(|(_, query)| query.weight(n, m))
+                    .fold(0, u64::saturating_add)
+                    .max(1)
+            }
         }
     }
 
@@ -736,9 +748,9 @@ impl PaCluster {
         let mut responses: Vec<Option<QueryResponse>> = vec![None; queries.len()];
         let mut order: Vec<GraphId> = Vec::new();
         let mut by_graph: BTreeMap<GraphId, Vec<usize>> = BTreeMap::new();
-        for (idx, (id, _)) in queries.iter().enumerate() {
+        for (idx, ((id, _), response)) in queries.iter().zip(responses.iter_mut()).enumerate() {
             if !self.slots.contains_key(id) {
-                responses[idx] = Some(QueryResponse::Failed(FailReason::UnregisteredGraph {
+                *response = Some(QueryResponse::Failed(FailReason::UnregisteredGraph {
                     id: id.0,
                 }));
                 continue;
@@ -764,9 +776,10 @@ impl PaCluster {
                 let mut class_rank: BTreeMap<u64, usize> = BTreeMap::new();
                 let mut ranked: Vec<(usize, usize)> = indices
                     .into_iter()
-                    .map(|idx| {
+                    .filter_map(|idx| queries.get(idx).map(|(_, query)| (idx, query)))
+                    .map(|(idx, query)| {
                         let next = class_rank.len();
-                        let rank = *class_rank.entry(queries[idx].1.affinity()).or_insert(next);
+                        let rank = *class_rank.entry(query.affinity()).or_insert(next);
                         (rank, idx)
                     })
                     .collect();
@@ -865,7 +878,10 @@ impl PaCluster {
             if let Some(load) = loads.get_mut(shard) {
                 *load = load.saturating_add(group.weight);
             }
-            shard_groups[shard].push(group);
+            // `shard` indexes `loads`, which has one entry per shard.
+            if let Some(queue) = shard_groups.get_mut(shard) {
+                queue.push(group);
+            }
         }
         for event in &mut forks {
             event.shards = (0..event.replicas)
@@ -903,17 +919,22 @@ impl PaCluster {
         loop {
             let next = lock(state).next_group(shard, steal);
             let Some(mut group) = next else { break };
+            // Groups exist only for registered graphs.
+            let Some(slot) = slots.get(&group.id) else {
+                continue;
+            };
             // Responses written before a panic are kept (each response
             // slot is set at most once), so the emit closure is
             // unwind-safe in both serving modes.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let slot = &slots[&group.id];
                 let mut engine = match group.core.take() {
                     Some(core) => PaEngine::from_core(&slot.graph, core),
                     None => PaEngine::new(&slot.graph, slot.config),
                 };
                 for &idx in &group.indices {
-                    emit(idx, run_query(&mut engine, &queries[idx].1));
+                    if let Some((_, query)) = queries.get(idx) {
+                        emit(idx, run_query(&mut engine, query));
+                    }
                 }
                 engine.into_core()
             }));
@@ -967,7 +988,9 @@ impl PaCluster {
                 if let Some(h) = hook.as_mut() {
                     h(idx, &resp);
                 }
-                responses[idx] = Some(resp);
+                if let Some(slot) = responses.get_mut(idx) {
+                    *slot = Some(resp);
+                }
             }
             panics = handles
                 .into_iter()
@@ -998,7 +1021,9 @@ impl PaCluster {
                 if let Some(h) = hook.as_mut() {
                     h(idx, &resp);
                 }
-                responses[idx] = Some(resp);
+                if let Some(slot) = responses.get_mut(idx) {
+                    *slot = Some(resp);
+                }
             };
             if let Some(payload) = Self::run_worker(shard, false, state, slots, queries, &mut emit)
             {

@@ -350,7 +350,7 @@ pub struct StreamReport {
 
 impl StreamReport {
     /// Modeled latencies of the admitted queries, sorted ascending.
-    pub fn latencies(&self) -> Vec<u64> {
+    fn latencies(&self) -> Vec<u64> {
         let mut out: Vec<u64> = self
             .outcomes
             .iter()

@@ -52,11 +52,6 @@ impl Payload {
     pub fn one(tag: u16, a: u64) -> Payload {
         Payload { tag, a, b: 0, c: 0 }
     }
-
-    /// A payload with a tag and two words.
-    pub fn two(tag: u16, a: u64, b: u64) -> Payload {
-        Payload { tag, a, b, c: 0 }
-    }
 }
 
 #[cfg(test)]
@@ -67,7 +62,6 @@ mod tests {
     fn constructors() {
         assert_eq!(Payload::tag_only(1), Payload::new(1, 0, 0, 0));
         assert_eq!(Payload::one(2, 5), Payload::new(2, 5, 0, 0));
-        assert_eq!(Payload::two(2, 5, 6), Payload::new(2, 5, 6, 0));
     }
 
     #[test]

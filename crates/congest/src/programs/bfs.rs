@@ -126,20 +126,22 @@ pub fn extract_tree(
     let n = g.n();
     let mut parent = vec![usize::MAX; n];
     let mut parent_edge = vec![usize::MAX; n];
-    let mut dist = vec![usize::MAX; n];
-    for v in 0..n {
+    let mut dist = Vec::with_capacity(n);
+    for (v, (p, pe)) in parent.iter_mut().zip(parent_edge.iter_mut()).enumerate() {
         let (d, pp) = state(v);
-        dist[v] = d.expect("disconnected graph: node missing BFS distance");
+        // rmo-lint: allow(R1) — the engine only runs BFS on connected graphs (`PaEngine::new` asserts it), where every node gets a distance and a parent port.
+        dist.push(d.expect("disconnected graph: node missing BFS distance"));
         if v != root {
+            // rmo-lint: allow(R1) — as above: on a connected graph every non-root node has a parent port.
             let port = pp.expect("non-root node missing parent port");
             let (e, u, _) = net.port_target(v, port);
-            parent[v] = u;
-            parent_edge[v] = e;
+            *p = u;
+            *pe = e;
         }
     }
-    let tree =
-        RootedTree::from_parents(root, parent, parent_edge).expect("BFS parent ports form a tree");
-    (tree, dist)
+    let tree = RootedTree::from_parents(root, parent, parent_edge);
+    // rmo-lint: allow(R1) — on a connected graph the BFS parent ports form a tree rooted at `root`.
+    (tree.expect("BFS parent ports form a tree"), dist)
 }
 
 #[cfg(test)]

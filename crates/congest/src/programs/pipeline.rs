@@ -138,8 +138,9 @@ mod tests {
         let (tree, _, _) = run_bfs(&g, &net, 0).unwrap();
         let tokens: Vec<u64> = (100..120).collect();
         let (recv, _) = run_pipeline_broadcast(&g, &net, &tree, &tokens).unwrap();
-        for v in 0..g.n() {
-            assert_eq!(recv[v], tokens, "node {v} order/content");
+        assert_eq!(recv.len(), g.n());
+        for (v, got) in recv.iter().enumerate() {
+            assert_eq!(got, &tokens, "node {v} order/content");
         }
     }
 

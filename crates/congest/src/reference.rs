@@ -79,21 +79,6 @@ impl<'n, P: NodeProgram> ReferenceSimulator<'n, P> {
         &self.programs[v]
     }
 
-    /// Mutable access to node `v`'s program.
-    pub fn program_mut(&mut self, v: NodeId) -> &mut P {
-        &mut self.programs[v]
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds_elapsed(&self) -> usize {
-        self.round
-    }
-
-    /// Messages sent so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages
-    }
-
     /// Whether the network is quiescent: nothing in flight and no node
     /// wanting a round (dense scan — this is the reference).
     pub fn is_quiescent(&self) -> bool {
@@ -127,7 +112,6 @@ impl<'n, P: NodeProgram> ReferenceSimulator<'n, P> {
             let mut sent_on_port = vec![0usize; degree];
             let violation = crate::sim::RoundCtx::drive_reference(
                 &mut self.programs[v],
-                v,
                 self.net.id_of(v),
                 degree,
                 self.round,

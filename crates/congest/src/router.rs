@@ -359,6 +359,7 @@ impl RouterScratch {
     /// Maximum number of distinct subtrees that crossed any single
     /// up-edge in the last [`TreeRouter::upcast_batch`] call. `0` unless
     /// the router had [`TreeRouter::trace_congestion`] enabled.
+    // rmo-lint: allow(U1) — `congestion_ledger_is_opt_in` checks the free-march fast-forward against the exact loop through it; the only check of that path.
     pub fn realized_congestion(&mut self) -> usize {
         self.ledger.sort_unstable();
         self.ledger.dedup();
@@ -418,6 +419,7 @@ impl<'t> TreeRouter<'t> {
     /// default: tracking distinct subtrees per edge costs a ledger push
     /// per forwarded packet plus a sort at read time, which default runs
     /// shouldn't pay for. Mirrors `Simulator::trace_rounds`.
+    // rmo-lint: allow(U1) — `congestion_ledger_is_opt_in` checks the free-march fast-forward against the exact loop through it; the only check of that path.
     pub fn trace_congestion(mut self, on: bool) -> TreeRouter<'t> {
         self.trace = on;
         self
@@ -522,6 +524,7 @@ impl<'t> TreeRouter<'t> {
         for &(subtree, root, j) in tagged.iter() {
             match sub_roots.last() {
                 Some(&(s, r)) if s == subtree => {
+                    // rmo-lint: allow(R1) — every caller opens a subtree's jobs with that subtree's own tree root.
                     assert!(r == root, "conflicting roots for one subtree");
                 }
                 _ => sub_roots.push((subtree, root)),

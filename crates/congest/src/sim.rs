@@ -103,7 +103,6 @@ enum SendSink<'a> {
 
 /// What a node sees and may do during one round.
 pub struct RoundCtx<'a> {
-    node: NodeId,
     id: u64,
     degree: usize,
     round: usize,
@@ -116,12 +115,6 @@ pub struct RoundCtx<'a> {
 }
 
 impl<'a> RoundCtx<'a> {
-    /// This node's simulator index. Programs should treat it as opaque —
-    /// use [`RoundCtx::id`] for anything an algorithm compares or sends.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// This node's unique KT0 identifier.
     pub fn id(&self) -> u64 {
         self.id
@@ -202,7 +195,6 @@ impl<'a> RoundCtx<'a> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn drive_reference<P: NodeProgram>(
         program: &mut P,
-        node: NodeId,
         id: u64,
         degree: usize,
         round: usize,
@@ -212,7 +204,6 @@ impl<'a> RoundCtx<'a> {
         capacity: usize,
     ) -> Option<PortId> {
         let mut ctx = RoundCtx {
-            node,
             id,
             degree,
             round,
@@ -353,11 +344,12 @@ impl<'n, P: NodeProgram> Simulator<'n, P> {
         capacity: usize,
         mut make: impl FnMut(NodeId) -> P,
     ) -> Simulator<'n, P> {
+        // rmo-lint: allow(R1) — documented precondition; the serving path builds simulators through `Simulator::new`, which passes 1.
         assert!(capacity > 0, "capacity must be positive");
         let n = net.n();
         let programs: Vec<P> = (0..n).map(&mut make).collect();
         let wants: Vec<bool> = programs.iter().map(NodeProgram::wants_round).collect();
-        let want_list: Vec<NodeId> = (0..n).filter(|&v| wants[v]).collect();
+        let want_list: Vec<NodeId> = (0..n).filter(|&v| wants.get(v) == Some(&true)).collect();
         Simulator {
             net,
             programs,
@@ -410,19 +402,10 @@ impl<'n, P: NodeProgram> Simulator<'n, P> {
     /// Mutable access to node `v`'s program (for injecting inputs).
     /// The node's `wants_round` is re-queried before the next round, so
     /// input injection can wake an otherwise idle node.
+    // rmo-lint: allow(U1) — the input-injection hook `NodeProgram`'s contract names; `program_mut_wakes_idle_nodes` pins its re-registration.
     pub fn program_mut(&mut self, v: NodeId) -> &mut P {
         self.dirty.push(v);
         &mut self.programs[v]
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds_elapsed(&self) -> usize {
-        self.round
-    }
-
-    /// Messages sent so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages
     }
 
     /// Whether the network is quiescent: nothing in flight and no node
@@ -588,7 +571,6 @@ impl<'n, P: NodeProgram> Simulator<'n, P> {
             let degree = targets.len();
             let watermark = self.staging.len();
             let mut ctx = RoundCtx {
-                node: v,
                 id: self.net.id_of(v),
                 degree,
                 round: self.round,
@@ -804,7 +786,7 @@ mod tests {
         assert_eq!(hist[1].delivered, 2 * g.m() as u64);
         assert!(hist[0].max_edge_load <= 1, "strict CONGEST");
         let total: u64 = hist.iter().map(|s| s.sent).sum();
-        assert_eq!(total, sim.messages_sent());
+        assert_eq!(total, sim.messages);
     }
 
     #[test]
@@ -817,7 +799,7 @@ mod tests {
             sim.round_history().is_empty(),
             "tracing is off by default — no per-round stats retained"
         );
-        assert!(sim.messages_sent() > 0, "totals are still exact");
+        assert!(sim.messages > 0, "totals are still exact");
     }
 
     struct Forever;
@@ -847,14 +829,14 @@ mod tests {
         let net = Network::new(&g, 0);
         let mut sim = Simulator::new(&net, |_| Forever);
         assert!(sim.run_until_quiescent(7).is_err());
-        assert_eq!(sim.rounds_elapsed(), 7, "cap of 7 executes 7 rounds");
+        assert_eq!(sim.round, 7, "cap of 7 executes 7 rounds");
         // Zero budget: error before any round runs.
         let mut sim = Simulator::new(&net, |_| Forever);
         assert_eq!(
             sim.run_until_quiescent(0).unwrap_err(),
             SimError::RoundLimit { limit: 0 }
         );
-        assert_eq!(sim.rounds_elapsed(), 0);
+        assert_eq!(sim.round, 0);
     }
 
     #[test]
@@ -896,6 +878,7 @@ mod tests {
         use std::rc::Rc;
         let order: Rc<RefCell<Vec<NodeId>>> = Rc::default();
         struct Recorder {
+            node: NodeId,
             fired: bool,
             order: Rc<RefCell<Vec<NodeId>>>,
         }
@@ -903,7 +886,7 @@ mod tests {
             fn on_round(&mut self, ctx: &mut RoundCtx<'_>) {
                 if !self.fired {
                     self.fired = true;
-                    self.order.borrow_mut().push(ctx.node());
+                    self.order.borrow_mut().push(self.node);
                     ctx.send_all(Payload::tag_only(1));
                 }
             }
@@ -913,7 +896,8 @@ mod tests {
         }
         let g = gen::cycle(7);
         let net = Network::new(&g, 0);
-        let mut sim = Simulator::new(&net, |_| Recorder {
+        let mut sim = Simulator::new(&net, |node| Recorder {
+            node,
             fired: false,
             order: Rc::clone(&order),
         });

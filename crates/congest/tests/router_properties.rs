@@ -27,7 +27,8 @@ proptest! {
             .map(|j| {
                 let sources: Vec<(usize, u64)> = (0..srcs_per_job)
                     .map(|s| {
-                        let v = ((j * 31 + s * 17) as u64 ^ mix) as usize % n;
+                        let v = usize::try_from(((j * 31 + s * 17) as u64 ^ mix) % n as u64)
+                            .expect("below n");
                         (v, (j * 100 + s) as u64 + 1)
                     })
                     .collect();

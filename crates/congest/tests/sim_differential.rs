@@ -53,7 +53,7 @@ fn check_instance(g: &Graph, seed: u64) {
     let net = Network::new(g, seed);
     let n = g.n();
     let cap = 4 * n + 4;
-    let root = (seed as usize) % n;
+    let root = usize::try_from(seed % n as u64).expect("below n");
 
     // BFS.
     let (fc, fh, dc, dh) = run_both(

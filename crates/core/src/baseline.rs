@@ -18,7 +18,7 @@ use crate::subparts::SubPartDivision;
 
 /// The singleton division of `parts`: every node is its own sub-part
 /// and representative. This is what "no sub-part machinery" means.
-pub fn singleton_division(g: &Graph, parts: &Partition) -> SubPartDivision {
+fn singleton_division(g: &Graph, parts: &Partition) -> SubPartDivision {
     SubPartDivision::new(
         g,
         parts,

@@ -337,12 +337,6 @@ impl EngineCore {
         self.config
     }
 
-    /// Stable fingerprint of the graph this core is bound to (what
-    /// [`PaEngine::from_core`] checks).
-    pub fn graph_fingerprint(&self) -> u64 {
-        self.graph_fp
-    }
-
     /// Clones this core's warm state into a replica with fresh counters.
     ///
     /// The replica shares nothing mutable with the original: the stage-1
@@ -489,7 +483,7 @@ pub fn partition_fingerprint(assignment: &[usize]) -> u64 {
 /// `(u, v, weight)` in edge-id order. Two graphs fingerprint equal iff
 /// they have identical topology *and* weights, which is exactly the
 /// "same session state applies" condition [`PaEngine::from_core`] needs.
-pub fn graph_fingerprint(g: &Graph) -> u64 {
+fn graph_fingerprint(g: &Graph) -> u64 {
     fnv1a(
         std::iter::once(g.n() as u64)
             .chain(g.edges().flat_map(|(_, u, v, w)| [u as u64, v as u64, w])),
@@ -601,11 +595,6 @@ impl<'g> PaEngine<'g> {
     /// The graph this session is bound to.
     pub fn graph(&self) -> &'g Graph {
         self.graph
-    }
-
-    /// The simulated network (KT0 identifiers, ports).
-    pub fn network(&self) -> &Network {
-        &self.core.net
     }
 
     /// The session's BFS tree, shared by every solve (built on first

@@ -76,8 +76,8 @@ pub mod verify_block;
 
 pub use aggregate::Aggregate;
 pub use engine::{
-    graph_fingerprint, partition_fingerprint, word_fingerprint, BatchResult, DivisionStrategy,
-    EngineConfig, EngineCore, EngineStats, PaEngine,
+    partition_fingerprint, word_fingerprint, BatchResult, DivisionStrategy, EngineConfig,
+    EngineCore, EngineStats, PaEngine,
 };
 pub use instance::{PaError, PaInstance};
 pub use pipeline::{build_artifacts, PipelineArtifacts, ShortcutStrategy};

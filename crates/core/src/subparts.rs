@@ -238,7 +238,7 @@ impl SubPartDivision {
     }
 
     /// Sub-part ids belonging to part `p`.
-    pub fn subparts_of_part(&self, p: usize) -> Vec<usize> {
+    fn subparts_of_part(&self, p: usize) -> Vec<usize> {
         (0..self.num_subparts())
             .filter(|&s| self.part_of_subpart[s] == p)
             .collect()

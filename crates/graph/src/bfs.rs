@@ -75,7 +75,7 @@ pub fn bfs_tree(g: &Graph, source: NodeId) -> (RootedTree, Vec<usize>) {
 ///
 /// # Panics
 /// Panics if the graph is disconnected.
-pub fn eccentricity(g: &Graph, v: NodeId) -> usize {
+fn eccentricity(g: &Graph, v: NodeId) -> usize {
     let dist = bfs_distances(g, v);
     let ecc = dist.iter().copied().max().unwrap_or(0);
     assert_ne!(ecc, usize::MAX, "eccentricity requires a connected graph");

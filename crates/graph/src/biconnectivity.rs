@@ -130,22 +130,22 @@ pub fn is_two_edge_connected(g: &Graph) -> bool {
     g.is_connected() && biconnected_components(g).bridges.is_empty()
 }
 
-/// Whether a connected graph is biconnected (2-vertex-connected): no
-/// articulation points and at least 3 nodes (or a single edge).
-pub fn is_biconnected(g: &Graph) -> bool {
-    if !g.is_connected() {
-        return false;
-    }
-    if g.n() <= 2 {
-        return g.m() >= g.n().saturating_sub(1);
-    }
-    biconnected_components(g).articulation_points.is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+
+    /// Whether a connected graph is biconnected (2-vertex-connected): no
+    /// articulation points and at least 3 nodes (or a single edge).
+    fn is_biconnected(g: &Graph) -> bool {
+        if !g.is_connected() {
+            return false;
+        }
+        if g.n() <= 2 {
+            return g.m() >= g.n().saturating_sub(1);
+        }
+        biconnected_components(g).articulation_points.is_empty()
+    }
 
     #[test]
     fn path_every_internal_node_is_articulation() {

@@ -128,7 +128,7 @@ mod tests {
         assert!(g.is_connected());
         // diameter ~ len (hop through cliques)
         let d = diameter_exact(&g);
-        assert!(d >= 9 && d <= 11, "diameter {d} should be about len");
+        assert!((9..=11).contains(&d), "diameter {d} should be about len");
     }
 
     #[test]

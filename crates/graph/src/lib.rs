@@ -44,12 +44,8 @@ pub mod reference;
 pub mod tree;
 
 pub use crate::graph::{EdgeId, Graph, GraphBuilder, GraphError, NodeId};
-pub use bfs::{
-    bfs_distances, bfs_tree, diameter_exact, eccentricity, two_sweep_diameter_lower_bound,
-};
-pub use biconnectivity::{
-    biconnected_components, is_biconnected, is_two_edge_connected, Biconnectivity,
-};
+pub use bfs::{bfs_distances, bfs_tree, diameter_exact, two_sweep_diameter_lower_bound};
+pub use biconnectivity::{biconnected_components, is_two_edge_connected, Biconnectivity};
 pub use dsu::DisjointSets;
 pub use partition::{Partition, PartitionError};
 pub use tree::{HeavyPathDecomposition, RootedTree, TreeError};

@@ -73,8 +73,8 @@ mod tests {
     #[test]
     fn ceil_log2_matches_float_path() {
         for n in 2..10_000usize {
-            let float = (n as f64).log2().ceil() as usize;
-            assert_eq!(ceil_log2(n), float, "n = {n}");
+            let float = (n as f64).log2().ceil();
+            assert_eq!(ceil_log2(n) as f64, float, "n = {n}");
         }
     }
 

@@ -173,7 +173,7 @@ impl RootedTree {
     }
 
     /// Subtree sizes (`sizes[v]` = number of nodes in the subtree at `v`).
-    pub fn subtree_sizes(&self) -> Vec<usize> {
+    fn subtree_sizes(&self) -> Vec<usize> {
         let mut size = vec![1usize; self.n()];
         for &v in self.order.iter().rev() {
             if v != self.root {
@@ -192,7 +192,7 @@ impl RootedTree {
     }
 
     /// Walks up from `v` toward the root, yielding `v` first and the root last.
-    pub fn path_to_root(&self, v: NodeId) -> Vec<NodeId> {
+    fn path_to_root(&self, v: NodeId) -> Vec<NodeId> {
         let mut path = vec![v];
         let mut cur = v;
         while let Some(p) = self.parent_of(cur) {
@@ -358,10 +358,7 @@ mod tests {
         let g = gen::star(5);
         let (t, _) = bfs_tree(&g, 0);
         let sizes = t.subtree_sizes();
-        assert_eq!(sizes[0], 5);
-        for v in 1..5 {
-            assert_eq!(sizes[v], 1);
-        }
+        assert_eq!(sizes, [5, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -369,7 +366,7 @@ mod tests {
         let g = gen::balanced_binary_tree(6); // 63 nodes
         let (t, _) = bfs_tree(&g, 0);
         let hpd = HeavyPathDecomposition::new(&t);
-        let log2n = (t.n() as f64).log2().floor() as usize;
+        let log2n = t.n().ilog2() as usize;
         for v in 0..t.n() {
             assert!(
                 hpd.paths_on_root_walk(&t, v) <= log2n + 1,

@@ -82,8 +82,9 @@ proptest! {
         let g = gen::random_connected(n, m, seed);
         let (tree, dist) = bfs_tree(&g, 0);
         prop_assert_eq!(tree.depth(), *dist.iter().max().unwrap());
-        for v in 0..n {
-            prop_assert_eq!(tree.depth_of(v), dist[v], "tree depth = BFS distance");
+        prop_assert_eq!(dist.len(), n);
+        for (v, &d) in dist.iter().enumerate() {
+            prop_assert_eq!(tree.depth_of(v), d, "tree depth = BFS distance");
         }
     }
 
@@ -95,7 +96,7 @@ proptest! {
         let g = gen::random_spanning_tree(n, seed);
         let (tree, _) = bfs_tree(&g, 0);
         let hpd = HeavyPathDecomposition::new(&tree);
-        let bound = (n as f64).log2().floor() as usize + 1;
+        let bound = n.ilog2() as usize + 1;
         for v in 0..n {
             prop_assert!(hpd.paths_on_root_walk(&tree, v) <= bound);
         }

@@ -16,15 +16,17 @@
 //! Over-approximation only ever *adds* chains, so R1 stays sound-ish
 //! for its purpose: a clean report really means no workspace call path
 //! from a serving entry point reaches a panic source this analysis can
-//! see. Test fns never enter the graph.
+//! see. Each rule chooses which fns enter the graph: R1 leaves test fns
+//! out, U1 keeps the test, example and benchmark files as roots.
 //!
 //! Everything is keyed and iterated by `(path, line, name)` — never by
 //! input order — so findings are byte-identical under a shuffled file
 //! walk (pinned by `tests/analysis.rs`).
 
-use crate::items::{calls_in, ParsedFile};
+use crate::items::{calls_in, FnItem, ParsedFile};
 
-/// One graph node: a non-test `fn` item, addressed by file and fn index.
+/// One graph node: a `fn` item the build filter accepted, addressed by
+/// file and fn index.
 #[derive(Debug, Clone, Copy)]
 pub struct Node {
     pub file: usize,
@@ -61,27 +63,35 @@ impl<'a> CallGraph<'a> {
             .min_by_key(|&n| self.key(n))
     }
 
-    /// Builds the graph over every file. Files may arrive in any order;
-    /// the result is the same graph regardless.
+    /// Builds the graph over every non-test fn, with the strict rules
+    /// above. Files may arrive in any order; the result is the same
+    /// graph regardless.
     pub fn build(files: &'a [ParsedFile]) -> Self {
-        Self::build_filtered(files, |_| true)
+        Self::build_filtered(files, |_, f| !f.is_test, false)
     }
 
-    /// Builds the graph over the files `include` accepts — excluded
-    /// files contribute no nodes (and therefore no call targets), but
-    /// stay addressable for diagnostics.
-    pub fn build_filtered(files: &'a [ParsedFile], include: impl Fn(&ParsedFile) -> bool) -> Self {
+    /// Builds the graph over the fns `include` accepts — excluded fns
+    /// contribute no nodes (and therefore no call targets), but their
+    /// files stay addressable for diagnostics.
+    ///
+    /// `lenient` widens resolution for a rule that must not miss a
+    /// caller: a path named as a value (`.map(Type::name)`) is an edge,
+    /// and a call no strict rule resolves (a re-exported `gen::path`, a
+    /// turbofish `Type::<T>::new`, a generic `T::name`) resolves to every
+    /// fn of its name.
+    pub fn build_filtered(
+        files: &'a [ParsedFile],
+        include: impl Fn(&ParsedFile, &FnItem) -> bool,
+        lenient: bool,
+    ) -> Self {
         let mut graph = CallGraph {
             files,
             nodes: Vec::new(),
             edges: Vec::new(),
         };
         for (fi, file) in files.iter().enumerate() {
-            if !include(file) {
-                continue;
-            }
             for (xi, f) in file.fns.iter().enumerate() {
-                if !f.is_test {
+                if include(file, f) {
                     graph.nodes.push(Node { file: fi, f: xi });
                 }
             }
@@ -104,9 +114,13 @@ impl<'a> CallGraph<'a> {
             let caller = &files[node.file].fns[node.f];
             let mut out: Vec<usize> = Vec::new();
             for call in calls_in(&files[node.file], node.f) {
+                if call.by_value && !lenient {
+                    continue;
+                }
                 let Some(bucket) = by_name.get(call.name.as_str()) else {
                     continue;
                 };
+                let resolved = out.len();
                 for &v in bucket {
                     let cand = graph.nodes[v];
                     let callee = &files[cand.file].fns[cand.f];
@@ -128,6 +142,9 @@ impl<'a> CallGraph<'a> {
                     if hit {
                         out.push(v);
                     }
+                }
+                if lenient && out.len() == resolved {
+                    out.extend(bucket);
                 }
             }
             out.sort_by_key(|&n| graph.key(n));

@@ -31,8 +31,11 @@ pub struct FnItem {
     /// Token-index range of the body, **exclusive** of the outer braces.
     pub body: (usize, usize),
     /// Whether the fn sits in a `#[cfg(test)]`/`#[test]` region (or a
-    /// test-class file) — excluded from the call graph entirely.
+    /// test-class file) — excluded from the serving call graph.
     pub is_test: bool,
+    /// Whether the fn is declared plain `pub` (`pub(crate)` and other
+    /// restricted visibilities are not; trait impl fns never are).
+    pub is_pub: bool,
 }
 
 impl FnItem {
@@ -87,6 +90,9 @@ pub struct CallSite {
     pub qualifier: Option<String>,
     /// `true` for `.name(...)` method syntax.
     pub method: bool,
+    /// `true` for a path named as a value rather than called
+    /// (`.map(Type::name)`); only U1 follows these.
+    pub by_value: bool,
     pub line: usize,
 }
 
@@ -163,8 +169,15 @@ fn file_module_stem(path: &str) -> Option<String> {
 enum Pending {
     Mod(String),
     Impl(String),
-    Fn { name: String, line: usize },
-    Enum { name: String, line: usize },
+    Fn {
+        name: String,
+        line: usize,
+        is_pub: bool,
+    },
+    Enum {
+        name: String,
+        line: usize,
+    },
 }
 
 /// One open brace on the scope stack.
@@ -215,7 +228,8 @@ pub fn parse_items(
                     }
                 }
             }
-            TokKind::Ident if t.text == "impl" => {
+            // `impl Trait` in a fn signature is a type, not a block.
+            TokKind::Ident if t.text == "impl" && !matches!(pending, Some(Pending::Fn { .. })) => {
                 // Scan to the body `{`, remembering the last type-path
                 // ident at angle-depth 0; `for` resets it (trait impls
                 // name the target after `for`).
@@ -250,6 +264,7 @@ pub fn parse_items(
                     pending = Some(Pending::Fn {
                         name: name.text.clone(),
                         line: t.line,
+                        is_pub: declared_pub(&tokens, i),
                     });
                 }
             }
@@ -276,7 +291,7 @@ pub fn parse_items(
                         impl_stack.push(target);
                         Scope::Impl
                     }
-                    Some(Pending::Fn { name, line }) => {
+                    Some(Pending::Fn { name, line, is_pub }) => {
                         let idx = fns.len();
                         fns.push(FnItem {
                             name,
@@ -285,6 +300,7 @@ pub fn parse_items(
                             line,
                             body: (i + 1, i + 1), // end patched at `}`
                             is_test: class.is_test || in_test.get(i).copied().unwrap_or(false),
+                            is_pub,
                         });
                         fn_stack.push(idx);
                         Scope::Fn(idx)
@@ -336,6 +352,23 @@ pub fn parse_items(
         enums,
         owner,
     }
+}
+
+/// Whether the `fn` keyword at `fn_idx` is declared plain `pub`: the
+/// token before its qualifiers (`const`, `unsafe`, `async`, `extern`;
+/// an ABI string is already stripped) is `pub`, not `pub(…)`'s `)`.
+fn declared_pub(tokens: &[Token], fn_idx: usize) -> bool {
+    let mut j = fn_idx;
+    while let Some(prev) = j.checked_sub(1).map(|p| &tokens[p]) {
+        if !["const", "unsafe", "async", "extern"]
+            .iter()
+            .any(|&q| prev.is_ident(q))
+        {
+            return prev.is_ident("pub");
+        }
+        j -= 1;
+    }
+    false
 }
 
 /// Fills `item.variants` from the enum body that just closed at token
@@ -393,7 +426,16 @@ pub fn calls_in(file: &ParsedFile, fn_idx: usize) -> Vec<CallSite> {
         if t.kind != TokKind::Ident || NOT_CALLS.iter().any(|&k| t.text == k) {
             continue;
         }
-        if !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
+        let next = toks.get(i + 1);
+        let path = i >= 3
+            && toks[i - 1].is_punct(':')
+            && toks[i - 2].is_punct(':')
+            && toks[i - 3].kind == TokKind::Ident;
+        // `Qual :: name` followed by `)` or `,` names the fn as a value
+        // (`.map(Type::name)`); anything else not followed by `(` is no
+        // call.
+        let by_value = path && next.is_some_and(|n| n.is_punct(')') || n.is_punct(','));
+        if !by_value && !next.is_some_and(|n| n.is_punct('(')) {
             continue;
         }
         // `name!(…)` macros are not calls (panic macros are collected
@@ -407,24 +449,18 @@ pub fn calls_in(file: &ParsedFile, fn_idx: usize) -> Vec<CallSite> {
                 name: t.text.clone(),
                 qualifier: None,
                 method: true,
+                by_value: false,
                 line: t.line,
             });
             continue;
         }
-        // `Qual :: name (` — capture the last path segment.
-        let qualifier = if i >= 3
-            && toks[i - 1].is_punct(':')
-            && toks[i - 2].is_punct(':')
-            && toks[i - 3].kind == TokKind::Ident
-        {
-            Some(toks[i - 3].text.clone())
-        } else {
-            None
-        };
+        // `Qual :: name` — capture the last path segment.
+        let qualifier = path.then(|| toks[i - 3].text.clone());
         out.push(CallSite {
             name: t.text.clone(),
             qualifier,
             method: false,
+            by_value,
             line: t.line,
         });
     }

@@ -27,6 +27,10 @@
 //!   `lock()` and no blocking op while a `MutexGuard` binding is live.
 //! * **Q1** — dispatch parity: every `Query` variant handled by name in
 //!   `run_query`, `weight`, and `affinity`.
+//! * **U1** — no unreached `pub fn`: every free or inherent `pub fn` of
+//!   the library crates has a caller in another file that a root (a
+//!   serving entry, the harness `main`, a test, example or perfbench fn)
+//!   reaches.
 //!
 //! Suppression requires a reason:
 //! `// rmo-lint: allow(RULE) — reason` on the offending line or the one
@@ -54,7 +58,8 @@ pub fn classify(path: &str) -> FileClass {
         || path.contains("/benches/")
         || path.contains("/examples/")
         || path.starts_with("tests/")
-        || path.starts_with("examples/");
+        || path.starts_with("examples/")
+        || path.starts_with("perfbench/");
     let library = path.starts_with("crates/") && path.contains("/src/") && !is_test;
     let deterministic = path.starts_with("crates/congest/src/")
         || path.starts_with("crates/core/src/")
@@ -111,18 +116,20 @@ pub struct ScanReport {
     pub p1: Vec<Finding>,
     /// Files scanned (workspace-relative), for reporting.
     pub files: usize,
-    /// Every scanned file, parsed for the call-graph passes.
+    /// Every scanned file, parsed for the call-graph passes, plus the
+    /// `perfbench/src` files U1 reads for roots.
     pub parsed: Vec<items::ParsedFile>,
 }
 
 /// Walks the workspace at `root` and lints every source file: all of
 /// `crates/` (minus `crates/lint/fixtures/`, which exists to violate
 /// the rules) plus the root `src/`, `tests/`, and `examples/` trees.
-/// `vendor/` and `target/` are never scanned — vendored stubs are not
-/// ours to fix.
+/// `perfbench/src` is parsed for U1's roots but never linted: the
+/// benchmark is its own workspace. `vendor/` and `target/` are never
+/// scanned — vendored stubs are not ours to fix.
 pub fn scan_workspace(root: &Path) -> Result<ScanReport, String> {
     let mut files: Vec<PathBuf> = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
+    for top in ["crates", "src", "tests", "examples", "perfbench/src"] {
         collect_rs(&root.join(top), &mut files)?;
     }
     files.sort();
@@ -137,6 +144,10 @@ pub fn scan_workspace(root: &Path) -> Result<ScanReport, String> {
             continue;
         }
         let source = fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
+        if rel.starts_with("perfbench/") {
+            report.parsed.push(parse_source(&rel, &source));
+            continue;
+        }
         report.files += 1;
         for finding in lint_source(&rel, &source) {
             if finding.rule == "P1" {
@@ -215,7 +226,7 @@ pub fn r1_counts<'a>(
 /// GitHub-annotation output all render from the same data.
 #[derive(Debug, Default)]
 pub struct CheckReport {
-    /// Hard findings (token-local rules, L2, Q1, E1) plus — when an
+    /// Hard findings (token-local rules, L2, Q1, U1, E1) plus — when an
     /// `[r1]` pin drifts — the R1 findings of the drifted keys, chains
     /// included, so the offending paths are visible without re-running.
     pub findings: Vec<Finding>,
@@ -282,6 +293,12 @@ pub fn check(root: &Path) -> Result<CheckReport, String> {
     // Q1 — dispatch parity (hard findings; a missing enum/handler is a
     // wiring failure, not a silently-skipped rule).
     match reach::dispatch_parity(&report.parsed, "Query", reach::DISPATCH_HANDLERS) {
+        Ok(findings) => out.findings.extend(findings),
+        Err(e) => out.failures.push(e),
+    }
+
+    // U1 — unreached `pub fn`s (hard findings, held at zero).
+    match reach::unreached_pub_fns(&report.parsed, reach::SERVING_ENTRIES) {
         Ok(findings) => out.findings.extend(findings),
         Err(e) => out.failures.push(e),
     }

@@ -13,12 +13,20 @@
 //!   so a future workload PR cannot ship a partially-wired variant
 //!   behind a wildcard arm. Wildcards intentionally do not count.
 //!
-//! Both honor `// rmo-lint: allow(R1|Q1) — reason` on the reported line
-//! or the line above, like every other rule.
+//! * **U1 unreached `pub fn`** — every free or inherent `pub fn` of the
+//!   five library crates must be called (or named as a value) by a
+//!   reached fn in *another* file. Roots are the serving entries, the
+//!   harness `main`, every fn of a test, example or `perfbench/src`
+//!   file, and every fn allowed with a reason. In-file `#[cfg(test)]`
+//!   fns are not roots: a `pub fn` only its unit tests call is dead.
+//!
+//! All three honor `// rmo-lint: allow(R1|Q1|U1) — reason` on the
+//! reported line or the line above, like every other rule; an allowed
+//! U1 fn is also a root.
 
 use crate::callgraph::CallGraph;
 use crate::items::{panic_sites_in, ParsedFile};
-use crate::rules::{apply_allows, Finding};
+use crate::rules::{allow_directive, apply_allows, Finding};
 
 /// The serving entry points R1 walks from, as display quals. A missing
 /// entry is a hard error, not a silently-empty analysis: if a refactor
@@ -44,12 +52,11 @@ pub const SERVING_ENTRIES: &[&str] = &[
 /// defines the `Query` enum.
 pub const DISPATCH_HANDLERS: &[&str] = &["run_query", "weight", "affinity"];
 
-/// Whether a file can link into a serving process at all. The lint
-/// tool is its own binary — `rmo-lint` is never a dependency of the
-/// serving crates — and its generic method names (`build`, `find`,
-/// `chain`) would otherwise collide into the conservative graph as
-/// phantom serve-path callees.
-fn serving_linkable(file: &ParsedFile) -> bool {
+/// Whether a file can link the library crates at all. The lint tool is
+/// its own binary — `rmo-lint` is never a dependency of the library —
+/// and its generic method names (`build`, `find`, `chain`) would
+/// otherwise collide into the conservative graph as phantom callees.
+fn links_library(file: &ParsedFile) -> bool {
     !file.path.starts_with("crates/lint/")
 }
 
@@ -57,19 +64,9 @@ fn serving_linkable(file: &ParsedFile) -> bool {
 /// Returns findings sorted by (file, line, message); `Err` if any entry
 /// resolves to no workspace fn.
 pub fn panic_reachability(files: &[ParsedFile], entries: &[&str]) -> Result<Vec<Finding>, String> {
-    let graph = CallGraph::build_filtered(files, serving_linkable);
-    let mut roots = Vec::new();
-    for &entry in entries {
-        match graph.find(entry) {
-            Some(n) => roots.push(n),
-            None => {
-                return Err(format!(
-                    "R1 entry point `{entry}` resolves to no workspace fn — \
-                     update SERVING_ENTRIES in crates/lint/src/reach.rs if it moved"
-                ))
-            }
-        }
-    }
+    let graph =
+        CallGraph::build_filtered(files, |file, f| links_library(file) && !f.is_test, false);
+    let roots = resolve_entries(&graph, entries, "R1")?;
     let parents = graph.reach(&roots);
     let mut raw = Vec::new();
     for n in 0..graph.nodes.len() {
@@ -92,6 +89,85 @@ pub fn panic_reachability(files: &[ParsedFile], entries: &[&str]) -> Result<Vec<
                 chain: chain.clone(),
             });
         }
+    }
+    Ok(filter_allows_by_file(raw, files))
+}
+
+/// Resolves `entries` (display quals) to graph nodes; `Err` names the
+/// first one that resolves to no workspace fn.
+fn resolve_entries(
+    graph: &CallGraph<'_>,
+    entries: &[&str],
+    rule: &str,
+) -> Result<Vec<usize>, String> {
+    entries
+        .iter()
+        .map(|&entry| {
+            graph.find(entry).ok_or_else(|| {
+                format!(
+                    "{rule} entry point `{entry}` resolves to no workspace fn — \
+                     update SERVING_ENTRIES in crates/lint/src/reach.rs if it moved"
+                )
+            })
+        })
+        .collect()
+}
+
+/// U1: the free and inherent `pub fn`s of the library crates
+/// (`crates/{graph,congest,shortcut,core,apps}/src`) that no reached fn
+/// in another file calls, each finding saying what to do. `entries` are
+/// the serving entries (display quals; `Err` if one resolves to no fn);
+/// the other roots come from the corpus.
+pub fn unreached_pub_fns(files: &[ParsedFile], entries: &[&str]) -> Result<Vec<Finding>, String> {
+    // Every fn of a test-class file (tests, examples, perfbench) is a
+    // node and a root; elsewhere `#[cfg(test)]` fns stay out.
+    let graph = CallGraph::build_filtered(
+        files,
+        |file, f| links_library(file) && (file.class.is_test || !f.is_test),
+        true,
+    );
+    let entries = resolve_entries(&graph, entries, "U1")?;
+    let item = |n: usize| {
+        let node = graph.nodes[n];
+        (&files[node.file], &files[node.file].fns[node.f])
+    };
+    let mut roots = entries.clone();
+    roots.extend((0..graph.nodes.len()).filter(|&n| {
+        let (file, f) = item(n);
+        file.class.is_test
+            || (file.path == "crates/harness/src/main.rs" && f.name == "main")
+            || allow_directive(&file.lines, f.line, "U1") == Some(true)
+    }));
+    let parents = graph.reach(&roots);
+    // Per fn: [a reached caller in its own file, one in another file].
+    let mut callers = vec![[false; 2]; graph.nodes.len()];
+    for (u, out) in graph.edges.iter().enumerate() {
+        for &v in out.iter().filter(|_| parents[u].is_some()) {
+            callers[v][usize::from(graph.nodes[u].file != graph.nodes[v].file)] = true;
+        }
+    }
+    let mut raw = Vec::new();
+    for (n, &[same, cross]) in callers.iter().enumerate() {
+        let (file, f) = item(n);
+        let in_scope = file.class.library && !file.path.starts_with("crates/harness/");
+        if cross || !in_scope || f.is_test || !f.is_pub || entries.contains(&n) {
+            continue;
+        }
+        let verdict = if same {
+            "only same-file callers: make it private"
+        } else {
+            "no caller: delete it"
+        };
+        raw.push(Finding {
+            rule: "U1",
+            file: file.path.clone(),
+            line: f.line,
+            message: format!(
+                "`pub fn {}` is called from no root or reached fn in another file — {verdict}",
+                f.qual()
+            ),
+            chain: Vec::new(),
+        });
     }
     Ok(filter_allows_by_file(raw, files))
 }

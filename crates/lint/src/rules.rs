@@ -9,9 +9,10 @@
 //! | `P1` | `unwrap()`/`expect()` in non-test library code (ratcheted, see [`crate::ratchet`]) |
 //! | `L2` | no second `lock()` and no blocking op while a `MutexGuard` binding is live (lock-discipline modules) |
 //!
-//! The interprocedural families `R1` (panic reachability) and `Q1`
-//! (dispatch parity) live in [`crate::reach`]; they share [`Finding`]
-//! and the allow-directive machinery here.
+//! The interprocedural families `R1` (panic reachability), `Q1`
+//! (dispatch parity) and `U1` (unreached `pub fn`s) live in
+//! [`crate::reach`]; they share [`Finding`] and the allow-directive
+//! machinery here.
 //!
 //! Suppression: `// rmo-lint: allow(RULE) — reason` on the finding's
 //! line or the line above. The reason is required; an allow without one
@@ -22,7 +23,7 @@ use crate::tokenizer::{TokKind, Token};
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`D1`, `D2`, `D3`, `C1`, `P1`, `L2`, `R1`, `Q1`, or `E1`
+    /// Rule id (`D1`, `D2`, `D3`, `C1`, `P1`, `L2`, `R1`, `Q1`, `U1`, or `E1`
     /// for a reason-less allow directive).
     pub rule: &'static str,
     /// Workspace-relative path.
@@ -661,9 +662,7 @@ fn push_unique(names: &mut Vec<String>, name: &str) {
 pub(crate) fn apply_allows(raw: Vec<Finding>, lines: &[&str]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in raw {
-        let direct = directive_on(lines, f.line, f.rule);
-        let above = directive_on(lines, f.line.wrapping_sub(1), f.rule);
-        match direct.or(above) {
+        match allow_directive(lines, f.line, f.rule) {
             Some(true) => {} // allowed, with reason
             Some(false) => out.push(Finding {
                 rule: "E1",
@@ -681,11 +680,15 @@ pub(crate) fn apply_allows(raw: Vec<Finding>, lines: &[&str]) -> Vec<Finding> {
     out
 }
 
-/// Whether 1-based `line` carries an allow directive for `rule`:
-/// `Some(true)` with a reason, `Some(false)` without, `None` if no
-/// directive for this rule is present.
-fn directive_on(lines: &[&str], line: usize, rule: &str) -> Option<bool> {
-    let text = lines.get(line.checked_sub(1)?)?;
+/// Whether 1-based `line` or the line above carries an allow directive
+/// for `rule`: `Some(true)` with a reason, `Some(false)` without, `None`
+/// if neither does.
+pub(crate) fn allow_directive(lines: &[impl AsRef<str>], line: usize, rule: &str) -> Option<bool> {
+    directive_on(lines, line, rule).or(directive_on(lines, line.wrapping_sub(1), rule))
+}
+
+fn directive_on(lines: &[impl AsRef<str>], line: usize, rule: &str) -> Option<bool> {
+    let text = lines.get(line.checked_sub(1)?)?.as_ref();
     let start = text.find("rmo-lint: allow(")?;
     let rest = &text[start + "rmo-lint: allow(".len()..];
     let close = rest.find(')')?;

@@ -1,4 +1,4 @@
-//! The interprocedural fixture corpus: R1 and Q1 fire on their
+//! The interprocedural fixture corpus: R1, Q1 and U1 fire on their
 //! known-bad snippets, stay quiet on the checked rewrites, honor
 //! reasoned `allow(...)` directives — and the whole analysis renders
 //! byte-identically regardless of file-walk order or re-runs.
@@ -137,6 +137,76 @@ impl Query {
         findings.is_empty(),
         "one reasoned directive covers both handler findings on that variant: {findings:#?}"
     );
+}
+
+/// A U1 fixture at `path` plus inline caller files, as one corpus.
+fn u1_corpus(path: &str, fixture: &str, callers: &[(&str, &str)]) -> Vec<ParsedFile> {
+    let mut files = vec![parse_source(path, fixture)];
+    files.extend(callers.iter().map(|(p, src)| parse_source(p, src)));
+    files
+}
+
+#[test]
+fn u1_fire_reports_unreached_and_same_file_only_pub_fns() {
+    let test = "#[test]\nfn api() { rmo_graph::fire::Widget.api(|x| x); }";
+    let fixture = include_str!("../fixtures/u1_fire.rs");
+    let files = u1_corpus(
+        "crates/graph/src/fire.rs",
+        fixture,
+        &[("crates/graph/tests/w.rs", test)],
+    );
+    let findings = reach::unreached_pub_fns(&files, &[]).unwrap();
+    let got: Vec<String> = findings
+        .iter()
+        .map(|f| format!("{}:{}", f.line, f.message))
+        .collect();
+    assert_eq!(got.len(), 3, "{got:#?}");
+    assert!(
+        got[0].starts_with("10:`pub fn Widget::orphan`")
+            && got[0].ends_with("no caller: delete it")
+    );
+    assert!(got[1].starts_with("13:`pub fn fire::helper`") && got[1].ends_with("make it private"));
+    assert!(got[2].starts_with("14:`pub fn fire::tested_only`") && got[2].ends_with("delete it"));
+}
+
+#[test]
+fn u1_quiet_when_a_root_or_reached_fn_calls_from_another_file() {
+    let callers = [
+        ("tests/t.rs", "#[test]\nfn t() { from_test(); rmo_apps::mid::relay(&[1]); }"),
+        ("examples/demo.rs", "fn main() { rmo_core::quiet::from_example(); }"),
+        ("crates/harness/src/main.rs", "fn main() { quiet::from_harness(); }"),
+        ("perfbench/src/main.rs", "fn main() { from_perfbench(); }"),
+        ("crates/apps/src/dispatch.rs", "pub fn run_query() -> u64 { from_serving() }"),
+        (
+            "crates/apps/src/mid.rs",
+            "pub fn relay(xs: &[u64]) -> Vec<u64> {\n    Meter::chained();\n    xs.iter().copied().map(Meter::by_value).collect()\n}",
+        ),
+    ];
+    let fixture = include_str!("../fixtures/u1_quiet.rs");
+    let files = u1_corpus("crates/core/src/quiet.rs", fixture, &callers);
+    let findings = reach::unreached_pub_fns(&files, &["dispatch::run_query"]).unwrap();
+    assert!(findings.is_empty(), "{findings:#?}");
+    // Without the serving entry as a root, it and `from_serving` are dead.
+    let findings = reach::unreached_pub_fns(&files, &[]).unwrap();
+    let got: Vec<&str> = findings.iter().map(|f| f.file.as_str()).collect();
+    assert_eq!(
+        got,
+        ["crates/apps/src/dispatch.rs", "crates/core/src/quiet.rs"]
+    );
+    let err = reach::unreached_pub_fns(&files, &["PaCluster::serve"]).unwrap_err();
+    assert!(err.contains("PaCluster::serve"), "{err}");
+}
+
+#[test]
+fn u1_allow_exempts_and_roots_a_fn_but_needs_a_reason() {
+    let fixture = include_str!("../fixtures/u1_allow.rs");
+    let other = ("crates/shortcut/src/other.rs", "pub fn leaf() -> u64 { 1 }");
+    let files = u1_corpus("crates/shortcut/src/allow.rs", fixture, &[other]);
+    // `ledger` is allowed and, as a root, reaches `leaf` in another
+    // file; `bare`'s directive has no reason.
+    let findings = reach::unreached_pub_fns(&files, &[]).unwrap();
+    let got: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(got, [("E1", 11)], "{findings:#?}");
 }
 
 /// The mixed corpus both stability tests run over: a serve path with

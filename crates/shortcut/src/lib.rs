@@ -25,6 +25,12 @@
 //! * [`alg8`] — the deterministic construction on general trees via
 //!   heavy-path decomposition (Algorithm 8, Lemma 6.7).
 //!
+//! The constructions take explicit budgets. The Section 1.3 doubling
+//! trick that finds them lives in one place, the engine's pipeline
+//! (`rmo_core::pipeline::build_artifacts`); `PaEngine::pipeline_for`
+//! returns the shortcut it settles on, which is what Table 1 and the
+//! `shortcut_explorer` example report.
+//!
 //! # Example
 //!
 //! ```rust
@@ -41,19 +47,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod alg7;
 pub mod alg8;
-pub mod analysis;
 pub mod corefast;
 pub mod model;
 pub mod quality;
 pub mod trivial;
 
-pub use adaptive::{estimate_parameters, ParameterEstimate};
 pub use alg7::{construct_on_path, PathConstructionResult};
 pub use alg8::{construct_deterministic, DetConstructionResult};
-pub use analysis::{profile, ShortcutProfile};
 pub use corefast::{construct_randomized, RandConstructionResult};
 pub use model::{Block, Shortcut, ShortcutError};
 pub use quality::{measure, Quality};

@@ -237,9 +237,12 @@ impl Shortcut {
     }
 
     /// Merges another edge set into part `i` (used by iterated
-    /// constructions that accumulate claims over rounds).
+    /// constructions that accumulate claims over rounds). A part id
+    /// outside the shortcut takes nothing.
     pub fn extend_part(&mut self, part: usize, edges: impl IntoIterator<Item = EdgeId>) {
-        let set = &mut self.assignments[part];
+        let Some(set) = self.assignments.get_mut(part) else {
+            return;
+        };
         set.extend(edges);
         set.sort_unstable();
         set.dedup();

@@ -51,7 +51,7 @@ pub fn measure(g: &Graph, tree: &RootedTree, parts: &Partition, sc: &Shortcut) -
 }
 
 /// Diameter of the "augmented part" `(Pᵢ ∪ V(Hᵢ), E[Pᵢ] ∪ Hᵢ)` of part `p`.
-pub fn part_dilation(g: &Graph, parts: &Partition, sc: &Shortcut, p: usize) -> usize {
+fn part_dilation(g: &Graph, parts: &Partition, sc: &Shortcut, p: usize) -> usize {
     // Build the augmented node set and adjacency.
     let mut nodes: Vec<NodeId> = parts.members(p).to_vec();
     for &e in sc.edges_of(p) {

@@ -1,62 +1,43 @@
-//! Explore tree-restricted shortcuts interactively: construct them with
-//! the Section 1.3 doubling trick on several graph families and print
-//! their quality profiles (congestion histogram, blocks per part).
+//! Explore the tree-restricted shortcuts the engine builds: on several
+//! graph families, run the pipeline's partition stages
+//! (`PaEngine::pipeline_for`) and print what Algorithm 1 will run on.
 //!
 //! ```text
 //! cargo run --example shortcut_explorer
 //! ```
 //!
-//! This is the "what does a shortcut actually look like on my network?"
-//! tour — the diagnostics a systems person wants before trusting the
-//! asymptotics.
+//! Per family: the elected BFS tree's depth, the terminal-block budget
+//! and the measured congestion of the Algorithm 8 shortcut the Section
+//! 1.3 doubling loop settled on, how many parts need no shortcut at all
+//! (direct parts), and the trivial `(1, √n)` fallback on the same tree
+//! for comparison — the "what does a shortcut actually look like on my
+//! network?" tour.
 
-use rmo::graph::{bfs_tree, gen, Partition};
-use rmo::shortcut::adaptive::estimate_parameters;
-use rmo::shortcut::{profile, quality, trivial::trivial_shortcut};
+use rmo::core::{EngineConfig, PaEngine};
+use rmo::graph::{gen, Graph, Partition};
+use rmo::shortcut::{quality, trivial::trivial_shortcut};
 
-fn explore(name: &str, g: &rmo::graph::Graph, parts: &Partition) {
-    let (tree, _) = bfs_tree(g, 0);
-    let terminals: Vec<Vec<usize>> = parts
-        .part_ids()
-        .map(|p| {
-            let m = parts.members(p);
-            if m.len() == 1 {
-                vec![m[0]]
-            } else {
-                vec![m[0], m[m.len() - 1]]
-            }
-        })
-        .collect();
+fn explore(name: &str, g: &Graph, parts: &Partition) {
+    let mut engine = PaEngine::new(g, EngineConfig::new());
+    let (block_budget, shortcut) = {
+        let artifacts = engine.pipeline_for(parts).expect("valid partition");
+        (artifacts.block_budget, artifacts.shortcut.clone())
+    };
+    let tree = engine.tree();
     println!(
         "\n=== {name}: n = {}, m = {}, depth(T) = {}",
         g.n(),
         g.m(),
         tree.depth()
     );
-
-    let est = estimate_parameters(g, &tree, parts, &terminals)
-        .expect("doubling terminates on valid instances");
+    let q = quality::measure(g, tree, parts, &shortcut);
+    let direct = parts.part_ids().filter(|&p| shortcut.is_direct(p)).count();
     println!(
-        "doubling stopped at budget {} -> realized (b, c) = ({}, {}) after {} sweeps",
-        est.budget, est.block_parameter, est.congestion, est.total_iterations
+        "engine shortcut: block budget {block_budget}, congestion {}, {direct} of {} parts direct",
+        q.congestion,
+        parts.num_parts()
     );
-    let p = profile(g, &tree, parts, &est.shortcut);
-    println!(
-        "profile: {} direct parts, {} total edge assignments, mean congestion {:.2}",
-        p.direct_parts,
-        p.total_assignments,
-        p.mean_congestion()
-    );
-    print!("congestion histogram (edges used by c parts): ");
-    for (c, &count) in p.congestion_histogram.iter().enumerate() {
-        if count > 0 {
-            print!("{c}:{count} ");
-        }
-    }
-    println!();
-
-    let triv = trivial_shortcut(g, &tree, parts);
-    let qt = quality::measure(g, &tree, parts, &triv);
+    let qt = quality::measure(g, tree, parts, &trivial_shortcut(g, tree, parts));
     println!(
         "trivial fallback for comparison: (b, c) = ({}, {})",
         qt.block_parameter, qt.congestion

@@ -111,8 +111,8 @@ fn sssp_upper_bounds_and_bounded_stretch() {
     for g in cases {
         let truth = reference::dijkstra(&g, 0);
         let res = approx_sssp(&mut fresh(&g), 0, &SsspConfig::default()).expect("solves");
-        for v in 0..g.n() {
-            assert!(res.estimates[v] >= truth[v], "estimates are path lengths");
+        for (v, &t) in truth.iter().enumerate() {
+            assert!(res.estimates[v] >= t, "estimates are path lengths");
         }
         let max_stretch = (0..g.n())
             .filter(|&v| truth[v] > 0)

@@ -1,7 +1,7 @@
 //! The workspace determinism gate: `rmo-lint` must pass on the whole
 //! tree — token-local rules, the P1 ratchet, and the interprocedural
 //! serving-path rules (R1 panic-reachability pins, Q1 dispatch parity,
-//! L2 lock discipline). This runs in the default `cargo test`, so
+//! L2 lock discipline) and U1, no unreached library `pub fn`. This runs in the default `cargo test`, so
 //! tier-1 catches a determinism regression even before the dedicated
 //! CI job does.
 

@@ -5,7 +5,7 @@ use rmo::core::baseline::naive_block_pa;
 use rmo::core::solve::broadcast_wave_outcome;
 use rmo::core::subparts_random::random_division;
 use rmo::core::{solve_on, Aggregate, PaInstance, PaSetup, SubPartDivision, Variant};
-use rmo::graph::{bfs_tree, gen, Graph, Partition};
+use rmo::graph::{bfs_tree, gen, num::ceil_log2, Graph, Partition};
 use rmo::shortcut::alg7::construct_on_path;
 use rmo::shortcut::trivial::trivial_shortcut_with_threshold;
 use rmo::shortcut::{quality, Shortcut};
@@ -70,7 +70,7 @@ fn figure2_separation_at_depth_32() {
         ours_total
     );
     // And the naive cost really is Ω(nD)-scale.
-    assert!(naive.cost.messages as usize >= g.n() * depth);
+    assert!(naive.cost.messages >= (g.n() * depth) as u64);
 }
 
 /// Figure 4: a 3-block part is covered in exactly 3 wave iterations.
@@ -120,7 +120,7 @@ fn figure5_lemma_6_6_envelope() {
         let edges: Vec<usize> = (0..len - 1).collect();
         let requests: Vec<Vec<usize>> = (0..len).map(|p| vec![p]).collect();
         let res = construct_on_path(&nodes, &edges, &requests, c);
-        let log_d = (len as f64).log2().ceil() as usize;
+        let log_d = ceil_log2(len);
         assert!(res.cost.rounds <= c * log_d + len, "rounds");
         assert!(res.max_edge_load <= 2 * c * log_d, "edge load");
         assert!(!res.reached_top.is_empty(), "someone survives to the top");

@@ -8,7 +8,7 @@ use rmo::congest::router::{TreeRouter, UpcastJob};
 use rmo::core::star_join::star_joining;
 use rmo::core::subparts_det::deterministic_division;
 use rmo::core::subparts_random::random_division;
-use rmo::graph::{bfs_tree, gen, Partition};
+use rmo::graph::{bfs_tree, gen, num::ceil_log2, Partition};
 use rmo::shortcut::alg7::construct_on_path;
 use rmo::shortcut::alg8::{construct_deterministic, DetParams};
 use rmo::shortcut::quality;
@@ -28,13 +28,13 @@ proptest! {
         let mut requests: Vec<Vec<usize>> = vec![Vec::new(); len];
         let mut part = 0usize;
         for (i, r) in requests.iter_mut().enumerate() {
-            if (i as u64).wrapping_mul(seed | 1) % density as u64 == 0 {
+            if (i as u64).wrapping_mul(seed | 1).is_multiple_of(density as u64) {
                 r.push(part);
                 part += 1;
             }
         }
         let res = construct_on_path(&nodes, &edges, &requests, c);
-        let log_d = (len as f64).log2().ceil() as usize + 1;
+        let log_d = ceil_log2(len) + 1;
         prop_assert!(res.max_edge_load <= 2 * c * log_d,
             "load {} > 2c logD {}", res.max_edge_load, 2 * c * log_d);
         prop_assert!(res.cost.rounds <= 2 * (c * log_d + len),
@@ -70,7 +70,7 @@ proptest! {
             DetParams::new(budget, budget, parts.num_parts()),
         );
         let q = quality::measure(&g, &tree, &parts, &res.shortcut);
-        let log_d = ((tree.depth().max(2)) as f64).log2().ceil() as usize + 1;
+        let log_d = ceil_log2(tree.depth().max(2)) + 1;
         prop_assert!(
             q.congestion <= 2 * budget * log_d * res.iterations.max(1) + res.iterations,
             "congestion {} breaks the Lemma 6.7 envelope", q.congestion
@@ -84,7 +84,8 @@ proptest! {
     ) {
         let out: Vec<Option<usize>> = (0..n)
             .map(|i| {
-                let mut t = ((i as u64).wrapping_mul(seed | 1).wrapping_add(seed) % n as u64) as usize;
+                let mut t = usize::try_from((i as u64).wrapping_mul(seed | 1).wrapping_add(seed) % n as u64)
+                    .expect("below n");
                 if t == i { t = (t + 1) % n; }
                 Some(t)
             })
@@ -149,7 +150,7 @@ proptest! {
         let router = TreeRouter::new(&tree);
         let jobs: Vec<UpcastJob> = (0..jobs_n)
             .map(|j| {
-                let src = 1 + ((j as u64 * 7 + seed) % (len as u64 - 1)) as usize;
+                let src = 1 + usize::try_from((j as u64 * 7 + seed) % (len as u64 - 1)).expect("below len");
                 UpcastJob { subtree: j, root: 0, sources: vec![(src, j as u64 + 1)] }
             })
             .collect();

@@ -3,7 +3,7 @@
 //! polylog envelopes of the stated bounds.
 
 use rmo::core::{Aggregate, EngineConfig, PaEngine, PaResult};
-use rmo::graph::{gen, two_sweep_diameter_lower_bound, Partition};
+use rmo::graph::{gen, num::isqrt, two_sweep_diameter_lower_bound, Partition};
 
 /// One PA solve (`min` over values `0..n`) on a fresh engine: the full
 /// pipeline, setup included.
@@ -58,7 +58,7 @@ fn bounds_on_grids() {
 fn bounds_on_random_graphs() {
     for (n, m) in [(64usize, 200usize), (144, 500)] {
         let g = gen::random_connected(n, m, 3);
-        let parts = gen::random_connected_partition(&g, (n as f64).sqrt() as usize, 5);
+        let parts = gen::random_connected_partition(&g, isqrt(n), 5);
         check_theorem_1_2(&g, parts);
     }
 }
