@@ -600,7 +600,7 @@ mod tests {
                 for v in 0..n {
                     assert!(
                         res.estimates[v]
-                            >= rmo_graph::bfs_distances(&g, v)
+                            >= rmo_graph::bfs_distances(&g, &[v])
                                 .into_iter()
                                 .max()
                                 .unwrap_or(0),

@@ -13,11 +13,15 @@
 //! `k` of a dominator, so the farthest dominator under-shoots the true
 //! eccentricity by at most `k` and over-shoots it never.
 //!
-//! with every BFS costed at `O(D)` rounds / `O(m)` messages and `|S|`
-//! BFS waves pipelined over the k-dominating set.
+//! The cost charges `|S|` BFS waves, one per dominator, each at `2m`
+//! messages, pipelined over the BFS tree in `max depth + |S|` rounds.
+//! The waves' answer, `max_{s∈S} d(v, s)` for every `v`, comes from one
+//! bit-parallel sweep ([`farthest_source_distances`]) that advances 64
+//! waves per pass over the edges; the deepest wave's depth is the largest
+//! of those distances.
 
 use rmo_congest::CostReport;
-use rmo_graph::{bfs_distances, NodeId};
+use rmo_graph::{farthest_source_distances, NodeId};
 
 use crate::kdom::k_dominating_set;
 use rmo_core::PaEngine;
@@ -48,21 +52,16 @@ pub fn approx_eccentricities(engine: &mut PaEngine<'_>, k: usize) -> Eccentricit
     assert!(k > 0, "k must be positive");
     let g = engine.graph();
     let kd = k_dominating_set(engine, k);
-    let mut cost = kd.cost;
     // BFS from every dominator: |S| waves, pipelined over the BFS tree —
     // rounds O(D + |S|), messages O(|S| * m); we charge each BFS's
-    // messages exactly and the pipelined round bound.
-    let mut max_to_set = vec![0usize; g.n()];
-    let mut max_depth = 0usize;
-    for &s in &kd.set {
-        let dist = bfs_distances(g, s);
-        max_depth = max_depth.max(dist.iter().copied().max().expect("non-empty"));
-        for (v, d) in dist.into_iter().enumerate() {
-            max_to_set[v] = max_to_set[v].max(d);
-        }
-        cost += CostReport::new(0, 2 * g.m() as u64);
-    }
-    cost += CostReport::new(max_depth + kd.set.len(), 0);
+    // messages exactly and the pipelined round bound. A wave's depth is
+    // its source's farthest node, so the deepest wave is the largest
+    // farthest-dominator distance.
+    let max_to_set = farthest_source_distances(g, &kd.set);
+    let max_depth = max_to_set.iter().copied().max().unwrap_or(0);
+    let cost = kd.cost
+        + CostReport::new(0, 2 * g.m() as u64).repeated(kd.set.len())
+        + CostReport::new(max_depth + kd.set.len(), 0);
     // Saturating: `usize::MAX` still over-estimates by at most `k`.
     let estimates: Vec<usize> = max_to_set.iter().map(|&d| d.saturating_add(k)).collect();
     let radius_estimate = estimates.iter().copied().min().unwrap_or(0);
@@ -84,7 +83,7 @@ mod tests {
 
     /// The true eccentricity of `v` in a connected graph.
     fn eccentricity(g: &Graph, v: usize) -> usize {
-        bfs_distances(g, v).into_iter().max().unwrap_or(0)
+        bfs_distances(g, &[v]).into_iter().max().unwrap_or(0)
     }
 
     fn ecc(g: &Graph, k: usize) -> EccentricityResult {

@@ -9,7 +9,7 @@
 //! of Lemma 6.4 with `D = k/6` gives `4k/6 < k`).
 
 use rmo_congest::CostReport;
-use rmo_graph::{bfs_distances, Graph, NodeId};
+use rmo_graph::{bfs_distances, NodeId};
 
 use rmo_core::PaEngine;
 
@@ -42,8 +42,9 @@ pub fn k_dominating_set(engine: &mut PaEngine<'_>, k: usize) -> KDomResult {
         .collect();
     // The distributed algorithm reaches its representative along the
     // sub-part tree; graph distance is at most that tree distance, so the
-    // multi-source eccentricity is the honest upper-bound check.
-    let max_distance = multi_source_ecc(g, &set);
+    // farthest any node is from its nearest representative (one BFS
+    // seeded with the whole set) is the honest upper-bound check.
+    let max_distance = bfs_distances(g, &set).into_iter().max().unwrap_or(0);
     let cost = division_cost + CostReport::new(2, 2 * g.n() as u64);
     KDomResult {
         set,
@@ -52,24 +53,11 @@ pub fn k_dominating_set(engine: &mut PaEngine<'_>, k: usize) -> KDomResult {
     }
 }
 
-/// Max distance from any node to the nearest node of `sources`.
-fn multi_source_ecc(g: &Graph, sources: &[NodeId]) -> usize {
-    let mut best = vec![usize::MAX; g.n()];
-    for &s in sources {
-        for (v, d) in bfs_distances(g, s).into_iter().enumerate() {
-            if d < best[v] {
-                best[v] = d;
-            }
-        }
-    }
-    best.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rmo_core::EngineConfig;
-    use rmo_graph::gen;
+    use rmo_graph::{gen, Graph};
 
     fn kdom(g: &Graph, k: usize) -> KDomResult {
         k_dominating_set(&mut PaEngine::new(g, EngineConfig::new()), k)

@@ -154,7 +154,7 @@ mod tests {
         let g = gen::grid(5, 7);
         let net = Network::new(&g, 11);
         let (_, dist, _) = run_bfs(&g, &net, 3).unwrap();
-        assert_eq!(dist, bfs_distances(&g, 3));
+        assert_eq!(dist, bfs_distances(&g, &[3]));
     }
 
     #[test]

@@ -238,9 +238,7 @@ impl<'a> RoundCtx<'a> {
 /// messages, or flip `wants_round` in that situation. (All in-tree
 /// programs satisfy this; the dense [`crate::reference`] loop, which
 /// still calls every node every round, is differentially tested against
-/// the frontier-driven engine to pin the equivalence.) `wants_round`
-/// may change outside `on_round` only through
-/// [`Simulator::program_mut`], which re-registers the node.
+/// the frontier-driven engine to pin the equivalence.)
 pub trait NodeProgram {
     /// Handles one round: read `ctx.inbox()`, update state, send messages.
     fn on_round(&mut self, ctx: &mut RoundCtx<'_>);
@@ -313,9 +311,6 @@ pub struct Simulator<'n, P> {
     /// Scratch: want-list insertions/removals discovered this round.
     want_added: Vec<NodeId>,
     want_removed: Vec<NodeId>,
-    /// Nodes handed out via [`Simulator::program_mut`]; re-queried at
-    /// the next step (or quiescence check).
-    dirty: Vec<NodeId>,
 
     // --- Opt-in tracing.
     trace: bool,
@@ -372,7 +367,6 @@ impl<'n, P: NodeProgram> Simulator<'n, P> {
             active: Vec::new(),
             want_added: Vec::new(),
             want_removed: Vec::new(),
-            dirty: Vec::new(),
             trace: false,
             history: Vec::new(),
             poisoned: None,
@@ -399,43 +393,14 @@ impl<'n, P: NodeProgram> Simulator<'n, P> {
         &self.programs[v]
     }
 
-    /// Mutable access to node `v`'s program (for injecting inputs).
-    /// The node's `wants_round` is re-queried before the next round, so
-    /// input injection can wake an otherwise idle node.
-    // rmo-lint: allow(U1) — the input-injection hook `NodeProgram`'s contract names; `program_mut_wakes_idle_nodes` pins its re-registration.
-    pub fn program_mut(&mut self, v: NodeId) -> &mut P {
-        self.dirty.push(v);
-        &mut self.programs[v]
-    }
-
     /// Whether the network is quiescent: nothing in flight and no node
-    /// wanting a round. `O(active)` — only registered/dirty nodes are
-    /// queried.
+    /// wanting a round. `O(active)` — only registered nodes are queried.
     pub fn is_quiescent(&self) -> bool {
         self.inbox_nodes.is_empty()
             && !self
                 .want_list
                 .iter()
-                .chain(&self.dirty)
                 .any(|&v| self.programs[v].wants_round())
-    }
-
-    /// Re-queries `wants_round` for nodes mutated via
-    /// [`Simulator::program_mut`] and folds them into the want list.
-    fn reconcile_dirty(&mut self) {
-        while let Some(v) = self.dirty.pop() {
-            let w = self.programs[v].wants_round();
-            if w != self.wants[v] {
-                self.wants[v] = w;
-                match self.want_list.binary_search(&v) {
-                    Ok(i) if !w => {
-                        self.want_list.remove(i);
-                    }
-                    Err(i) if w => self.want_list.insert(i, v),
-                    _ => {}
-                }
-            }
-        }
     }
 
     /// Builds this round's schedule: `inbox_nodes ∪ want_list`,
@@ -546,7 +511,6 @@ impl<'n, P: NodeProgram> Simulator<'n, P> {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        self.reconcile_dirty();
         let any_inbox = !self.inbox_nodes.is_empty();
         let any_wants = !self.want_list.is_empty();
         if !any_inbox && !any_wants {
@@ -854,20 +818,6 @@ mod tests {
             sim.run_until_quiescent(1).unwrap_err(),
             SimError::RoundLimit { limit: 1 }
         );
-    }
-
-    #[test]
-    fn program_mut_wakes_idle_nodes() {
-        // All nodes idle; injecting state through program_mut must
-        // re-register the node with the active-set scheduler.
-        let g = gen::path(3);
-        let net = Network::new(&g, 0);
-        let mut sim = Simulator::new(&net, |_| FloodOnce { fired: true });
-        let rep = sim.run_until_quiescent(10).unwrap();
-        assert_eq!(rep.messages, 0, "everyone starts quiet");
-        sim.program_mut(1).fired = false;
-        let rep = sim.run_until_quiescent(10).unwrap();
-        assert_eq!(rep.messages, 2, "woken node floods both ports");
     }
 
     #[test]

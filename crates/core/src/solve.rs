@@ -275,13 +275,30 @@ impl DeliveryRecord {
     /// aggregate into its informer's, so a node is folded only after all
     /// the nodes it informed. Afterwards each leader's slot holds the
     /// fold of its whole delivery tree.
+    ///
+    /// `agg` is matched once, outside the loop, and each arm runs the
+    /// loop with its variant fixed, so the per-node step is the bare
+    /// operation. The warm solve's speed then does not hang on whether
+    /// the optimizer unswitches a per-node match, a choice that under
+    /// LTO can change with unrelated code.
     fn convergecast(&self, agg: Aggregate, acc: &mut [u64]) {
+        match agg {
+            Aggregate::Min => self.fold_up(acc, |a, b| Aggregate::Min.apply(a, b)),
+            Aggregate::Max => self.fold_up(acc, |a, b| Aggregate::Max.apply(a, b)),
+            Aggregate::Sum => self.fold_up(acc, |a, b| Aggregate::Sum.apply(a, b)),
+            Aggregate::Xor => self.fold_up(acc, |a, b| Aggregate::Xor.apply(a, b)),
+            Aggregate::Or => self.fold_up(acc, |a, b| Aggregate::Or.apply(a, b)),
+        }
+    }
+
+    /// [`DeliveryRecord::convergecast`] with the fold `f`.
+    fn fold_up(&self, acc: &mut [u64], f: impl Fn(u64, u64) -> u64) {
         for &v in self.order.iter().rev() {
             let (Some(u), Some(&x)) = (self.informer(v), acc.get(v)) else {
                 continue;
             };
             if let Some(slot) = acc.get_mut(u) {
-                *slot = agg.apply(*slot, x);
+                *slot = f(*slot, x);
             }
         }
     }

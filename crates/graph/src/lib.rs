@@ -44,7 +44,10 @@ pub mod reference;
 pub mod tree;
 
 pub use crate::graph::{EdgeId, Graph, GraphBuilder, GraphError, NodeId};
-pub use bfs::{bfs_distances, bfs_tree, diameter_exact, two_sweep_diameter_lower_bound};
+pub use bfs::{
+    bfs_distances, bfs_tree, diameter_exact, farthest_source_distances,
+    two_sweep_diameter_lower_bound,
+};
 pub use biconnectivity::{biconnected_components, is_two_edge_connected, Biconnectivity};
 pub use dsu::DisjointSets;
 pub use partition::{Partition, PartitionError};

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use rmo_graph::{
-    bfs_distances, bfs_tree, biconnected_components, gen, reference, DisjointSets,
-    HeavyPathDecomposition, Partition,
+    bfs_distances, bfs_tree, biconnected_components, farthest_source_distances, gen, reference,
+    DisjointSets, HeavyPathDecomposition, Partition,
 };
 
 proptest! {
@@ -155,6 +155,30 @@ proptest! {
     }
 
     #[test]
+    fn multi_source_kernels_equal_the_per_source_fold(
+        n in 1usize..140,
+        extra in 0usize..160,
+        seed in 0u64..1000,
+        stride in 1usize..200,
+    ) {
+        let m = (n - 1 + extra).min(n * (n - 1) / 2);
+        let g = gen::random_connected(n, m, seed);
+        let single: Vec<Vec<usize>> = (0..n).map(|s| bfs_distances(&g, &[s])).collect();
+        // Around the 64-source batch boundary, and every node. The stride
+        // wraps modulo n, so the larger sets repeat nodes.
+        for count in [0, 1, 63, 64, 65, n] {
+            let sources: Vec<usize> = (0..count).map(|i| (i * stride) % n).collect();
+            let nearest = bfs_distances(&g, &sources);
+            let farthest = farthest_source_distances(&g, &sources);
+            for v in 0..n {
+                let over = || sources.iter().map(|&s| single[s][v]);
+                prop_assert_eq!(nearest[v], over().min().unwrap_or(usize::MAX));
+                prop_assert_eq!(farthest[v], over().max().unwrap_or(0));
+            }
+        }
+    }
+
+    #[test]
     fn two_sweep_lower_bounds_distances(
         n in 2usize..50,
         extra in 0usize..60,
@@ -165,7 +189,7 @@ proptest! {
         let lb = rmo_graph::two_sweep_diameter_lower_bound(&g, 0);
         // It really is a lower bound on some true distance.
         let max_from_any: usize = (0..n)
-            .map(|v| *bfs_distances(&g, v).iter().max().unwrap())
+            .map(|v| *bfs_distances(&g, &[v]).iter().max().unwrap())
             .max()
             .unwrap();
         prop_assert!(lb <= max_from_any);

@@ -7,8 +7,9 @@
 //! `PaCluster` batch, and the three scheduling setups of `serve --hot`
 //! (`cluster/hot_*`, timed on the calling thread: `serve_sequential`,
 //! or `serve_replay` of the home placement for `cluster/hot_pinned`;
-//! the threaded executor's wall time is not gated). Each entry reports
-//! wall time plus exact round/message counts.
+//! the threaded executor's wall time is not gated), and one `run_query`
+//! entry per [`Query`] kind (`dispatch/*`). Each entry reports wall time
+//! plus exact round/message counts.
 //!
 //! Every fixture is built once; the suite then runs in [`PASSES`]
 //! interleaved passes of [`PASS_BUDGET`] per entry (see [`measure`]).
@@ -21,8 +22,10 @@
 //! runs. `--check-baseline <path>` gates the run against the file's last
 //! block ([`check_baseline`]) and exits non-zero on failure.
 
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
+use rmo_apps::dispatch::{run_query, Query, VerifyCheck};
 use rmo_apps::service::{mixed_workload, GraphId, PaCluster};
 use rmo_congest::programs::bfs::run_bfs;
 use rmo_congest::programs::broadcast::run_tree_broadcast;
@@ -33,7 +36,7 @@ use rmo_congest::{CostReport, DowncastJob, Network, TreeRouter, UpcastJob};
 use rmo_core::subparts_det::deterministic_division;
 use rmo_core::{Aggregate, EngineConfig, PaEngine};
 use rmo_graph::gen;
-use rmo_graph::NodeId;
+use rmo_graph::{EdgeId, Graph, NodeId};
 use rmo_shortcut::alg8::{construct_deterministic, DetParams};
 
 use super::serve::{home_plan, HotFleet, Modeled};
@@ -169,6 +172,53 @@ fn measure(benches: &mut [Bench]) -> Vec<Entry> {
     entries
 }
 
+/// One query of every kind, in `perfbench`'s `KINDS` order, with its
+/// entry name. The inputs follow `stream_zipf`'s: a 16-part partition,
+/// a 60% edge subset, `k = 6` (the larger set of its `k ∈ {6, 10}`) and
+/// one min-cut trial; the CDS node weights are `mixed_workload`'s.
+fn dispatch_queries(g: &Graph) -> [(&'static str, Query); 9] {
+    let assignment = gen::random_connected_partition(g, 16, 7)
+        .assignment()
+        .to_vec();
+    let h_edges: Vec<EdgeId> = (0..g.m())
+        .filter(|&e| (e as u64).wrapping_mul(2654435761) % 10 < 6)
+        .collect();
+    [
+        (
+            "dispatch/pa",
+            Query::Pa {
+                assignment,
+                values: (0..g.n() as u64).collect(),
+                agg: Aggregate::Min,
+            },
+        ),
+        (
+            "dispatch/components",
+            Query::Components {
+                h_edges: h_edges.clone(),
+            },
+        ),
+        (
+            "dispatch/verify",
+            Query::Verify {
+                check: VerifyCheck::Bipartite,
+                h_edges,
+            },
+        ),
+        ("dispatch/kdom", Query::Kdom { k: 6 }),
+        ("dispatch/eccentricity", Query::Eccentricity { k: 6 }),
+        ("dispatch/mst", Query::Mst),
+        ("dispatch/sssp", Query::Sssp { source: 0 }),
+        ("dispatch/mincut", Query::MinCut { trials: 1 }),
+        (
+            "dispatch/cds",
+            Query::Cds {
+                node_weights: (0..g.n() as u64).map(|v| 1 + (v * 7) % 13).collect(),
+            },
+        ),
+    ]
+}
+
 /// The fixed suite. `quick` halves the input scale, not the shape.
 fn run_suite(quick: bool) -> Vec<Entry> {
     // --- Primitives: the synchronous round loop, frontier-shaped. ---
@@ -275,6 +325,22 @@ fn run_suite(quick: bool) -> Vec<Entry> {
     let serve_scale = if quick { 6 } else { 10 };
     let serve_count = if quick { 48 } else { 160 };
     let hot = HotFleet::new(quick);
+
+    // --- `run_query` dispatch: one warmed engine over a fixed weighted
+    // 12×12 grid (`stream_zipf`'s most popular graph). Its cache holds
+    // every kind's artifacts and division memos, so no entry evicts
+    // another's and each sample times the steady state. Same size in
+    // both modes. ---
+    let dispatch_graph = gen::grid_weighted(12, 12, 5);
+    let dispatch = dispatch_queries(&dispatch_graph);
+    let dispatch_engine = RefCell::new(PaEngine::new(
+        &dispatch_graph,
+        EngineConfig::new().cache_capacity(64),
+    ));
+    for (name, query) in &dispatch {
+        let served = run_query(&mut dispatch_engine.borrow_mut(), query).is_ok();
+        assert!(served, "{name}: the fixed query failed");
+    }
 
     let mut benches = vec![
         primitive(
@@ -419,6 +485,12 @@ fn run_suite(quick: bool) -> Vec<Entry> {
             }),
             reference: None,
         });
+    }
+    for (name, query) in &dispatch {
+        let engine = &dispatch_engine;
+        benches.push(bench(name, move || {
+            run_query(&mut engine.borrow_mut(), query).cost()
+        }));
     }
     measure(&mut benches)
 }

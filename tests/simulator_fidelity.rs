@@ -26,7 +26,7 @@ proptest! {
         let net = Network::new(&g, seed);
         let root = root_pick % n;
         let (tree, dist, cost) = run_bfs(&g, &net, root).expect("terminates");
-        prop_assert_eq!(&dist, &bfs_distances(&g, root));
+        prop_assert_eq!(&dist, &bfs_distances(&g, &[root]));
         prop_assert_eq!(tree.root(), root);
         // Exactly two announcements per edge.
         prop_assert_eq!(cost.messages, 2 * g.m() as u64);
@@ -93,6 +93,6 @@ fn bfs_on_every_special_topology() {
     for g in cases {
         let net = Network::new(&g, 3);
         let (_, dist, _) = run_bfs(&g, &net, 0).expect("terminates");
-        assert_eq!(dist, bfs_distances(&g, 0));
+        assert_eq!(dist, bfs_distances(&g, &[0]));
     }
 }

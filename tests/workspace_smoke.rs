@@ -16,8 +16,9 @@
 //! * `rmo-harness perf --quick --json` emits a well-formed `rmo-perf/3`
 //!   JSON document covering the whole workload suite (primitives with
 //!   their dense-reference speedups, table2 PA, the isolated pipeline
-//!   stages, serve, the hot-graph cluster rows), so the perf
-//!   trajectory's machine-readable format can't silently rot.
+//!   stages, serve, the hot-graph cluster rows, one `run_query` row
+//!   per query kind), so the perf trajectory's machine-readable format
+//!   can't silently rot.
 //!
 //! These shell out to the same `cargo` that is running the test suite
 //! (Cargo releases the build-directory lock before executing test
@@ -186,6 +187,15 @@ fn harness_quick_perf_emits_valid_json() {
         "cluster/hot_pinned",
         "cluster/hot_balanced",
         "cluster/hot_replicas",
+        "dispatch/pa",
+        "dispatch/components",
+        "dispatch/verify",
+        "dispatch/kdom",
+        "dispatch/eccentricity",
+        "dispatch/mst",
+        "dispatch/sssp",
+        "dispatch/mincut",
+        "dispatch/cds",
     ] {
         assert!(
             json.contains(&format!("\"name\": \"{name}\"")),
