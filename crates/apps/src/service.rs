@@ -503,7 +503,7 @@ impl GroupHistory {
 
     /// Mean observed work per query, if the window still holds traffic.
     fn mean_work(&self) -> Option<u64> {
-        (self.queries > 0).then(|| (self.work / self.queries).max(1))
+        self.work.checked_div(self.queries).map(|mean| mean.max(1))
     }
 
     /// Whether the window has fully decayed (entry should be dropped).

@@ -14,7 +14,7 @@
 /// # Example
 /// ```rust
 /// use rmo_congest::Payload;
-/// let m = Payload::new(3, 42, 7, 0);
+/// let m = Payload { tag: 3, a: 42, b: 7, c: 0 };
 /// assert_eq!(m.tag, 3);
 /// assert_eq!(m.a, 42);
 /// let probe = Payload::tag_only(9);
@@ -33,11 +33,6 @@ pub struct Payload {
 }
 
 impl Payload {
-    /// A payload with all fields given.
-    pub fn new(tag: u16, a: u64, b: u64, c: u64) -> Payload {
-        Payload { tag, a, b, c }
-    }
-
     /// A payload carrying only its tag (probe / ack style messages).
     pub fn tag_only(tag: u16) -> Payload {
         Payload {
@@ -60,8 +55,10 @@ mod tests {
 
     #[test]
     fn constructors() {
-        assert_eq!(Payload::tag_only(1), Payload::new(1, 0, 0, 0));
-        assert_eq!(Payload::one(2, 5), Payload::new(2, 5, 0, 0));
+        let p = Payload::one(2, 5);
+        assert_eq!((p.tag, p.a, p.b, p.c), (2, 5, 0, 0));
+        let p = Payload::tag_only(1);
+        assert_eq!((p.tag, p.a, p.b, p.c), (1, 0, 0, 0));
     }
 
     #[test]

@@ -115,11 +115,6 @@ pub struct UpcastBatch {
 }
 
 impl UpcastBatch {
-    /// An empty batch.
-    pub fn new() -> UpcastBatch {
-        UpcastBatch::default()
-    }
-
     /// Empties the batch, keeping its capacity.
     pub fn clear(&mut self) {
         self.subtree.clear();
@@ -172,11 +167,6 @@ pub struct DowncastBatch {
 }
 
 impl DowncastBatch {
-    /// An empty batch.
-    pub fn new() -> DowncastBatch {
-        DowncastBatch::default()
-    }
-
     /// Empties the batch, keeping its capacity.
     pub fn clear(&mut self) {
         self.subtree.clear();
@@ -334,11 +324,6 @@ pub struct RouterScratch {
 }
 
 impl RouterScratch {
-    /// A fresh scratch; arenas grow on first use and are recycled after.
-    pub fn new() -> RouterScratch {
-        RouterScratch::default()
-    }
-
     /// Grows the per-node table to cover `n` nodes (allocation happens
     /// only when `n` exceeds every previously seen tree size).
     fn ensure_nodes(&mut self, n: usize) {
@@ -453,14 +438,14 @@ impl<'t> TreeRouter<'t> {
     /// # Panics
     /// Panics if two jobs give one subtree conflicting roots.
     pub fn upcast(&self, jobs: &[UpcastJob], merge: impl FnMut(u64, u64) -> u64) -> UpcastResult {
-        let mut batch = UpcastBatch::new();
+        let mut batch = UpcastBatch::default();
         for job in jobs {
             batch.begin_job(job.subtree, job.root);
             for &(src, val) in &job.sources {
                 batch.push_source(src, val);
             }
         }
-        let mut scratch = RouterScratch::new();
+        let mut scratch = RouterScratch::default();
         let cost = self.upcast_batch(&batch, &mut scratch, merge);
         let aggregates = std::mem::take(&mut scratch.aggregates);
         UpcastResult {
@@ -717,14 +702,14 @@ impl<'t> TreeRouter<'t> {
     /// Convenience wrapper over [`TreeRouter::downcast_batch`] with a
     /// per-call scratch, materializing the per-node `received` lists.
     pub fn downcast(&self, jobs: &[DowncastJob]) -> DowncastResult {
-        let mut batch = DowncastBatch::new();
+        let mut batch = DowncastBatch::default();
         for job in jobs {
             batch.begin_job(job.subtree, job.root, job.value);
             for &d in &job.destinations {
                 batch.push_destination(d);
             }
         }
-        let mut scratch = RouterScratch::new();
+        let mut scratch = RouterScratch::default();
         let cost = self.downcast_batch(&batch, &mut scratch);
         let mut received: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.tree.n()];
         for &(v, subtree, val) in &scratch.received {
@@ -1338,9 +1323,9 @@ mod tests {
         // clearing, define emptiness.
         let t_big = path_tree(20);
         let t_small = path_tree(7);
-        let mut scratch = RouterScratch::new();
-        let mut up = UpcastBatch::new();
-        let mut down = DowncastBatch::new();
+        let mut scratch = RouterScratch::default();
+        let mut up = UpcastBatch::default();
+        let mut down = DowncastBatch::default();
         for round_trip in 0..3 {
             for (t, n) in [(&t_big, 20usize), (&t_small, 7usize)] {
                 let router = TreeRouter::new(t);

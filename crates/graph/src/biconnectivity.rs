@@ -23,99 +23,130 @@ pub struct Biconnectivity {
     pub num_components: usize,
 }
 
+/// One node's DFS state: discovery time, lowpoint, and the tree edge it
+/// was discovered through (`UNSEEN` for a DFS root or an unvisited node).
+#[derive(Clone, Copy)]
+struct Visit {
+    disc: usize,
+    low: usize,
+    parent_edge: EdgeId,
+}
+
+const UNSEEN: usize = usize::MAX;
+
 /// Computes articulation points, bridges and biconnected components.
 ///
 /// Works on any graph (connected or not); isolated vertices belong to no
-/// component.
+/// component. One DFS step reads one adjacency entry, so the whole pass
+/// is `O(n + m)`, even on a star.
 pub fn biconnected_components(g: &Graph) -> Biconnectivity {
     let n = g.n();
-    let mut disc = vec![usize::MAX; n];
-    let mut low = vec![usize::MAX; n];
-    let mut parent_edge = vec![usize::MAX; n];
+    let unseen = Visit {
+        disc: UNSEEN,
+        low: UNSEEN,
+        parent_edge: UNSEEN,
+    };
+    let mut visit = vec![unseen; n];
     let mut is_articulation = vec![false; n];
     let mut bridges = Vec::new();
     let mut component_of_edge = vec![usize::MAX; g.m()];
     let mut num_components = 0usize;
     let mut timer = 0usize;
     let mut edge_stack: Vec<EdgeId> = Vec::new();
+    // Iterative DFS: (node, index of its next adjacency entry).
+    let mut stack: Vec<(NodeId, usize)> = Vec::new();
 
     for start in 0..n {
-        if disc[start] != usize::MAX || g.degree(start) == 0 {
-            continue;
+        match visit.get_mut(start) {
+            Some(s) if s.disc == UNSEEN && g.degree(start) > 0 => {
+                s.disc = timer;
+                s.low = timer;
+            }
+            _ => continue,
         }
-        // Iterative DFS: stack of (node, iterator index into adjacency).
-        let mut stack: Vec<(NodeId, usize)> = vec![(start, 0)];
-        disc[start] = timer;
-        low[start] = timer;
         timer += 1;
         let mut root_children = 0usize;
-        while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
-            let neighbors: Vec<(NodeId, EdgeId)> = g.neighbors(v).collect();
-            if *idx < neighbors.len() {
-                let (u, e) = neighbors[*idx];
-                *idx += 1;
-                if e == parent_edge[v] {
-                    continue;
-                }
-                if disc[u] == usize::MAX {
-                    // Tree edge.
-                    if v == start {
-                        root_children += 1;
-                    }
-                    parent_edge[u] = e;
-                    disc[u] = timer;
-                    low[u] = timer;
-                    timer += 1;
-                    edge_stack.push(e);
-                    stack.push((u, 0));
-                } else if disc[u] < disc[v] {
-                    // Back edge.
-                    edge_stack.push(e);
-                    low[v] = low[v].min(disc[u]);
-                }
-            } else {
+        stack.push((start, 0));
+        while let Some((v, idx)) = stack.last_mut() {
+            let v = *v;
+            let next = g.neighbors(v).nth(*idx);
+            *idx += 1;
+            let Some(&cur) = visit.get(v) else {
                 stack.pop();
-                if let Some(&mut (p, _)) = stack.last_mut() {
-                    low[p] = low[p].min(low[v]);
-                    let pe = parent_edge[v];
-                    if low[v] >= disc[p] {
-                        // p is an articulation point (checked for root
-                        // separately below); pop one biconnected component.
-                        if p != start || root_children > 1 || low[v] > disc[p] {
-                            // root handled after loop; mark non-root cuts
+                continue;
+            };
+            let Some((u, e)) = next else {
+                // `v` is finished: fold its lowpoint into its parent's.
+                stack.pop();
+                let Some(&(p, _)) = stack.last() else {
+                    continue;
+                };
+                let Some(parent) = visit.get_mut(p) else {
+                    continue;
+                };
+                parent.low = parent.low.min(cur.low);
+                if cur.low >= parent.disc {
+                    // The tree edge into `v` closes one biconnected
+                    // component, and `p` separates it (the root is
+                    // decided by its child count below).
+                    if let Some(cut) = is_articulation.get_mut(p).filter(|_| p != start) {
+                        *cut = true;
+                    }
+                    while let Some(top) = edge_stack.pop() {
+                        if let Some(c) = component_of_edge.get_mut(top) {
+                            *c = num_components;
                         }
-                        if p != start {
-                            is_articulation[p] = true;
-                        }
-                        let cid = num_components;
-                        num_components += 1;
-                        while let Some(&top) = edge_stack.last() {
-                            edge_stack.pop();
-                            component_of_edge[top] = cid;
-                            if top == pe {
-                                break;
-                            }
+                        if top == cur.parent_edge {
+                            break;
                         }
                     }
-                    if low[v] > disc[p] {
-                        bridges.push(pe);
-                    }
+                    num_components += 1;
+                }
+                if cur.low > parent.disc {
+                    bridges.push(cur.parent_edge);
+                }
+                continue;
+            };
+            if e == cur.parent_edge {
+                continue;
+            }
+            let Some(w) = visit.get_mut(u) else {
+                continue;
+            };
+            if w.disc == UNSEEN {
+                // Tree edge.
+                if v == start {
+                    root_children += 1;
+                }
+                *w = Visit {
+                    disc: timer,
+                    low: timer,
+                    parent_edge: e,
+                };
+                timer += 1;
+                edge_stack.push(e);
+                stack.push((u, 0));
+            } else if w.disc < cur.disc {
+                // Back edge.
+                let back = w.disc;
+                edge_stack.push(e);
+                if let Some(s) = visit.get_mut(v) {
+                    s.low = s.low.min(back);
                 }
             }
         }
-        if root_children > 1 {
-            is_articulation[start] = true;
+        if let Some(cut) = is_articulation.get_mut(start).filter(|_| root_children > 1) {
+            *cut = true;
         }
-        // Any leftover edges (shouldn't remain, but be safe).
-        if !edge_stack.is_empty() {
-            let cid = num_components;
-            num_components += 1;
-            for e in edge_stack.drain(..) {
-                component_of_edge[e] = cid;
-            }
-        }
+        // Every child of the root closes a component (nothing below the
+        // root reaches above it), so no edge is left for the next tree.
+        debug_assert!(edge_stack.is_empty());
     }
-    let articulation_points: Vec<NodeId> = (0..n).filter(|&v| is_articulation[v]).collect();
+    let articulation_points: Vec<NodeId> = is_articulation
+        .iter()
+        .enumerate()
+        .filter_map(|(v, &cut)| cut.then_some(v))
+        .collect();
     bridges.sort_unstable();
     Biconnectivity {
         articulation_points,
@@ -193,6 +224,24 @@ mod tests {
         let b = biconnected_components(&g);
         assert_eq!(b.articulation_points, vec![0]);
         assert_eq!(b.bridges.len(), 5);
+    }
+
+    #[test]
+    fn large_star_is_linear_not_quadratic() {
+        // One DFS step reads one adjacency entry: collecting the centre's
+        // whole list per step made this take over a minute in debug.
+        let n = 100_000;
+        let g = gen::star(n);
+        let started = std::time::Instant::now();
+        assert!(!is_two_edge_connected(&g));
+        let b = biconnected_components(&g);
+        let elapsed = started.elapsed();
+        assert_eq!(b.bridges.len(), n - 1);
+        assert_eq!(b.articulation_points, vec![0]);
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "a {n}-node star took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -553,6 +553,11 @@ fn parse_entries(text: &str) -> Vec<(String, f64, usize, u64)> {
 ///   host-speed phase, which would otherwise land on whichever entries
 ///   happened to be running; taking the median over passes drops the
 ///   passes a burst of host noise hit.
+///
+/// Both verdicts end with the host factor: the median over passes of
+/// each pass's median ratio, i.e. how fast the host ran against the one
+/// that captured the block. Memory-bound entries
+/// (`primitives/pipeline_path`) score high when it is low.
 fn check_baseline(entries: &[Entry], baseline: &str) -> Result<String, String> {
     let block = baseline
         .rfind("\"entries\"")
@@ -578,16 +583,19 @@ fn check_baseline(entries: &[Entry], baseline: &str) -> Result<String, String> {
         return Err("the baseline's last block has no entries".into());
     }
     let mut normalized = vec![Vec::with_capacity(PASSES); gated.len()];
+    let mut pass_medians = Vec::with_capacity(PASSES);
     for pass in 0..PASSES {
         let ratios: Vec<f64> = gated
             .iter()
             .map(|(e, base)| e.pass_ms[pass] / base)
             .collect();
         let pass_median = median(&ratios);
+        pass_medians.push(pass_median);
         for (values, ratio) in normalized.iter_mut().zip(&ratios) {
             values.push(ratio / pass_median);
         }
     }
+    let host = format!("host at {:.2}× the block", median(&pass_medians));
     let mut scores: Vec<(&str, f64)> = gated
         .iter()
         .zip(&normalized)
@@ -602,14 +610,14 @@ fn check_baseline(entries: &[Entry], baseline: &str) -> Result<String, String> {
     if !failed.is_empty() {
         return Err(format!(
             "score above {THRESHOLD} (pass-normalized median ratio to the \
-             baseline over {PASSES} passes): {}",
+             baseline over {PASSES} passes): {}; {host}",
             failed.join(", ")
         ));
     }
     let (worst, max) = scores.first().copied().unwrap_or(("-", f64::NAN));
     Ok(format!(
         "{} entries: counts bit-identical, every score at most {THRESHOLD} \
-         over {PASSES} passes (highest {max:.3}, `{worst}`)",
+         over {PASSES} passes (highest {max:.3}, `{worst}`); {host}",
         scores.len()
     ))
 }
@@ -799,15 +807,19 @@ mod tests {
         // Unchanged; every entry ×0.7; every entry ×1.4; every entry
         // ×1.4 in half the passes (a host-speed phase).
         let phase = |_: usize, p: usize| if p < PASSES / 2 { 1.4 } else { 1.0 };
+        // The verdict names the host factor: the median over passes of
+        // each pass's median ratio (the phase's sits between its halves).
         let runs = [
-            run(|_, _| 1.0),
-            run(|_, _| 0.7),
-            run(|_, _| 1.4),
-            run(phase),
+            (run(|_, _| 1.0), "1.00"),
+            (run(|_, _| 0.7), "0.70"),
+            (run(|_, _| 1.4), "1.40"),
+            (run(phase), "1.20"),
         ];
-        for (case, entries) in runs.iter().enumerate() {
+        for (case, (entries, host)) in runs.iter().enumerate() {
             let verdict = check_baseline(entries, &baseline());
-            assert!(verdict.is_ok(), "case {case}: {verdict:?}");
+            let host = format!("host at {host}× the block");
+            let named = verdict.as_ref().is_ok_and(|v| v.ends_with(&host));
+            assert!(named, "case {case}: {verdict:?}");
         }
     }
 

@@ -1,32 +1,48 @@
-//! Pass 2: a name-resolved-enough workspace call graph over the items
-//! recovered by [`crate::items`], plus deterministic reachability with
-//! parent chains for the diagnostics in [`crate::reach`].
+//! Pass 2: the one workspace call graph over the items recovered by
+//! [`crate::items`], plus deterministic reachability with parent chains
+//! for the diagnostics in [`crate::reach`]. R1 and U1 both walk it.
 //!
-//! Resolution is conservative over-approximation, not type inference:
+//! Resolution is by name and path, not type inference. One rule per
+//! call form:
 //!
 //! * `.name(…)` method syntax resolves to **every** workspace method
 //!   named `name` (any `impl` block). Std/vendored methods resolve to
 //!   nothing — no workspace item carries the name.
 //! * `Self::name(…)` resolves within the caller's own `impl` type.
-//! * `Type::name(…)` resolves to methods of `Type`; if `Type` names no
-//!   impl block, it is treated as a module path and resolves to free
-//!   fns in a module of that name (`dispatch::run_query`).
-//! * Bare `name(…)` resolves to every free fn named `name`.
+//! * `…::q::name(…)` resolves to the methods of an `impl q` block, and
+//!   to the free fns named `name` whose file path names `q`: the crate
+//!   (`rmo_graph`), its facade alias (`graph`, as in `rmo::graph::…`), a
+//!   directory module (`gen`), the file stem (`bfs`) or an inline `mod`.
+//!   A qualifier that names nothing in the workspace (`Vec::new`,
+//!   `OnceLock::new`, a generic `T::name`) resolves to nothing, so a
+//!   static call through a type parameter is not followed.
+//! * Bare `name(…)`, and `crate::`/`self::`/`super::name(…)`, resolve to
+//!   every free fn named `name`.
+//! * A path named as a value (`.map(Type::name)`) is an edge, resolved
+//!   like the call it stands for.
 //!
-//! Over-approximation only ever *adds* chains, so R1 stays sound-ish
-//! for its purpose: a clean report really means no workspace call path
-//! from a serving entry point reaches a panic source this analysis can
-//! see. Each rule chooses which fns enter the graph: R1 leaves test fns
-//! out, U1 keeps the test, example and benchmark files as roots.
+//! Method calls over-approximate, which only ever *adds* chains. The
+//! other blind spot is a renaming import: `use rmo_graph::bfs as walk;`
+//! then `walk::f()` resolves to nothing, since `use` trees are not read.
+//! The workspace has no `use … as` alias of a module or fn (only the
+//! facade's `pub use rmo_graph as graph`, whose alias the path rule
+//! already knows).
+//!
+//! The node set is fixed: every non-`#[cfg(test)]` fn of a file that can
+//! link the library crates, plus every fn of a test-class file (tests,
+//! examples, perfbench). Library code never calls into a test-class
+//! file — those crates link the library, not the reverse — so no edge
+//! enters one from outside, and R1's walk from a serving entry never
+//! reaches a test node. U1 takes the test-class nodes as roots.
 //!
 //! Everything is keyed and iterated by `(path, line, name)` — never by
 //! input order — so findings are byte-identical under a shuffled file
 //! walk (pinned by `tests/analysis.rs`).
 
-use crate::items::{calls_in, FnItem, ParsedFile};
+use crate::items::{calls_in, CallSite, FnItem, ParsedFile};
 
-/// One graph node: a `fn` item the build filter accepted, addressed by
-/// file and fn index.
+/// One graph node: a `fn` item of the fixed node set, addressed by file
+/// and fn index.
 #[derive(Debug, Clone, Copy)]
 pub struct Node {
     pub file: usize,
@@ -36,62 +52,111 @@ pub struct Node {
 /// The workspace call graph.
 pub struct CallGraph<'a> {
     files: &'a [ParsedFile],
+    /// Per file, the [`path_names`] a qualified call can reach it by.
+    names: Vec<Vec<String>>,
     pub nodes: Vec<Node>,
     /// Adjacency: `edges[u]` are callee node ids, stable-sorted, deduped.
     pub edges: Vec<Vec<usize>>,
 }
 
+/// Whether a file can link the library crates at all. The lint tool is
+/// its own binary — `rmo-lint` is never a dependency of the library —
+/// and its generic method names (`build`, `find`, `chain`) would
+/// otherwise collide into the graph as phantom callees.
+fn links_library(file: &ParsedFile) -> bool {
+    !file.path.starts_with("crates/lint/")
+}
+
+/// The names a qualified call can use for the module a file defines:
+/// for `crates/graph/src/gen/grid.rs` that is `rmo_graph`, `graph`,
+/// `gen` and `grid`. A library crate contributes its crate name and its
+/// facade alias (the root `src/` is the facade, `rmo`); every directory
+/// below that and the file stem (not `lib`, `main` or `mod`) add one
+/// name each.
+fn path_names(path: &str) -> Vec<String> {
+    let segments: Vec<&str> = path
+        .strip_suffix(".rs")
+        .unwrap_or(path)
+        .split('/')
+        .collect();
+    let (mut names, rest) = match segments.as_slice() {
+        ["crates", krate, "src", rest @ ..] => {
+            (vec![format!("rmo_{krate}"), krate.to_string()], rest)
+        }
+        ["crates", _, rest @ ..] => (Vec::new(), rest),
+        ["src", rest @ ..] => (vec!["rmo".to_string()], rest),
+        rest => (Vec::new(), rest),
+    };
+    names.extend(
+        rest.iter()
+            .filter(|s| !matches!(**s, "src" | "lib" | "main" | "mod"))
+            .map(|s| s.to_string()),
+    );
+    names
+}
+
 impl<'a> CallGraph<'a> {
     /// The order-independent identity of a node: where its `fn` lives.
     fn key(&self, n: usize) -> (&'a str, usize, &'a str) {
+        let (file, f) = self.item(n);
+        (file.path.as_str(), f.line, f.name.as_str())
+    }
+
+    /// The file and `fn` item behind node `n`.
+    pub(crate) fn item(&self, n: usize) -> (&'a ParsedFile, &'a FnItem) {
         let node = self.nodes[n];
-        let f = &self.files[node.file].fns[node.f];
-        (self.files[node.file].path.as_str(), f.line, f.name.as_str())
+        let file = &self.files[node.file];
+        (file, &file.fns[node.f])
     }
 
     /// Display name for chain diagnostics (`Type::fn` / `module::fn`).
     pub fn qual(&self, n: usize) -> String {
-        let node = self.nodes[n];
-        self.files[node.file].fns[node.f].qual()
+        self.item(n).1.qual()
     }
 
-    /// Resolves a display qual back to a node (used for entry points).
-    /// Ties break on the stable key.
+    /// Resolves a display qual back to a non-test node (used for entry
+    /// points). Ties break on the stable key.
     pub fn find(&self, qual: &str) -> Option<usize> {
         (0..self.nodes.len())
-            .filter(|&n| self.qual(n) == qual)
+            .filter(|&n| !self.item(n).0.class.is_test && self.qual(n) == qual)
             .min_by_key(|&n| self.key(n))
     }
 
-    /// Builds the graph over every non-test fn, with the strict rules
-    /// above. Files may arrive in any order; the result is the same
-    /// graph regardless.
-    pub fn build(files: &'a [ParsedFile]) -> Self {
-        Self::build_filtered(files, |_, f| !f.is_test, false)
+    /// Whether `call`, made from node `u`, resolves to node `v` (whose
+    /// fn already carries the called name).
+    fn resolves(&self, u: usize, call: &CallSite, v: usize) -> bool {
+        let (caller_file, caller) = self.item(u);
+        let (callee_file, callee) = self.item(v);
+        if callee_file.class.is_test && !caller_file.class.is_test {
+            return false;
+        }
+        if call.method {
+            return callee.impl_type.is_some();
+        }
+        match call.qualifier.as_deref() {
+            None | Some("crate" | "self" | "super") => callee.impl_type.is_none(),
+            Some("Self") => caller.impl_type.is_some() && callee.impl_type == caller.impl_type,
+            Some(q) if callee.impl_type.is_some() => callee.impl_type.as_deref() == Some(q),
+            Some(q) => {
+                self.names[self.nodes[v].file].iter().any(|n| n == q)
+                    || callee.modules.iter().any(|m| m == q)
+            }
+        }
     }
 
-    /// Builds the graph over the fns `include` accepts — excluded fns
-    /// contribute no nodes (and therefore no call targets), but their
-    /// files stay addressable for diagnostics.
-    ///
-    /// `lenient` widens resolution for a rule that must not miss a
-    /// caller: a path named as a value (`.map(Type::name)`) is an edge,
-    /// and a call no strict rule resolves (a re-exported `gen::path`, a
-    /// turbofish `Type::<T>::new`, a generic `T::name`) resolves to every
-    /// fn of its name.
-    pub fn build_filtered(
-        files: &'a [ParsedFile],
-        include: impl Fn(&ParsedFile, &FnItem) -> bool,
-        lenient: bool,
-    ) -> Self {
+    /// Builds the graph over the fixed node set, with the rules above.
+    /// Files may arrive in any order; the result is the same graph
+    /// regardless.
+    pub fn build(files: &'a [ParsedFile]) -> Self {
         let mut graph = CallGraph {
             files,
+            names: files.iter().map(|f| path_names(&f.path)).collect(),
             nodes: Vec::new(),
             edges: Vec::new(),
         };
         for (fi, file) in files.iter().enumerate() {
             for (xi, f) in file.fns.iter().enumerate() {
-                if include(file, f) {
+                if links_library(file) && (file.class.is_test || !f.is_test) {
                     graph.nodes.push(Node { file: fi, f: xi });
                 }
             }
@@ -100,9 +165,8 @@ impl<'a> CallGraph<'a> {
         let mut by_name: std::collections::BTreeMap<&str, Vec<usize>> =
             std::collections::BTreeMap::new();
         for n in 0..graph.nodes.len() {
-            let node = graph.nodes[n];
             by_name
-                .entry(files[node.file].fns[node.f].name.as_str())
+                .entry(graph.item(n).1.name.as_str())
                 .or_default()
                 .push(n);
         }
@@ -111,40 +175,10 @@ impl<'a> CallGraph<'a> {
         }
         for u in 0..graph.nodes.len() {
             let node = graph.nodes[u];
-            let caller = &files[node.file].fns[node.f];
             let mut out: Vec<usize> = Vec::new();
             for call in calls_in(&files[node.file], node.f) {
-                if call.by_value && !lenient {
-                    continue;
-                }
-                let Some(bucket) = by_name.get(call.name.as_str()) else {
-                    continue;
-                };
-                let resolved = out.len();
-                for &v in bucket {
-                    let cand = graph.nodes[v];
-                    let callee = &files[cand.file].fns[cand.f];
-                    let hit = if call.method {
-                        callee.impl_type.is_some()
-                    } else {
-                        match call.qualifier.as_deref() {
-                            Some("Self") => {
-                                caller.impl_type.is_some() && callee.impl_type == caller.impl_type
-                            }
-                            Some(q) => {
-                                callee.impl_type.as_deref() == Some(q)
-                                    || (callee.impl_type.is_none()
-                                        && callee.modules.last().map(|m| m.as_str()) == Some(q))
-                            }
-                            None => callee.impl_type.is_none(),
-                        }
-                    };
-                    if hit {
-                        out.push(v);
-                    }
-                }
-                if lenient && out.len() == resolved {
-                    out.extend(bucket);
+                if let Some(bucket) = by_name.get(call.name.as_str()) {
+                    out.extend(bucket.iter().filter(|&&v| graph.resolves(u, &call, v)));
                 }
             }
             out.sort_by_key(|&n| graph.key(n));

@@ -31,7 +31,8 @@ pub struct FnItem {
     /// Token-index range of the body, **exclusive** of the outer braces.
     pub body: (usize, usize),
     /// Whether the fn sits in a `#[cfg(test)]`/`#[test]` region (or a
-    /// test-class file) — excluded from the serving call graph.
+    /// test-class file). Such a fn of a library file is no call-graph
+    /// node, and no fn marked here has panic sites.
     pub is_test: bool,
     /// Whether the fn is declared plain `pub` (`pub(crate)` and other
     /// restricted visibilities are not; trait impl fns never are).
@@ -85,13 +86,15 @@ pub struct CallSite {
     /// The called name (`solve`, `run_query`).
     pub name: String,
     /// For `Path::name(...)` calls, the last path segment before the
-    /// name (`Some("PaCluster")`, `Some("Self")`); `None` for bare
-    /// calls and method calls.
+    /// name (`Some("PaCluster")`, `Some("Self")`, `Some("gen")` for
+    /// `rmo::graph::gen::grid(…)`); `None` for bare calls and method
+    /// calls.
     pub qualifier: Option<String>,
     /// `true` for `.name(...)` method syntax.
     pub method: bool,
     /// `true` for a path named as a value rather than called
-    /// (`.map(Type::name)`); only U1 follows these.
+    /// (`.map(Type::name)`). The call graph makes it an edge like the
+    /// call it stands for, so R1 and U1 both follow it.
     pub by_value: bool,
     pub line: usize,
 }

@@ -17,7 +17,10 @@
 //!
 //! Above the token-local rules sits an interprocedural layer ([`items`]
 //! → [`callgraph`] → [`reach`]) that recovers `fn`/`impl`/`mod`
-//! structure and a workspace call graph, powering:
+//! structure and one workspace call graph. A qualified call `q::f`
+//! resolves through the paths that name `f`'s file (crate, facade
+//! alias, directory, stem); a renaming `use … as` import is the known
+//! blind spot, since `use` trees are not read. The graph powers:
 //!
 //! * **R1** — panic-capable sites (panic-family macros, slice indexing,
 //!   non-literal div/mod, `unwrap`/`expect`) reachable from the serving

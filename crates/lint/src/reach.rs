@@ -1,4 +1,6 @@
-//! Pass 3: the interprocedural rule families.
+//! Pass 3: the interprocedural rule families. R1 and U1 walk the same
+//! graph, [`CallGraph::build`], with its one resolution rule per call
+//! form.
 //!
 //! * **R1 panic-reachability** — from the serving entry points, walk the
 //!   call graph and report every panic-capable site (`panic!`-family
@@ -19,6 +21,8 @@
 //!   harness `main`, every fn of a test, example or `perfbench/src`
 //!   file, and every fn allowed with a reason. In-file `#[cfg(test)]`
 //!   fns are not roots: a `pub fn` only its unit tests call is dead.
+//!   A call that resolves to nothing (`OnceLock::new`) keeps nothing
+//!   alive.
 //!
 //! All three honor `// rmo-lint: allow(R1|Q1|U1) — reason` on the
 //! reported line or the line above, like every other rule; an allowed
@@ -52,20 +56,11 @@ pub const SERVING_ENTRIES: &[&str] = &[
 /// defines the `Query` enum.
 pub const DISPATCH_HANDLERS: &[&str] = &["run_query", "weight", "affinity"];
 
-/// Whether a file can link the library crates at all. The lint tool is
-/// its own binary — `rmo-lint` is never a dependency of the library —
-/// and its generic method names (`build`, `find`, `chain`) would
-/// otherwise collide into the conservative graph as phantom callees.
-fn links_library(file: &ParsedFile) -> bool {
-    !file.path.starts_with("crates/lint/")
-}
-
 /// R1: panic-capable sites reachable from `entries` (display quals).
 /// Returns findings sorted by (file, line, message); `Err` if any entry
 /// resolves to no workspace fn.
 pub fn panic_reachability(files: &[ParsedFile], entries: &[&str]) -> Result<Vec<Finding>, String> {
-    let graph =
-        CallGraph::build_filtered(files, |file, f| links_library(file) && !f.is_test, false);
+    let graph = CallGraph::build(files);
     let roots = resolve_entries(&graph, entries, "R1")?;
     let parents = graph.reach(&roots);
     let mut raw = Vec::new();
@@ -119,21 +114,11 @@ fn resolve_entries(
 /// the serving entries (display quals; `Err` if one resolves to no fn);
 /// the other roots come from the corpus.
 pub fn unreached_pub_fns(files: &[ParsedFile], entries: &[&str]) -> Result<Vec<Finding>, String> {
-    // Every fn of a test-class file (tests, examples, perfbench) is a
-    // node and a root; elsewhere `#[cfg(test)]` fns stay out.
-    let graph = CallGraph::build_filtered(
-        files,
-        |file, f| links_library(file) && (file.class.is_test || !f.is_test),
-        true,
-    );
+    let graph = CallGraph::build(files);
     let entries = resolve_entries(&graph, entries, "U1")?;
-    let item = |n: usize| {
-        let node = graph.nodes[n];
-        (&files[node.file], &files[node.file].fns[node.f])
-    };
     let mut roots = entries.clone();
     roots.extend((0..graph.nodes.len()).filter(|&n| {
-        let (file, f) = item(n);
+        let (file, f) = graph.item(n);
         file.class.is_test
             || (file.path == "crates/harness/src/main.rs" && f.name == "main")
             || allow_directive(&file.lines, f.line, "U1") == Some(true)
@@ -148,7 +133,7 @@ pub fn unreached_pub_fns(files: &[ParsedFile], entries: &[&str]) -> Result<Vec<F
     }
     let mut raw = Vec::new();
     for (n, &[same, cross]) in callers.iter().enumerate() {
-        let (file, f) = item(n);
+        let (file, f) = graph.item(n);
         let in_scope = file.class.library && !file.path.starts_with("crates/harness/");
         if cross || !in_scope || f.is_test || !f.is_pub || entries.contains(&n) {
             continue;

@@ -85,6 +85,91 @@ fn r1_allow_needs_a_reason() {
     );
 }
 
+/// The `rmo_graph` files the path fixtures call into, one panic site
+/// each: a top-level module, and a module of the `gen` directory.
+const GRAPH_FILES: &[(&str, &str)] = &[
+    (
+        "crates/graph/src/biconnectivity.rs",
+        "pub fn is_two_edge_connected(xs: &[u64]) -> bool {\n    xs[0] > 0\n}\n",
+    ),
+    (
+        "crates/graph/src/gen/grid.rs",
+        "pub fn grid(side: u64) -> u64 {\n    assert!(side > 0);\n    side * side\n}\n",
+    ),
+];
+
+/// R1 from `PaCluster::serve` over a serving fixture plus
+/// [`GRAPH_FILES`], rendered as `(file, line, chain)`.
+fn r1_through_paths(fixture: &str) -> Vec<(String, usize, Vec<String>)> {
+    let mut files = vec![parse_source(SERVICE_PATH, fixture)];
+    files.extend(GRAPH_FILES.iter().map(|(p, src)| parse_source(p, src)));
+    let findings = reach::panic_reachability(&files, &["PaCluster::serve"]).unwrap();
+    findings
+        .into_iter()
+        .map(|f| (f.file, f.line, f.chain))
+        .collect()
+}
+
+fn site(file: &str, line: usize, chain: &[&str]) -> (String, usize, Vec<String>) {
+    let chain = chain.iter().map(|c| c.to_string()).collect();
+    (file.to_string(), line, chain)
+}
+
+#[test]
+fn r1_follows_a_crate_path_call() {
+    assert_eq!(
+        r1_through_paths(include_str!("../fixtures/r1_crate_path.rs")),
+        [site(
+            GRAPH_FILES[0].0,
+            2,
+            &[
+                "PaCluster::serve",
+                "service::verify",
+                "biconnectivity::is_two_edge_connected"
+            ]
+        )]
+    );
+}
+
+#[test]
+fn r1_follows_a_directory_module_call() {
+    assert_eq!(
+        r1_through_paths(include_str!("../fixtures/r1_dir_module.rs")),
+        [site(
+            GRAPH_FILES[1].0,
+            2,
+            &["PaCluster::serve", "grid::grid"]
+        )]
+    );
+}
+
+#[test]
+fn r1_follows_a_facade_alias_call() {
+    assert_eq!(
+        r1_through_paths(include_str!("../fixtures/r1_facade_alias.rs")),
+        [
+            site(
+                GRAPH_FILES[0].0,
+                2,
+                &["PaCluster::serve", "biconnectivity::is_two_edge_connected"]
+            ),
+            site(GRAPH_FILES[1].0, 2, &["PaCluster::serve", "grid::grid"]),
+        ]
+    );
+}
+
+#[test]
+fn r1_follows_a_fn_named_as_a_value() {
+    assert_eq!(
+        r1_through_paths(include_str!("../fixtures/r1_by_value.rs")),
+        [site(
+            SERVICE_PATH,
+            15,
+            &["PaCluster::serve", "GroupHistory::mean_work"]
+        )]
+    );
+}
+
 #[test]
 fn q1_fires_once_per_handler_hiding_a_variant_behind_a_wildcard() {
     let files = vec![parse_source(
@@ -207,6 +292,28 @@ fn u1_allow_exempts_and_roots_a_fn_but_needs_a_reason() {
     let findings = reach::unreached_pub_fns(&files, &[]).unwrap();
     let got: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
     assert_eq!(got, [("E1", 11)], "{findings:#?}");
+}
+
+#[test]
+fn u1_fires_when_only_a_std_type_calls_the_name() {
+    let test = "#[test]\nfn t() {\n    let cell = std::sync::OnceLock::new();\n    \
+                cell.get_or_init(rmo_congest::scratch::Scratch::default).slots();\n}";
+    let fixture = include_str!("../fixtures/u1_std_new.rs");
+    let files = u1_corpus(
+        "crates/congest/src/scratch.rs",
+        fixture,
+        &[("crates/congest/tests/s.rs", test)],
+    );
+    let findings = reach::unreached_pub_fns(&files, &[]).unwrap();
+    let got: Vec<String> = findings
+        .iter()
+        .map(|f| format!("{}:{}", f.line, f.message))
+        .collect();
+    assert_eq!(got.len(), 1, "{got:#?}");
+    assert!(
+        got[0].starts_with("11:`pub fn Scratch::new`") && got[0].ends_with("no caller: delete it"),
+        "{got:#?}"
+    );
 }
 
 /// The mixed corpus both stability tests run over: a serve path with
