@@ -45,31 +45,48 @@ pub fn component_labels(
         let (u, v) = g.endpoints(e);
         dsu.union(u, v);
     }
-    let mut remap = std::collections::HashMap::new();
-    let mut part_of = vec![0usize; g.n()];
-    for (v, slot) in part_of.iter_mut().enumerate() {
-        let r = dsu.find(v);
-        let next = remap.len();
-        *slot = *remap.entry(r).or_insert(next);
-    }
+    let (part_of, _) = dense_ids((0..g.n()).map(|v| dsu.find(v)), g.n());
     let values: Vec<u64> = (0..g.n() as u64).collect();
     let res = engine.solve(&part_of, &values, Aggregate::Min)?;
     let labels = res.node_values.clone();
-    // Dense component ids from labels.
-    let mut seen = std::collections::HashMap::new();
-    let component_of: Vec<usize> = labels
-        .iter()
-        .map(|&l| {
-            let next = seen.len();
-            *seen.entry(l).or_insert(next)
-        })
-        .collect();
+    // Dense component ids from labels, which are node ids.
+    let (component_of, num_components) = dense_ids(
+        labels
+            .iter()
+            .map(|&l| usize::try_from(l).unwrap_or(usize::MAX)),
+        g.n(),
+    );
     Ok(ComponentLabels {
         labels,
-        num_components: seen.len(),
+        num_components,
         component_of,
         cost: res.cost,
     })
+}
+
+/// Numbers the distinct keys densely in order of first appearance:
+/// returns each key's number in turn, and how many distinct keys there
+/// were. The keys are node ids, below `n`, so a node-indexed table does
+/// what a hash map would. (A key at or above `n` gets a number of its
+/// own.)
+pub(crate) fn dense_ids(keys: impl IntoIterator<Item = usize>, n: usize) -> (Vec<usize>, usize) {
+    let mut id_of = vec![usize::MAX; n];
+    let mut count = 0;
+    let ids = keys
+        .into_iter()
+        .map(|key| match id_of.get_mut(key) {
+            Some(id) if *id != usize::MAX => *id,
+            slot => {
+                let id = count;
+                count += 1;
+                if let Some(slot) = slot {
+                    *slot = id;
+                }
+                id
+            }
+        })
+        .collect();
+    (ids, count)
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@ use rmo_graph::{num::ceil_log2, DisjointSets, EdgeId, Graph, Partition};
 
 use rmo_core::{Aggregate, EngineConfig, PaEngine, PaError, PaInstance};
 
+use crate::components::dense_ids;
+
 /// Result of [`pa_mst`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PaMstResult {
@@ -77,13 +79,7 @@ pub fn pa_mst(engine: &mut PaEngine<'_>) -> Result<PaMstResult, PaError> {
         );
         // Current components as a dense partition.
         let root_of: Vec<usize> = (0..g.n()).map(|v| dsu.find(v)).collect();
-        let mut remap = std::collections::HashMap::new();
-        let mut part_of = vec![0usize; g.n()];
-        for v in 0..g.n() {
-            let next = remap.len();
-            let id = *remap.entry(root_of[v]).or_insert(next);
-            part_of[v] = id;
-        }
+        let (part_of, _) = dense_ids(root_of.iter().copied(), g.n());
         // Node value: lightest incident outgoing edge (packed), or identity.
         let values: Vec<u64> = (0..g.n())
             .map(|v| {
@@ -157,12 +153,7 @@ pub fn naive_mst(g: &Graph, config: &EngineConfig) -> Result<PaMstResult, PaErro
             "Borůvka must halve components per phase"
         );
         let root_of: Vec<usize> = (0..g.n()).map(|v| dsu.find(v)).collect();
-        let mut remap = std::collections::HashMap::new();
-        let mut part_of = vec![0usize; g.n()];
-        for v in 0..g.n() {
-            let next = remap.len();
-            part_of[v] = *remap.entry(root_of[v]).or_insert(next);
-        }
+        let (part_of, _) = dense_ids(root_of.iter().copied(), g.n());
         let values: Vec<u64> = (0..g.n())
             .map(|v| {
                 g.neighbors(v)

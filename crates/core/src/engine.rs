@@ -544,24 +544,6 @@ impl<'g> PaEngine<'g> {
         self.core
     }
 
-    /// Builds a session around an already-paid-for tree. `base_cost` is
-    /// whatever the caller actually spent obtaining it (zero if it is
-    /// being reused from another session).
-    fn with_tree(
-        graph: &'g Graph,
-        config: EngineConfig,
-        tree: RootedTree,
-        base_cost: CostReport,
-    ) -> PaEngine<'g> {
-        let engine = PaEngine::new(graph, config);
-        engine
-            .core
-            .stage1
-            .set((tree, base_cost))
-            .expect("fresh engine has no stage-1 state");
-        engine
-    }
-
     /// Stage 1, built on first use (see [`run_stage1`]).
     fn stage1(&self) -> &(RootedTree, CostReport) {
         self.core
@@ -574,8 +556,11 @@ impl<'g> PaEngine<'g> {
     /// already-built BFS tree instead of re-running election + BFS.
     ///
     /// Election and BFS are weight-oblivious, so the tree is valid as-is;
-    /// the derived engine charges no base cost. The min-cut sketches use
-    /// this to amortize stage 1 across all sampled perturbations.
+    /// the derived engine charges no base cost. The network's ids and
+    /// ports depend only on the topology and the seed, so it is cloned,
+    /// and the graph is not checked for connectivity again. The min-cut
+    /// sketches use this to amortize stage 1 across all sampled
+    /// perturbations.
     ///
     /// # Panics
     /// Panics if `graph` is not topology-identical to this engine's.
@@ -584,12 +569,21 @@ impl<'g> PaEngine<'g> {
             same_topology(self.graph, graph),
             "for_reweighted needs an identical topology"
         );
-        PaEngine::with_tree(
+        PaEngine {
             graph,
-            self.core.config,
-            self.tree().clone(),
-            CostReport::zero(),
-        )
+            core: EngineCore {
+                config: self.core.config,
+                net: self.core.net.clone(),
+                stage1: OnceLock::from((self.tree().clone(), CostReport::zero())),
+                base_charged: false,
+                cache: BTreeMap::new(),
+                division_cache: BTreeMap::new(),
+                scratch: SolveScratch::new(),
+                clock: 0,
+                stats: EngineStats::default(),
+                graph_fp: graph_fingerprint(graph),
+            },
+        }
     }
 
     /// The graph this session is bound to.

@@ -20,7 +20,9 @@
 //!
 //! Stages 2–4 and Algorithm 1's phase A depend only on the partition;
 //! [`build_artifacts`] builds them once per partition on the engine's
-//! tree, and each solve replays the recorded wave with its values.
+//! tree, and each solve replays the recorded wave with its values. When
+//! the doubling succeeds, the last sweep's verification wave is that
+//! phase A already, so the miss keeps it instead of running it again.
 
 use rmo_congest::CostReport;
 use rmo_graph::{Graph, NodeId, Partition, RootedTree};
@@ -91,6 +93,13 @@ impl PipelineArtifacts {
 /// Each wave and each [`WavePlan`] is built once: every doubling sweep
 /// plans its shortcut once and verifies it on that plan, and the last
 /// plan yields both the block budget and the wave the artifacts keep.
+/// That wave is the last sweep's Algorithm 2 wave whenever a wave at the
+/// final block budget would repeat it step for step: no part ran out of
+/// budget in it, and none took more iterations than the final budget.
+/// When every part is satisfied both hold (a part has at most `3b`
+/// blocks, and each of its iterations routes a block no earlier one
+/// did), so phase A runs on its own only when the doubling gives up
+/// (`b > n`).
 ///
 /// Borůvka-style applications call PA `O(log n)` times with changing
 /// partitions but a fixed network: they pay for election and BFS once and
@@ -125,16 +134,20 @@ pub fn build_artifacts(
         setup_cost += res.cost;
         res.division
     };
-    let terminals: Vec<Vec<NodeId>> = parts.part_ids().map(|p| division.reps_of_part(p)).collect();
+    let terminals: Vec<Vec<NodeId>> = parts
+        .part_ids()
+        .map(|p| division.reps_of_part(p).to_vec())
+        .collect();
 
-    // Stage 4: shortcut construction with doubling budgets.
-    let (shortcut, plan) = match config.shortcut {
+    // Stage 4: shortcut construction with doubling budgets, and the last
+    // sweep's verification wave.
+    let (shortcut, plan, last_wave) = match config.shortcut {
         ShortcutStrategy::Trivial => {
             // Computing part sizes distributedly: one in-part aggregation.
             setup_cost += CostReport::new(2 * d, 2 * g.n() as u64);
             let shortcut = trivial_shortcut(g, tree, parts);
             let plan = WavePlan::build(g, tree, &shortcut, &division, parts);
-            (shortcut, plan)
+            (shortcut, plan, None)
         }
         // The doubling trick: Alg. 4 or Alg. 8 with budgets `(b, c)`
         // doubling until every part is satisfied.
@@ -172,28 +185,32 @@ pub fn build_artifacts(
                 budget *= 2;
                 if unsatisfied.is_empty() || budget > g.n() {
                     // On give-up, Algorithm 1 may still cover via part edges.
-                    break (shortcut, plan);
+                    break (shortcut, plan, Some(verify.wave));
                 }
             }
         }
     };
 
     // Algorithm 1's phase A, at the terminal-block budget of the final
-    // shortcut.
+    // shortcut: the last verification wave if it repeats at that budget
+    // (DESIGN.md, "Pipeline internals"), else a wave of its own.
     let block_budget = plan.block_budget();
-    let wave = run_wave(
-        g,
-        parts,
-        &PaSetup {
-            tree,
-            shortcut: &shortcut,
-            division: &division,
-            leaders: &leaders,
-            block_budget,
-        },
-        &plan,
-        config.variant,
-    );
+    let wave = match last_wave {
+        Some(wave) if wave.repeats_at(block_budget) => wave,
+        _ => run_wave(
+            g,
+            parts,
+            &PaSetup {
+                tree,
+                shortcut: &shortcut,
+                division: &division,
+                leaders: &leaders,
+                block_budget,
+            },
+            &plan,
+            config.variant,
+        ),
+    };
 
     PipelineArtifacts {
         leaders,

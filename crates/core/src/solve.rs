@@ -215,13 +215,14 @@ pub struct WaveIteration {
 }
 
 /// Outcome of the phase-A wave: its cost, the per-part iteration counts,
-/// which nodes were informed (Algorithm 2 reads this directly), and the
-/// delivery record phases B and C replay.
+/// which nodes were informed (Algorithm 2 reads this directly), which
+/// parts ran out of budget, and the delivery record phases B and C
+/// replay.
 ///
 /// None of it depends on the values, so [`crate::engine::PaEngine`]
 /// keeps one per cached partition (in
 /// [`crate::pipeline::PipelineArtifacts`]) and every solve replays it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaveOutcome {
     /// Measured cost of the wave.
     pub cost: CostReport,
@@ -229,10 +230,30 @@ pub struct WaveOutcome {
     pub iterations_per_part: Vec<usize>,
     /// Nodes informed (all true on success).
     pub informed: Vec<bool>,
+    /// `exhausted[p]` — whether part `p` still had active representatives
+    /// when its iteration count reached the block budget, and so stopped.
+    pub exhausted: Vec<bool>,
     /// Per-global-iteration trace.
     pub trace: Vec<WaveIteration>,
     /// Who informed whom, and in which order.
     pub record: DeliveryRecord,
+}
+
+impl WaveOutcome {
+    /// Whether running the wave again on the same plan and setup, at
+    /// block budget `budget`, would repeat this one step for step.
+    ///
+    /// [`run_wave`] reads the budget in two places only: the per-part
+    /// check, which stops a part with active representatives once its
+    /// iteration count reaches the budget, and the global cap of
+    /// `budget + blocks + 2` iterations. A part is active in iterations
+    /// `1..=k` and never again, where `k` is its iteration count, so if
+    /// no part was stopped and every `k ≤ budget`, neither place binds at
+    /// `budget` either (the cap exceeds every `k` by at least 2).
+    pub(crate) fn repeats_at(&self, budget: usize) -> bool {
+        !self.exhausted.contains(&true)
+            && self.iterations_per_part.iter().all(|&k| k <= budget.max(1))
+    }
 }
 
 /// The informer slot of a node nobody informed: a leader, or a node the
@@ -251,7 +272,7 @@ const NO_INFORMER: NodeId = NodeId::MAX;
 /// comes after its informer; on a successful wave it holds every node
 /// once, and the informers form a spanning forest of the parts rooted at
 /// the leaders.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveryRecord {
     /// Informer per node, [`NO_INFORMER`] for leaders and unreached nodes.
     informer: Vec<NodeId>,
@@ -393,7 +414,7 @@ impl WavePlan {
             let reps = division.reps_of_part(p);
             let first = plan.block_root.len();
             if shortcut.is_direct(p) {
-                for &r in &reps {
+                for &r in reps {
                     let id = plan.block_root.len();
                     plan.block_root.push(r);
                     plan.term.push(r);
@@ -403,7 +424,7 @@ impl WavePlan {
                     }
                 }
             } else {
-                for b in shortcut.blocks_for_terminals(g, tree, p, &reps) {
+                for b in shortcut.blocks_for_terminals(g, tree, p, reps) {
                     let id = plan.block_root.len();
                     for &t in &b.part_nodes {
                         if let Some(slot) = plan.block_of_rep.get_mut(t) {
@@ -754,6 +775,7 @@ pub fn run_wave(
         cost: CostReport::with_capacity(rounds, messages, capacity),
         iterations_per_part: iterations,
         informed,
+        exhausted,
         trace,
         record,
     }

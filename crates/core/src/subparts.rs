@@ -4,6 +4,10 @@
 //! each with a spanning tree of diameter `O(D)` rooted at its
 //! **representative**. Representatives are the only nodes allowed to use
 //! shortcut edges — the paper's key message-saving device (Section 3.2).
+//!
+//! A division is flat: members per sub-part and representatives per part
+//! are offset arrays over one shared list each, built by a counting sort,
+//! so every accessor returns a slice.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -23,6 +27,9 @@ pub enum DivisionError {
     NotATree { subpart: usize },
     /// A representative is not a member of its own sub-part.
     RepOutside { subpart: usize },
+    /// A node has no sub-part id below the representative count, or no
+    /// parent entry: both arrays need one entry per node.
+    NoSubpart { node: NodeId },
 }
 
 impl fmt::Display for DivisionError {
@@ -43,6 +50,9 @@ impl fmt::Display for DivisionError {
             DivisionError::RepOutside { subpart } => {
                 write!(f, "sub-part {subpart}'s representative is not a member")
             }
+            DivisionError::NoSubpart { node } => {
+                write!(f, "node {node} has no valid sub-part entry")
+            }
         }
     }
 }
@@ -59,12 +69,58 @@ pub struct SubPartDivision {
     parent: Vec<Option<NodeId>>,
     /// `rep[s]` — representative of sub-part `s`.
     rep: Vec<NodeId>,
-    /// `members[s]` — nodes of sub-part `s`.
-    members: Vec<Vec<NodeId>>,
+    /// Sub-part `s`'s nodes are `members[member_off[s]..member_off[s + 1]]`,
+    /// ascending.
+    member_off: Vec<usize>,
+    members: Vec<NodeId>,
     /// `part_of_subpart[s]` — the part containing sub-part `s`.
     part_of_subpart: Vec<usize>,
+    /// Part `p`'s representatives are `part_reps[rep_off[p]..rep_off[p + 1]]`,
+    /// in sub-part id order.
+    rep_off: Vec<usize>,
+    part_reps: Vec<NodeId>,
     /// `depth[v]` — depth of `v` in its sub-part tree.
     depth: Vec<usize>,
+}
+
+/// Groups `(key, item)` pairs by key with a stable counting sort: the
+/// offsets (length `buckets + 1`) and the items, bucket by bucket in
+/// input order. Callers check that every key is below `buckets`.
+fn bucket(
+    buckets: usize,
+    items: impl Iterator<Item = (usize, usize)> + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut off = vec![0usize; buckets + 1];
+    for (key, _) in items.clone() {
+        if let Some(count) = off.get_mut(key + 1) {
+            *count += 1;
+        }
+    }
+    let mut total = 0;
+    for o in off.iter_mut() {
+        total += *o;
+        *o = total;
+    }
+    let mut cursor = off.clone();
+    let mut out = vec![0usize; total];
+    for (key, item) in items {
+        if let Some(c) = cursor.get_mut(key) {
+            if let Some(slot) = out.get_mut(*c) {
+                *slot = item;
+            }
+            *c += 1;
+        }
+    }
+    (off, out)
+}
+
+/// The slice `list[off[i]..off[i + 1]]` of an offset array (empty when
+/// `i` is out of range).
+fn slot<'a>(off: &[usize], list: &'a [usize], i: usize) -> &'a [usize] {
+    match (off.get(i), off.get(i + 1)) {
+        (Some(&lo), Some(&hi)) => list.get(lo..hi).unwrap_or(&[]),
+        _ => &[],
+    }
 }
 
 impl SubPartDivision {
@@ -83,71 +139,97 @@ impl SubPartDivision {
         parent: Vec<Option<NodeId>>,
         rep: Vec<NodeId>,
     ) -> Result<SubPartDivision, DivisionError> {
+        let n = g.n();
         let num = rep.len();
-        let mut members = vec![Vec::new(); num];
-        for (v, &s) in subpart_of.iter().enumerate() {
-            members[s].push(v);
+        if subpart_of.len() != n || parent.len() != n {
+            let node = subpart_of.len().min(parent.len()).min(n);
+            return Err(DivisionError::NoSubpart { node });
         }
-        let mut part_of_subpart = vec![0usize; num];
-        for s in 0..num {
-            if !members[s].contains(&rep[s]) {
+        if let Some(node) = subpart_of.iter().position(|&s| s >= num) {
+            return Err(DivisionError::NoSubpart { node });
+        }
+        let (member_off, members) = bucket(num, subpart_of.iter().copied().zip(0..));
+        let sub_of = |v: NodeId| subpart_of.get(v).copied().unwrap_or(usize::MAX);
+        let mut part_of_subpart = Vec::with_capacity(num);
+        for (s, &r) in rep.iter().enumerate() {
+            if sub_of(r) != s {
                 return Err(DivisionError::RepOutside { subpart: s });
             }
-            let p = parts.part_of(rep[s]);
-            part_of_subpart[s] = p;
-            for &v in &members[s] {
-                if parts.part_of(v) != p {
-                    return Err(DivisionError::CrossesParts { subpart: s });
-                }
+            let p = parts.part_of(r);
+            part_of_subpart.push(p);
+            if slot(&member_off, &members, s)
+                .iter()
+                .any(|&v| parts.part_of(v) != p)
+            {
+                return Err(DivisionError::CrossesParts { subpart: s });
             }
         }
         // Parent sanity + depth via BFS from each rep along child lists.
-        let n = g.n();
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for v in 0..n {
-            match parent[v] {
+        for (v, &pv) in parent.iter().enumerate() {
+            match pv {
                 None => {
                     // must be the rep of its sub-part
-                    if rep[subpart_of[v]] != v {
-                        return Err(DivisionError::NotATree {
-                            subpart: subpart_of[v],
-                        });
+                    if rep.get(sub_of(v)) != Some(&v) {
+                        return Err(DivisionError::NotATree { subpart: sub_of(v) });
                     }
                 }
                 Some(p) => {
                     if g.edge_between(v, p).is_none() {
                         return Err(DivisionError::BadParent { node: v });
                     }
-                    if subpart_of[p] != subpart_of[v] {
+                    if sub_of(p) != sub_of(v) {
                         return Err(DivisionError::ParentOutsideSubpart { node: v });
                     }
-                    children[p].push(v);
                 }
             }
         }
+        // Every parent is a graph neighbor now, so a node id below `n`.
+        let edges = parent.iter().zip(0..).filter_map(|(&p, v)| Some((p?, v)));
+        let (child_off, children) = bucket(n, edges);
         let mut depth = vec![usize::MAX; n];
-        for s in 0..num {
-            let r = rep[s];
-            depth[r] = 0;
-            let mut q = VecDeque::from([r]);
-            let mut seen = 1;
-            while let Some(u) = q.pop_front() {
-                for &c in &children[u] {
-                    depth[c] = depth[u] + 1;
-                    seen += 1;
-                    q.push_back(c);
+        let mut queue: Vec<NodeId> = Vec::new();
+        for (s, &r) in rep.iter().enumerate() {
+            let size = slot(&member_off, &members, s).len();
+            if let Some(d) = depth.get_mut(r) {
+                *d = 0;
+            }
+            queue.clear();
+            queue.push(r);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                // A walk past the sub-part's size went round a cycle
+                // through the representative's own parent.
+                if queue.len() > size {
+                    break;
+                }
+                let du = depth.get(u).copied().unwrap_or(0);
+                for &c in slot(&child_off, &children, u) {
+                    if let Some(d) = depth.get_mut(c) {
+                        *d = du + 1;
+                    }
+                    queue.push(c);
                 }
             }
-            if seen != members[s].len() {
+            if queue.len() != size {
                 return Err(DivisionError::NotATree { subpart: s });
             }
         }
+        // Every part id comes from the partition, so each is below its
+        // part count.
+        let (rep_off, part_reps) = bucket(
+            parts.num_parts(),
+            part_of_subpart.iter().copied().zip(rep.iter().copied()),
+        );
         Ok(SubPartDivision {
             subpart_of,
             parent,
             rep,
+            member_off,
             members,
             part_of_subpart,
+            rep_off,
+            part_reps,
             depth,
         })
     }
@@ -208,9 +290,9 @@ impl SubPartDivision {
         self.rep[self.subpart_of[v]]
     }
 
-    /// Members of sub-part `s`.
+    /// Members of sub-part `s`, ascending.
     pub fn members(&self, s: usize) -> &[NodeId] {
-        &self.members[s]
+        slot(&self.member_off, &self.members, s)
     }
 
     /// Tree parent of `v` inside its sub-part (`None` at representatives).
@@ -225,9 +307,9 @@ impl SubPartDivision {
 
     /// Depth of sub-part `s`'s tree (max member depth).
     pub fn subpart_depth(&self, s: usize) -> usize {
-        self.members[s]
+        self.members(s)
             .iter()
-            .map(|&v| self.depth[v])
+            .filter_map(|&v| self.depth.get(v).copied())
             .max()
             .unwrap_or(0)
     }
@@ -237,19 +319,10 @@ impl SubPartDivision {
         self.part_of_subpart[s]
     }
 
-    /// Sub-part ids belonging to part `p`.
-    fn subparts_of_part(&self, p: usize) -> Vec<usize> {
-        (0..self.num_subparts())
-            .filter(|&s| self.part_of_subpart[s] == p)
-            .collect()
-    }
-
-    /// Representatives of part `p` (the set `Rᵢ` of Algorithm 1).
-    pub fn reps_of_part(&self, p: usize) -> Vec<NodeId> {
-        self.subparts_of_part(p)
-            .into_iter()
-            .map(|s| self.rep[s])
-            .collect()
+    /// Representatives of part `p` (the set `Rᵢ` of Algorithm 1), in
+    /// sub-part id order.
+    pub fn reps_of_part(&self, p: usize) -> &[NodeId] {
+        slot(&self.rep_off, &self.part_reps, p)
     }
 
     /// Max sub-part tree depth over all sub-parts (bounds the rounds of
@@ -263,7 +336,7 @@ impl SubPartDivision {
 
     /// Number of sub-parts of part `p`.
     pub fn subpart_count_of_part(&self, p: usize) -> usize {
-        self.subparts_of_part(p).len()
+        self.reps_of_part(p).len()
     }
 }
 
@@ -332,6 +405,34 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, DivisionError::NotATree { subpart: 0 });
+    }
+
+    #[test]
+    fn rejects_a_representative_inside_a_parent_cycle() {
+        // 0 and 1 are each other's parents and 0 is the representative:
+        // the walk from 0 would go round the cycle forever.
+        let g = gen::path(3);
+        let parts = Partition::whole(&g).unwrap();
+        let err = SubPartDivision::new(
+            &g,
+            &parts,
+            vec![0, 0, 0],
+            vec![Some(1), Some(0), Some(1)],
+            vec![0],
+        )
+        .unwrap_err();
+        assert_eq!(err, DivisionError::NotATree { subpart: 0 });
+    }
+
+    #[test]
+    fn rejects_missing_or_unknown_subpart_entries() {
+        let g = gen::path(3);
+        let parts = Partition::whole(&g).unwrap();
+        let parent = vec![None, Some(0), Some(1)];
+        let unknown = SubPartDivision::new(&g, &parts, vec![0, 0, 5], parent.clone(), vec![0]);
+        assert_eq!(unknown, Err(DivisionError::NoSubpart { node: 2 }));
+        let short = SubPartDivision::new(&g, &parts, vec![0, 0], parent, vec![0]);
+        assert_eq!(short, Err(DivisionError::NoSubpart { node: 2 }));
     }
 
     #[test]

@@ -203,6 +203,10 @@ pub fn deterministic_division(g: &Graph, parts: &Partition, d: usize) -> DetDivi
     let mut incomplete: Vec<usize> = Vec::new();
     let mut chosen: Vec<(usize, NodeId, NodeId)> = Vec::new();
     let mut index: Vec<usize> = vec![NONE; n];
+    // The deepest sub-part tree, computed once per merge round: nothing
+    // merges between the end of one iteration and the start of the next,
+    // so the end's value serves both. Singletons have depth 0.
+    let mut max_depth = 0;
 
     loop {
         incomplete.clear();
@@ -215,7 +219,6 @@ pub fn deterministic_division(g: &Graph, parts: &Partition, d: usize) -> DetDivi
             iterations <= max_iters,
             "Algorithm 6 failed to converge in {max_iters} iterations"
         );
-        let max_depth = div.max_depth();
         // --- Choose edges (one intra-sub-part convergecast each). ---
         chosen.clear();
         for &s in &incomplete {
@@ -300,7 +303,8 @@ pub fn deterministic_division(g: &Graph, parts: &Partition, d: usize) -> DetDivi
         }
         // Completeness by size after the merges.
         div.settle(d, parts);
-        rounds += 2 * div.max_depth() + 1;
+        max_depth = div.max_depth();
+        rounds += 2 * max_depth + 1;
     }
 
     // Compact ids (a sub-part's rank in the ascending `live` list) and

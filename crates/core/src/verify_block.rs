@@ -12,12 +12,14 @@
 //! Either second wave has line 2's inputs, and the wave is a
 //! deterministic function of them (the randomized variant's delays are
 //! seeded), so it is charged line 2's measured cost instead of being
-//! simulated again.
+//! simulated again. The verdict keeps line 2's wave: when it provably
+//! repeats at the final block budget, the pipeline keeps it as
+//! Algorithm 1's phase A instead of running that wave again.
 
 use rmo_congest::CostReport;
 use rmo_graph::{Graph, Partition};
 
-use crate::solve::{run_wave, PaSetup, Variant, WavePlan};
+use crate::solve::{run_wave, PaSetup, Variant, WaveOutcome, WavePlan};
 
 /// The verdict of Algorithm 2.
 #[derive(Debug, Clone)]
@@ -28,6 +30,8 @@ pub struct BlockVerification {
     /// Charged cost: two waves, plus one notification round when some
     /// part exceeds the budget.
     pub cost: CostReport,
+    /// Line 2's wave, at budget `b`.
+    pub wave: WaveOutcome,
 }
 
 /// Runs Algorithm 2 with budget `b = setup.block_budget` on the parts of
@@ -66,7 +70,11 @@ pub fn verify_block_parameter(
     // line 9 (one more wave communicates the exact block count): either
     // repeats line 2's wave.
     cost += wave.cost;
-    BlockVerification { exceeds, cost }
+    BlockVerification {
+        exceeds,
+        cost,
+        wave,
+    }
 }
 
 #[cfg(test)]

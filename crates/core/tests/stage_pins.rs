@@ -81,7 +81,7 @@ fn stage_counts() -> Vec<(String, usize, u64)> {
 
         let terminals: Vec<Vec<NodeId>> = parts
             .part_ids()
-            .map(|p| div.division.reps_of_part(p))
+            .map(|p| div.division.reps_of_part(p).to_vec())
             .collect();
         let sc = rmo_shortcut::alg8::construct_deterministic(
             &g,

@@ -31,7 +31,7 @@ proptest! {
         let d = tree.depth().max(1);
         let division = deterministic_division(&g, &parts, d).division;
         let terminals: Vec<Vec<usize>> =
-            parts.part_ids().map(|p| division.reps_of_part(p)).collect();
+            parts.part_ids().map(|p| division.reps_of_part(p).to_vec()).collect();
         let built = construct_deterministic(
             &g, &tree, &parts, &terminals,
             DetParams::new(4, 2, parts.num_parts()),

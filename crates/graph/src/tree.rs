@@ -4,9 +4,12 @@
 //! `T`; [`RootedTree`] is the shared representation. The deterministic
 //! shortcut construction (Algorithm 8) decomposes `T` into heavy paths
 //! (Definition 6.5, after Sleator–Tarjan), provided here as
-//! [`HeavyPathDecomposition`].
+//! [`HeavyPathDecomposition`], built once per tree
+//! ([`RootedTree::heavy_paths`]).
 
+use std::cmp::Reverse;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::graph::{EdgeId, NodeId};
 
@@ -40,7 +43,8 @@ impl std::error::Error for TreeError {}
 ///
 /// Each non-root node records its parent and the id of the graph edge to
 /// that parent, so shortcut structures can talk about "tree edges" using
-/// graph edge ids. Children lists and depths are precomputed.
+/// graph edge ids. Children lists and depths are precomputed; the
+/// heavy-path decomposition is built on first use and kept.
 ///
 /// # Example
 /// ```rust
@@ -60,6 +64,28 @@ pub struct RootedTree {
     children: Vec<Vec<NodeId>>,
     depth: Vec<usize>,
     order: Vec<NodeId>,
+    /// [`RootedTree::heavy_paths`], built on its first call.
+    heavy_paths: Memo<HeavyPathDecomposition>,
+}
+
+/// A value computed on first use from the fields beside it, so equality
+/// and `Debug` ignore it: two trees are equal whether or not either has
+/// built it yet.
+#[derive(Clone)]
+struct Memo<T>(OnceLock<T>);
+
+impl<T> PartialEq for Memo<T> {
+    fn eq(&self, _: &Memo<T>) -> bool {
+        true
+    }
+}
+
+impl<T> Eq for Memo<T> {}
+
+impl<T> fmt::Debug for Memo<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl RootedTree {
@@ -121,6 +147,7 @@ impl RootedTree {
             children,
             depth,
             order,
+            heavy_paths: Memo(OnceLock::new()),
         })
     }
 
@@ -172,12 +199,25 @@ impl RootedTree {
         &self.order
     }
 
+    /// The tree's heavy-path decomposition, with Algorithm 8's sweep
+    /// order and path levels. It depends on the tree alone, so it is
+    /// built on the first call and every later call returns the same
+    /// one.
+    pub fn heavy_paths(&self) -> &HeavyPathDecomposition {
+        self.heavy_paths
+            .0
+            .get_or_init(|| HeavyPathDecomposition::new(self))
+    }
+
     /// Subtree sizes (`sizes[v]` = number of nodes in the subtree at `v`).
     fn subtree_sizes(&self) -> Vec<usize> {
         let mut size = vec![1usize; self.n()];
         for &v in self.order.iter().rev() {
-            if v != self.root {
-                size[self.parent[v]] += size[v];
+            let (Some(p), Some(&sv)) = (self.parent_of(v), size.get(v)) else {
+                continue;
+            };
+            if let Some(sp) = size.get_mut(p) {
+                *sp += sv;
             }
         }
         size
@@ -228,6 +268,10 @@ pub struct HeavyPathDecomposition {
     /// For each path, its nodes ordered from deepest (source) to shallowest
     /// (sink, the path's topmost node).
     paths: Vec<Vec<NodeId>>,
+    /// Path ids, children before parents (see [`Self::sweep_order`]).
+    sweep_order: Vec<usize>,
+    /// `level[p]` — see [`Self::levels`].
+    level: Vec<usize>,
 }
 
 impl HeavyPathDecomposition {
@@ -235,46 +279,79 @@ impl HeavyPathDecomposition {
     ///
     /// Every node belongs to exactly one path (an isolated node forms a
     /// trivial length-0 path). Within a path, nodes are ordered bottom-up.
+    ///
+    /// [`RootedTree::heavy_paths`] builds one per tree and keeps it.
     pub fn new(tree: &RootedTree) -> HeavyPathDecomposition {
         let n = tree.n();
         let sizes = tree.subtree_sizes();
+        let size = |v: NodeId| sizes.get(v).copied().unwrap_or(0);
         // heavy_child[u] = child v with 2·size[v] >= size[u], if any. (The
         // non-strict variant of Definition 6.5; at most one child can
         // satisfy it because the parent counts itself, and it keeps a bare
         // path a single heavy path. The log₂ n crossing bound is
         // unaffected.)
         let mut heavy_child = vec![usize::MAX; n];
-        for u in 0..n {
+        for (u, heavy) in heavy_child.iter_mut().enumerate() {
             for &v in tree.children_of(u) {
-                if 2 * sizes[v] >= sizes[u] {
-                    heavy_child[u] = v;
+                if 2 * size(v) >= size(u) {
+                    *heavy = v;
                 }
             }
         }
+        let heavy_of = |v: NodeId| heavy_child.get(v).copied().unwrap_or(usize::MAX);
         let mut path_of = vec![usize::MAX; n];
-        let mut paths = Vec::new();
+        let mut paths: Vec<Vec<NodeId>> = Vec::new();
         // A node heads a path iff it is not the heavy child of its parent.
-        for v in tree.top_down_order() {
-            let v = *v;
-            let is_head = match tree.parent_of(v) {
-                None => true,
-                Some(p) => heavy_child[p] != v,
-            };
-            if is_head {
-                let id = paths.len();
-                let mut chain = vec![v];
-                path_of[v] = id;
-                let mut cur = v;
-                while heavy_child[cur] != usize::MAX {
-                    cur = heavy_child[cur];
-                    path_of[cur] = id;
-                    chain.push(cur);
+        for &v in tree.top_down_order() {
+            if tree.parent_of(v).is_some_and(|p| heavy_of(p) == v) {
+                continue;
+            }
+            let id = paths.len();
+            let mut chain = vec![v];
+            let mut cur = v;
+            while heavy_of(cur) != usize::MAX {
+                cur = heavy_of(cur);
+                chain.push(cur);
+            }
+            for &w in &chain {
+                if let Some(slot) = path_of.get_mut(w) {
+                    *slot = id;
                 }
-                chain.reverse(); // deepest first
-                paths.push(chain);
+            }
+            chain.reverse(); // deepest first
+            paths.push(chain);
+        }
+        // Child-before-parent order: a child path's top is strictly
+        // deeper than its parent path's top. The sort is stable, so
+        // same-depth paths keep path-id order.
+        let top_depth = |p: usize| {
+            paths
+                .get(p)
+                .and_then(|chain| chain.last())
+                .map_or(0, |&top| tree.depth_of(top))
+        };
+        let mut sweep_order: Vec<usize> = (0..paths.len()).collect();
+        sweep_order.sort_by_key(|&p| Reverse(top_depth(p)));
+        let mut level = vec![1usize; paths.len()];
+        for &p in &sweep_order {
+            let Some(parent) = paths
+                .get(p)
+                .and_then(|chain| chain.last())
+                .and_then(|&top| tree.parent_of(top))
+            else {
+                continue;
+            };
+            let lp = level.get(p).copied().unwrap_or(0);
+            if let Some(lq) = path_of.get(parent).and_then(|&q| level.get_mut(q)) {
+                *lq = (*lq).max(lp + 1);
             }
         }
-        HeavyPathDecomposition { path_of, paths }
+        HeavyPathDecomposition {
+            path_of,
+            paths,
+            sweep_order,
+            level,
+        }
     }
 
     /// Number of heavy paths.
@@ -296,6 +373,22 @@ impl HeavyPathDecomposition {
     /// Algorithm 8's bottom-up sweep.
     pub fn path_top(&self, p: usize) -> NodeId {
         *self.paths[p].last().expect("paths are non-empty")
+    }
+
+    /// Path ids in the order Algorithm 8's bottom-up sweep visits them:
+    /// by descending depth of the path's top node, so every path comes
+    /// before the path its top hangs from; same-depth paths in path-id
+    /// order.
+    pub fn sweep_order(&self) -> &[usize] {
+        &self.sweep_order
+    }
+
+    /// Level of each path, indexed by path id: 1 for a path nothing
+    /// hangs from, else one more than the highest level of the paths
+    /// hanging from it. Paths of one level are disjoint, so a sweep runs
+    /// them in parallel.
+    pub fn levels(&self) -> &[usize] {
+        &self.level
     }
 
     /// Number of distinct heavy paths intersected by the root-ward path

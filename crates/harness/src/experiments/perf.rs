@@ -3,13 +3,13 @@
 //! Runs a fixed, named suite, one entry per timed layer: CONGEST
 //! primitives (BFS, tree casts, pipelining, election), the Table 2 PA
 //! pipeline end to end, the isolated pipeline stages (stage-1 tree,
-//! divisions, shortcuts, tree routing, warm engine solves), a mixed
-//! `PaCluster` batch, and the three scheduling setups of `serve --hot`
-//! (`cluster/hot_*`, timed on the calling thread: `serve_sequential`,
-//! or `serve_replay` of the home placement for `cluster/hot_pinned`;
-//! the threaded executor's wall time is not gated), and one `run_query`
-//! entry per [`Query`] kind (`dispatch/*`). Each entry reports wall time
-//! plus exact round/message counts.
+//! divisions, shortcuts, a whole artifact miss, tree routing, warm
+//! engine solves), a mixed `PaCluster` batch, and the three scheduling
+//! setups of `serve --hot` (`cluster/hot_*`, timed on the calling
+//! thread: `serve_sequential`, or `serve_replay` of the home placement
+//! for `cluster/hot_pinned`; the threaded executor's wall time is not
+//! gated), and one `run_query` entry per [`Query`] kind (`dispatch/*`).
+//! Each entry reports wall time plus exact round/message counts.
 //!
 //! Every fixture is built once; the suite then runs in [`PASSES`]
 //! interleaved passes of [`PASS_BUDGET`] per entry (see [`measure`]).
@@ -34,7 +34,7 @@ use rmo_congest::programs::leader::run_leader_election;
 use rmo_congest::programs::pipeline::run_pipeline_broadcast;
 use rmo_congest::{CostReport, DowncastJob, Network, TreeRouter, UpcastJob};
 use rmo_core::subparts_det::deterministic_division;
-use rmo_core::{Aggregate, EngineConfig, PaEngine};
+use rmo_core::{build_artifacts, Aggregate, EngineConfig, PaEngine};
 use rmo_graph::gen;
 use rmo_graph::{EdgeId, Graph, NodeId};
 use rmo_shortcut::alg8::{construct_deterministic, DetParams};
@@ -260,9 +260,10 @@ fn run_suite(quick: bool) -> Vec<Entry> {
         .collect();
 
     // --- Pipeline stages, isolated: stage-1 tree build, stage-3
-    // divisions, stage-4 shortcut construction, Lemma 4.2 tree routing,
-    // and the warm engine solve (the serving steady state). All on the
-    // `general` family, the suite's hardest workload.
+    // divisions, stage-4 shortcut construction, a whole artifact miss
+    // (stages 2-4 and phase A on the stage-1 tree), Lemma 4.2 tree
+    // routing, and the warm engine solve (the serving steady state).
+    // All on the `general` family, the suite's hardest workload.
     let (_, pw, pvalues) = table2_instances
         .iter()
         .find(|(name, _, _)| *name == "table2_pa/general")
@@ -275,7 +276,7 @@ fn run_suite(quick: bool) -> Vec<Entry> {
     let division = deterministic_division(pg, partition, d).division;
     let terminals: Vec<Vec<NodeId>> = partition
         .part_ids()
-        .map(|p| division.reps_of_part(p))
+        .map(|p| division.reps_of_part(p).to_vec())
         .collect();
 
     // Tree routing stress: many overlapping subtree casts on the long
@@ -425,6 +426,10 @@ fn run_suite(quick: bool) -> Vec<Entry> {
                 DetParams::new(2, 2, partition.num_parts()),
             )
             .cost
+        }),
+        bench("pipeline/artifacts_miss", || {
+            let miss = build_artifacts(pg, partition, &EngineConfig::new(), &ptree);
+            miss.setup_cost + miss.wave.cost
         }),
         bench("pipeline/routing", || {
             let up = router.upcast(&up_jobs, u64::wrapping_add);

@@ -31,14 +31,18 @@
 //! [`Shortcut::extend_part`] — which sorts and dedups again, so the log
 //! order is irrelevant and the result is bit-identical to the old
 //! `BTreeMap` ledger.
+//!
+//! The heavy-path decomposition, its sweep order and its path levels
+//! depend on the tree alone: they come from [`RootedTree::heavy_paths`],
+//! built once per tree, though every call is still charged for building
+//! them. The freeze check counts each part's blocks with a
+//! [`BlockCounter`] instead of building them.
 
 use rmo_congest::CostReport;
-use rmo_graph::{
-    num::ceil_log2, EdgeId, Graph, HeavyPathDecomposition, NodeId, Partition, RootedTree,
-};
+use rmo_graph::{num::ceil_log2, EdgeId, Graph, NodeId, Partition, RootedTree};
 
 use crate::alg7::{construct_on_path_with, Alg7Scratch};
-use crate::model::Shortcut;
+use crate::model::{BlockCounter, Shortcut};
 
 /// Parameters for the deterministic construction.
 #[derive(Debug, Clone, Copy)]
@@ -127,27 +131,13 @@ pub fn construct_deterministic(
         parts.num_parts(),
         "one terminal set per part"
     );
-    let hpd = HeavyPathDecomposition::new(tree);
-    // Child-before-parent order: sort paths by depth of their top node,
-    // descending (a child path's top is strictly deeper than its parent
-    // path's top). The sort must stay *stable*: same-depth paths run in
-    // path-id order, and the per-level round accounting below interleaves
-    // `max` with light-edge `+1`s, so reordering ties changes the count.
-    let mut order: Vec<usize> = (0..hpd.path_count()).collect();
-    order.sort_by_key(|&p| std::cmp::Reverse(tree.depth_of(hpd.path_top(p))));
-    // Level of each path: 1 + max level of child paths (for parallel
-    // round accounting).
-    let mut level = vec![1usize; hpd.path_count()];
-    for &p in &order {
-        let top = hpd.path_top(p);
-        if let Some(parent) = tree.parent_of(top) {
-            let q = hpd.path_of(parent);
-            let lp = level.get(p).copied().unwrap_or(0);
-            if let Some(lq) = level.get_mut(q) {
-                *lq = (*lq).max(lp + 1);
-            }
-        }
-    }
+    let hpd = tree.heavy_paths();
+    // Paths run children first. Same-depth paths must keep path-id order
+    // (`sweep_order` is a stable sort): the per-level round accounting
+    // below interleaves `max` with light-edge `+1`s, so reordering ties
+    // changes the count.
+    let order = hpd.sweep_order();
+    let level = hpd.levels();
 
     let mut shortcut = Shortcut::empty(parts.num_parts());
     let mut active: Vec<usize> = parts
@@ -155,7 +145,9 @@ pub fn construct_deterministic(
         .filter(|&p| terminals.get(p).is_some_and(|t| !t.is_empty()))
         .collect();
     // Heavy-path decomposition itself: O(depth) rounds, O(n) messages
-    // (subtree sizes by convergecast, then a downward labeling).
+    // (subtree sizes by convergecast, then a downward labeling). Charged
+    // on every call, as the network computes it each time; only the
+    // simulator keeps it (on the tree).
     let mut cost = CostReport::new(2 * tree.depth() + 2, 2 * tree.n() as u64);
     let mut iterations = 0usize;
 
@@ -169,6 +161,7 @@ pub fn construct_deterministic(
     let mut edges_buf: Vec<EdgeId> = Vec::new();
     let mut sweep_claims: Vec<(usize, EdgeId)> = Vec::new();
     let mut s7 = Alg7Scratch::new();
+    let mut counter = BlockCounter::new();
 
     while !active.is_empty() && iterations < params.max_iterations {
         iterations += 1;
@@ -188,7 +181,7 @@ pub fn construct_deterministic(
             }
         }
         let mut messages = 0u64;
-        for &p in &order {
+        for &p in order {
             if !path_live.get(p).copied().unwrap_or(false) {
                 continue;
             }
@@ -253,14 +246,11 @@ pub fn construct_deterministic(
             shortcut.extend_part(part, grp.iter().map(|&(_, e)| e));
         }
         active.retain(|&part| {
-            let blocks = shortcut
-                .blocks_for_terminals(
-                    g,
-                    tree,
-                    part,
-                    terminals.get(part).map(Vec::as_slice).unwrap_or(&[]),
-                )
-                .len();
+            let blocks = counter.count(
+                g,
+                shortcut.edges_of(part),
+                terminals.get(part).map(Vec::as_slice).unwrap_or(&[]),
+            );
             blocks > 3 * params.target_block
         });
     }

@@ -29,9 +29,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rmo_congest::CostReport;
-use rmo_graph::{num::ceil_log2, Graph, NodeId, Partition, RootedTree};
+use rmo_graph::{num::ceil_log2, EdgeId, Graph, NodeId, Partition, RootedTree};
 
-use crate::model::Shortcut;
+use crate::model::{BlockCounter, Shortcut};
 
 /// Parameters for the randomized construction.
 #[derive(Debug, Clone, Copy)]
@@ -106,6 +106,8 @@ pub fn construct_randomized(
         .collect();
     let mut cost = CostReport::zero();
     let mut iterations = 0usize;
+    let mut counter = BlockCounter::new();
+    let mut trial: Vec<EdgeId> = Vec::new();
 
     while !active.is_empty() && iterations < params.max_iterations {
         iterations += 1;
@@ -148,13 +150,17 @@ pub fn construct_randomized(
         // Pipelined sweep cost: the id wave needs depth + max-load rounds
         // (same scheduling argument as Lemma 4.2).
         cost += CostReport::new(tree.depth() + max_load, messages);
-        // Freeze parts whose tentative claims meet the block target.
+        // Freeze parts whose tentative claims meet the block target:
+        // count the blocks of `Hₚ ∪ tentative` without building them.
         let mut still_active = Vec::new();
         for &p in &active {
             let tentative = claims.remove(&p).unwrap_or_default();
-            let mut trial = shortcut.clone();
-            trial.extend_part(p, tentative.iter().copied());
-            let blocks = trial.blocks_for_terminals(g, tree, p, &terminals[p]).len();
+            trial.clear();
+            trial.extend_from_slice(shortcut.edges_of(p));
+            trial.extend_from_slice(&tentative);
+            trial.sort_unstable();
+            trial.dedup();
+            let blocks = counter.count(g, &trial, &terminals[p]);
             if blocks <= 3 * params.target_block {
                 shortcut.extend_part(p, tentative);
             } else {

@@ -13,7 +13,8 @@
 //! This crate provides:
 //!
 //! * [`Shortcut`] — the data model, with block extraction
-//!   ([`Shortcut::blocks_of`]) used by `BlockRoute`;
+//!   ([`Shortcut::blocks_of`]) used by `BlockRoute`, and
+//!   [`BlockCounter`], which counts blocks without building them;
 //! * [`quality`] — exact congestion / block-parameter / dilation
 //!   computation and structural validation;
 //! * [`trivial`] — the universal `b = 1, c = √n` fallback every graph
@@ -57,6 +58,6 @@ pub mod trivial;
 pub use alg7::{construct_on_path, PathConstructionResult};
 pub use alg8::{construct_deterministic, DetConstructionResult};
 pub use corefast::{construct_randomized, RandConstructionResult};
-pub use model::{Block, Shortcut, ShortcutError};
+pub use model::{Block, BlockCounter, Shortcut, ShortcutError};
 pub use quality::{measure, Quality};
 pub use trivial::trivial_shortcut;

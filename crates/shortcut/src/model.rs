@@ -1,6 +1,7 @@
-//! The shortcut data model: per-part tree-edge sets and their blocks.
+//! The shortcut data model: per-part tree-edge sets, their blocks, and a
+//! block count that builds none.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use rmo_graph::{DisjointSets, EdgeId, Graph, NodeId, Partition, RootedTree};
@@ -119,14 +120,15 @@ impl Shortcut {
         self.assignments.len()
     }
 
-    /// The tree edges `Hᵢ` of part `i`.
+    /// The tree edges `Hᵢ` of part `i`, ascending and distinct (empty for
+    /// a part outside the shortcut).
     pub fn edges_of(&self, part: usize) -> &[EdgeId] {
-        &self.assignments[part]
+        self.assignments.get(part).map_or(&[], Vec::as_slice)
     }
 
     /// Whether part `i` is handled directly (no shortcut edges).
     pub fn is_direct(&self, part: usize) -> bool {
-        self.assignments[part].is_empty()
+        self.edges_of(part).is_empty()
     }
 
     /// The blocks of part `i` (Definition 2.3): connected components of
@@ -152,6 +154,10 @@ impl Shortcut {
     /// block-parameter verification of the constructions — counts
     /// components over representatives, with each sub-part collapsing onto
     /// its representative via its own spanning tree.
+    ///
+    /// Blocks come by ascending root; each block's nodes, terminals and
+    /// edges come ascending. [`BlockCounter::count`] gives their number
+    /// without building them.
     pub fn blocks_for_terminals(
         &self,
         g: &Graph,
@@ -159,8 +165,9 @@ impl Shortcut {
         part: usize,
         terminals: &[NodeId],
     ) -> Vec<Block> {
-        let hi = &self.assignments[part];
-        // Collect involved nodes: terminals + endpoints of Hi.
+        let hi = self.edges_of(part);
+        // Collect involved nodes: terminals + endpoints of Hi. A node's
+        // rank in this sorted list is its dense index.
         let mut involved: Vec<NodeId> = terminals.to_vec();
         for &e in hi {
             let (u, v) = g.endpoints(e);
@@ -169,68 +176,68 @@ impl Shortcut {
         }
         involved.sort_unstable();
         involved.dedup();
-        // Union-find over a dense relabeling of the involved nodes.
-        let index: BTreeMap<NodeId, usize> =
-            involved.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let index = |v: NodeId| involved.binary_search(&v).ok();
         let mut dsu = DisjointSets::new(involved.len());
         for &e in hi {
             let (u, v) = g.endpoints(e);
-            dsu.union(index[&u], index[&v]);
+            if let (Some(a), Some(b)) = (index(u), index(v)) {
+                dsu.union(a, b);
+            }
         }
-        let mut groups: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-        for &v in &involved {
-            groups.entry(dsu.find(index[&v])).or_default().push(v);
+        let mut is_terminal = vec![false; involved.len()];
+        for &t in terminals {
+            if let Some(slot) = index(t).and_then(|i| is_terminal.get_mut(i)) {
+                *slot = true;
+            }
         }
-        let part_set: BTreeSet<NodeId> = terminals.iter().copied().collect();
-        let mut by_edge: BTreeMap<usize, Vec<EdgeId>> = BTreeMap::new();
+        // One block per union-find root, opened at its first (smallest)
+        // node; the root of a block is its shallowest node.
+        let mut block_at: Vec<usize> = vec![usize::MAX; involved.len()];
+        let mut blocks: Vec<Block> = Vec::new();
+        for (i, &v) in involved.iter().enumerate() {
+            let Some(slot) = block_at.get_mut(dsu.find(i)) else {
+                continue;
+            };
+            if *slot == usize::MAX {
+                *slot = blocks.len();
+                blocks.push(Block {
+                    root: v,
+                    nodes: Vec::new(),
+                    part_nodes: Vec::new(),
+                    edges: Vec::new(),
+                });
+            }
+            let Some(block) = blocks.get_mut(*slot) else {
+                continue;
+            };
+            if (tree.depth_of(v), v) < (tree.depth_of(block.root), block.root) {
+                block.root = v;
+            }
+            block.nodes.push(v);
+            if is_terminal.get(i).copied().unwrap_or(false) {
+                block.part_nodes.push(v);
+            }
+        }
         for &e in hi {
             let (u, _) = g.endpoints(e);
-            by_edge.entry(dsu.find(index[&u])).or_default().push(e);
+            let block = index(u)
+                .and_then(|i| block_at.get(dsu.find(i)).copied())
+                .and_then(|b| blocks.get_mut(b));
+            if let Some(block) = block {
+                block.edges.push(e);
+            }
         }
-        let mut blocks: Vec<Block> = groups
-            .into_iter()
-            .map(|(rep, nodes)| {
-                let root = nodes
-                    .iter()
-                    .copied()
-                    .min_by_key(|&v| (tree.depth_of(v), v))
-                    .expect("blocks are non-empty");
-                let part_nodes: Vec<NodeId> = nodes
-                    .iter()
-                    .copied()
-                    .filter(|v| part_set.contains(v))
-                    .collect();
-                let edges = by_edge.remove(&rep).unwrap_or_default();
-                Block {
-                    root,
-                    nodes,
-                    part_nodes,
-                    edges,
-                }
-            })
-            .collect();
         blocks.sort_by_key(|b| b.root);
         blocks
-    }
-
-    /// Number of blocks of part `i` — its block parameter term.
-    pub fn block_count_of(
-        &self,
-        g: &Graph,
-        tree: &RootedTree,
-        parts: &Partition,
-        part: usize,
-    ) -> usize {
-        self.blocks_of(g, tree, parts, part).len()
     }
 
     /// Per-tree-edge congestion map: `cong[e]` = number of parts whose
     /// `Hᵢ` contains edge `e` (0 for non-tree edges).
     pub fn congestion_map(&self, g: &Graph) -> Vec<usize> {
         let mut cong = vec![0usize; g.m()];
-        for set in &self.assignments {
-            for &e in set {
-                cong[e] += 1;
+        for &e in self.assignments.iter().flatten() {
+            if let Some(c) = cong.get_mut(e) {
+                *c += 1;
             }
         }
         cong
@@ -246,6 +253,57 @@ impl Shortcut {
         set.extend(edges);
         set.sort_unstable();
         set.dedup();
+    }
+}
+
+/// Counts blocks without building them: the constructions' freeze
+/// checks and [`crate::quality::measure`] need only the number.
+///
+/// `Hᵢ` is a set of distinct tree edges, so `(Tᵢ ∪ V(Hᵢ), Hᵢ)` is a
+/// forest, and a forest has one component per node minus one per edge:
+/// the count is `|Tᵢ ∪ V(Hᵢ)| − |Hᵢ|`. A node-indexed stamp array counts
+/// the distinct nodes in `O(|Tᵢ| + |Hᵢ|)`. One counter serves any number
+/// of counts: the stamps grow to the largest graph and are never cleared
+/// (a stale stamp reads as "not seen").
+#[derive(Debug, Clone, Default)]
+pub struct BlockCounter {
+    /// `stamp[v] == epoch` marks `v` as seen by the current count.
+    stamp: Vec<u64>,
+    epoch: u64,
+}
+
+impl BlockCounter {
+    /// A counter with no stamps yet.
+    pub fn new() -> BlockCounter {
+        BlockCounter::default()
+    }
+
+    /// The number of blocks of the terminal set `terminals` under the
+    /// edge set `edges`: what [`Shortcut::blocks_for_terminals`] returns
+    /// for `edges = Hᵢ`, without building it. `edges` must be distinct
+    /// edges of one tree, as every [`Shortcut::edges_of`] set is.
+    pub fn count(&mut self, g: &Graph, edges: &[EdgeId], terminals: &[NodeId]) -> usize {
+        if self.stamp.len() < g.n() {
+            self.stamp.resize(g.n(), 0);
+        }
+        self.epoch += 1;
+        let (stamp, epoch) = (&mut self.stamp, self.epoch);
+        let mut nodes = 0usize;
+        let mut see = |v: NodeId| {
+            if let Some(s) = stamp.get_mut(v).filter(|s| **s != epoch) {
+                *s = epoch;
+                nodes += 1;
+            }
+        };
+        for &t in terminals {
+            see(t);
+        }
+        for &e in edges {
+            let (u, v) = g.endpoints(e);
+            see(u);
+            see(v);
+        }
+        nodes.saturating_sub(edges.len())
     }
 }
 
@@ -271,7 +329,9 @@ mod tests {
         assert!(sc.is_direct(0));
         assert!(sc.is_direct(1));
         // With no edges, each part node is its own block.
-        assert_eq!(sc.block_count_of(&g, &tree, &parts, 0), 4);
+        assert_eq!(sc.blocks_of(&g, &tree, &parts, 0).len(), 4);
+        let mut counter = BlockCounter::new();
+        assert_eq!(counter.count(&g, sc.edges_of(0), parts.members(0)), 4);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use rmo_graph::{Graph, NodeId, Partition, RootedTree};
 
-use crate::model::Shortcut;
+use crate::model::{BlockCounter, Shortcut};
 
 /// The measured quality of a shortcut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,20 +22,23 @@ pub struct Quality {
 }
 
 /// Measures congestion, block parameter and dilation of `sc` exactly.
+/// `sc` must be restricted to `_tree`; none of the three measures needs
+/// more of the tree than the edge ids `sc` holds.
 ///
 /// # Panics
 /// Panics if the shortcut's part count does not match the partition.
-pub fn measure(g: &Graph, tree: &RootedTree, parts: &Partition, sc: &Shortcut) -> Quality {
+pub fn measure(g: &Graph, _tree: &RootedTree, parts: &Partition, sc: &Shortcut) -> Quality {
     assert_eq!(
         sc.num_parts(),
         parts.num_parts(),
         "shortcut does not match partition"
     );
     let congestion = sc.congestion_map(g).into_iter().max().unwrap_or(0);
+    let mut counter = BlockCounter::new();
     let block_parameter = parts
         .part_ids()
         .filter(|&p| !sc.is_direct(p))
-        .map(|p| sc.block_count_of(g, tree, parts, p))
+        .map(|p| counter.count(g, sc.edges_of(p), parts.members(p)))
         .max()
         .unwrap_or(1);
     let dilation = parts

@@ -1,14 +1,17 @@
 //! Property-based tests of the PA stack: on arbitrary connected graphs,
 //! partitions, values and aggregates, the distributed result equals the
 //! centralized fold, the delivery record it is folded along is a
-//! spanning forest of the parts, and the cost accounting stays sane.
+//! spanning forest of the parts, the wave an artifact miss keeps is
+//! phase A at the final block budget, and the cost accounting stays
+//! sane.
 
 mod common;
 
 use proptest::prelude::*;
 
-use rmo::core::{Aggregate, EngineConfig, PaEngine, PaInstance};
-use rmo::graph::gen;
+use rmo::core::solve::run_wave;
+use rmo::core::{Aggregate, EngineConfig, PaEngine, PaInstance, WavePlan};
+use rmo::graph::{gen, Graph, Partition};
 
 /// Strategy: a connected graph described by (n, extra edges, seed).
 fn graph_params() -> impl Strategy<Value = (usize, usize, u64)> {
@@ -25,8 +28,71 @@ fn aggregate() -> impl Strategy<Value = Aggregate> {
     ]
 }
 
+/// Asserts that the wave `build_artifacts` keeps for `parts` is phase A
+/// at the final block budget: a fresh `run_wave` on the final plan, at
+/// `block_budget`, repeats it in every field.
+fn assert_kept_wave_is_phase_a(g: &Graph, parts: &Partition, cfg: EngineConfig) {
+    let mut engine = PaEngine::new(g, cfg);
+    let tree = engine.tree().clone();
+    let artifacts = engine.pipeline_for(parts).expect("valid partition");
+    let plan = WavePlan::build(g, &tree, &artifacts.shortcut, &artifacts.division, parts);
+    assert_eq!(plan.block_budget(), artifacts.block_budget, "{cfg:?}");
+    let fresh = run_wave(g, parts, &artifacts.setup(&tree), &plan, cfg.variant);
+    let kept = &artifacts.wave;
+    assert_eq!(kept.cost, fresh.cost, "cost under {cfg:?}");
+    assert_eq!(
+        kept.iterations_per_part, fresh.iterations_per_part,
+        "iterations under {cfg:?}"
+    );
+    assert_eq!(kept.informed, fresh.informed, "informed set under {cfg:?}");
+    assert_eq!(kept.trace, fresh.trace, "trace under {cfg:?}");
+    assert_eq!(kept.record, fresh.record, "delivery record under {cfg:?}");
+    assert_eq!(kept, &fresh, "wave under {cfg:?}");
+}
+
+#[test]
+fn kept_wave_is_phase_a_on_the_stage_pin_workloads() {
+    // The workloads of `crates/core/tests/stage_pins.rs`. Under the
+    // deterministic configuration `gnp3000` takes two doubling sweeps,
+    // so keeping the first sweep's wave fails here.
+    let grid = gen::grid(8, 8);
+    let path = gen::path(64);
+    let gnp = gen::random_connected(60, 150, 5);
+    let gnp3000 = gen::random_connected(3000, 4500, 5);
+    let workloads = [
+        (
+            &grid,
+            Partition::new(&grid, gen::grid_row_partition(8, 8)).unwrap(),
+        ),
+        (
+            &path,
+            Partition::new(&path, gen::path_blocks(64, 8)).unwrap(),
+        ),
+        (&gnp, gen::random_connected_partition(&gnp, 6, 11)),
+        (&gnp3000, gen::random_connected_partition(&gnp3000, 24, 11)),
+    ];
+    for (g, parts) in &workloads {
+        for cfg in common::config_grid() {
+            assert_kept_wave_is_phase_a(g, parts, cfg);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn kept_wave_is_phase_a_at_the_final_budget(
+        (n, extra, seed) in graph_params(),
+        parts_target in 1usize..10,
+    ) {
+        let m = (n - 1 + extra).min(n * (n - 1) / 2);
+        let g = gen::random_connected(n, m, seed);
+        let parts = gen::random_connected_partition(&g, parts_target, seed ^ 0xabcd);
+        for cfg in common::config_grid() {
+            assert_kept_wave_is_phase_a(&g, &parts, cfg.seed(seed));
+        }
+    }
 
     #[test]
     fn pa_matches_reference_on_arbitrary_instances(

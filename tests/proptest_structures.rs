@@ -1,6 +1,7 @@
 //! Property-based tests of the core data structures and sub-algorithms:
-//! shortcut quality invariants, Algorithm 7's congestion bound, star
-//! joinings, sub-part divisions and the tree router.
+//! shortcut quality invariants, the block count against the built
+//! blocks, Algorithm 7's congestion bound, star joinings, sub-part
+//! divisions and the tree router.
 
 use proptest::prelude::*;
 
@@ -11,7 +12,9 @@ use rmo::core::subparts_random::random_division;
 use rmo::graph::{bfs_tree, gen, num::ceil_log2, Partition};
 use rmo::shortcut::alg7::construct_on_path;
 use rmo::shortcut::alg8::{construct_deterministic, DetParams};
-use rmo::shortcut::quality;
+use rmo::shortcut::corefast::{construct_randomized, RandParams};
+use rmo::shortcut::trivial::trivial_shortcut;
+use rmo::shortcut::{quality, BlockCounter, Shortcut};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -75,6 +78,70 @@ proptest! {
             q.congestion <= 2 * budget * log_d * res.iterations.max(1) + res.iterations,
             "congestion {} breaks the Lemma 6.7 envelope", q.congestion
         );
+    }
+
+    #[test]
+    fn block_count_matches_the_built_blocks(
+        n in 4usize..80,
+        extra in 0usize..80,
+        seed in 0u64..1000,
+        target in 1usize..8,
+        root in 0usize..80,
+        budget in 1usize..5,
+    ) {
+        let m = (n - 1 + extra).min(n * (n - 1) / 2);
+        let g = gen::random_connected(n, m, seed);
+        let parts = gen::random_connected_partition(&g, target, seed ^ 5);
+        let (tree, _) = bfs_tree(&g, root % n);
+        // About two thirds of each part, plus its first member twice.
+        let terminals: Vec<Vec<usize>> = parts
+            .part_ids()
+            .map(|p| {
+                let members = parts.members(p);
+                let mut t: Vec<usize> = members
+                    .iter()
+                    .copied()
+                    .filter(|&v| !(v as u64 ^ seed).is_multiple_of(3))
+                    .collect();
+                t.extend(members.first().into_iter().flat_map(|&v| [v, v]));
+                t
+            })
+            .collect();
+        // An arbitrary tree-edge subset per part.
+        let tree_edges = tree.tree_edge_ids();
+        let picked = parts
+            .part_ids()
+            .map(|p| {
+                tree_edges
+                    .iter()
+                    .copied()
+                    .filter(|&e| (e as u64).wrapping_mul(seed | 1).wrapping_add(p as u64).is_multiple_of(3))
+                    .collect()
+            })
+            .collect();
+        let k = parts.num_parts();
+        let shortcuts = [
+            construct_deterministic(&g, &tree, &parts, &terminals, DetParams::new(budget, budget, k))
+                .shortcut,
+            construct_randomized(&g, &tree, &parts, &terminals, RandParams::new(budget, budget, k, seed))
+                .shortcut,
+            trivial_shortcut(&g, &tree, &parts),
+            Shortcut::new(&parts, &tree, picked).unwrap(),
+        ];
+        let mut counter = BlockCounter::new();
+        for sc in &shortcuts {
+            for p in parts.part_ids() {
+                for t in [&terminals[p][..], parts.members(p), &[]] {
+                    let blocks = sc.blocks_for_terminals(&g, &tree, p, t);
+                    prop_assert_eq!(counter.count(&g, sc.edges_of(p), t), blocks.len());
+                    // Blocks by ascending root; each one's terminals ascending.
+                    prop_assert!(blocks.windows(2).all(|w| w[0].root < w[1].root));
+                    for b in &blocks {
+                        prop_assert!(b.part_nodes.windows(2).all(|w| w[0] < w[1]));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

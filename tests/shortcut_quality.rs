@@ -97,7 +97,10 @@ fn better_shortcuts_reduce_wave_rounds_on_wide_grids() {
     let leaders: Vec<usize> = parts.part_ids().map(|p| parts.members(p)[0]).collect();
     let d = tree.depth().max(1);
     let division = deterministic_division(&g, &parts, d).division;
-    let terminals: Vec<Vec<usize>> = parts.part_ids().map(|p| division.reps_of_part(p)).collect();
+    let terminals: Vec<Vec<usize>> = parts
+        .part_ids()
+        .map(|p| division.reps_of_part(p).to_vec())
+        .collect();
     let built = construct_deterministic(
         &g,
         &tree,

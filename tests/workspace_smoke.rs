@@ -181,6 +181,7 @@ fn harness_quick_perf_emits_valid_json() {
         "pipeline/stage1_tree",
         "pipeline/divisions",
         "pipeline/shortcuts",
+        "pipeline/artifacts_miss",
         "pipeline/routing",
         "pipeline/warm_solve",
         "serve/mixed_sequential",
