@@ -167,7 +167,7 @@ pub fn naive_mst(g: &Graph, config: &EngineConfig) -> Result<PaMstResult, PaErro
         let inst = PaInstance::from_partition(g, parts, values, Aggregate::Min)?;
         // Prior work: every part uses the whole tree (one block), and all
         // nodes climb it themselves.
-        let sc = trivial_shortcut_with_threshold(g, &tree, inst.partition(), 1);
+        let sc = trivial_shortcut_with_threshold(&tree, inst.partition(), 1);
         let leaders: Vec<usize> = inst
             .partition()
             .part_ids()

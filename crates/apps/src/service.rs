@@ -127,13 +127,6 @@ impl fmt::Display for GraphId {
     }
 }
 
-/// A registered graph: the topology plus the engine profile its
-/// sessions run with.
-struct GraphSlot {
-    graph: Graph,
-    config: EngineConfig,
-}
-
 /// One recorded steal: during a threaded batch, the idle worker `to`
 /// took graph `graph`'s whole group from shard `from`'s queue tail.
 /// `epoch` is the global steal sequence number within the batch
@@ -541,8 +534,9 @@ pub struct PaCluster {
     /// When (and how far) the planner splits hot groups into replica
     /// chunks. Disabled by default.
     replica_policy: ReplicaPolicy,
-    /// `BTreeMap` so every iteration order is deterministic.
-    slots: BTreeMap<GraphId, GraphSlot>,
+    /// The registered graphs. `BTreeMap` so every iteration order is
+    /// deterministic.
+    slots: BTreeMap<GraphId, Graph>,
     /// Parked warm engine state, keyed like `slots`. Engines are built
     /// lazily: a graph that never sees a query never pays election+BFS.
     cores: BTreeMap<GraphId, EngineCore>,
@@ -587,42 +581,35 @@ impl PaCluster {
         self.replica_policy = policy;
     }
 
-    /// Registers `graph` under `id` with the default (deterministic)
-    /// engine profile, panicking where the checked `register` below
-    /// returns an error.
+    /// Registers `graph` under `id`, panicking where the checked
+    /// `register` below returns an error. Every session runs the default
+    /// (deterministic) engine profile.
     ///
     /// # Panics
     /// Panics if `id` is already registered or the graph is empty or
     /// disconnected (the CONGEST network is one component).
     pub fn add_graph(&mut self, id: GraphId, graph: Graph) {
-        self.register(id, graph, EngineConfig::new())
+        self.register(id, graph)
             .unwrap_or_else(|e| panic!("graph {id} rejected: {e}"));
     }
 
-    /// Registers `graph` under `id`, validating it and its config **once**
-    /// for the session's whole lifetime: the graph must be non-empty and
-    /// connected (the CONGEST network is one component), and the
-    /// artifact cache must hold at least one partition. Downstream
+    /// Registers `graph` under `id`, validating it **once** for the
+    /// session's whole lifetime: the graph must be non-empty and
+    /// connected (the CONGEST network is one component). Downstream
     /// engine construction and [`PaEngine::pipeline_for`] then never
     /// trip over a bad fleet entry mid-batch.
     ///
     /// # Errors
-    /// [`PaError::Disconnected`] for an empty or disconnected graph;
-    /// [`PaError::ZeroCacheCapacity`] for a `config` whose
-    /// `cache_capacity` is zero (the fields are public, so the builder's
-    /// own check can be bypassed).
+    /// [`PaError::Disconnected`] for an empty or disconnected graph.
     ///
     /// # Panics
     /// Panics if `id` is already registered (a programmer error, unlike
     /// a bad graph, which may come from data).
-    fn register(&mut self, id: GraphId, graph: Graph, config: EngineConfig) -> Result<(), PaError> {
+    fn register(&mut self, id: GraphId, graph: Graph) -> Result<(), PaError> {
         if graph.n() == 0 || !graph.is_connected() {
             return Err(PaError::Disconnected);
         }
-        if config.cache_capacity == 0 {
-            return Err(PaError::ZeroCacheCapacity);
-        }
-        let prev = self.slots.insert(id, GraphSlot { graph, config });
+        let prev = self.slots.insert(id, graph);
         assert!(prev.is_none(), "graph {id} registered twice");
         Ok(())
     }
@@ -654,7 +641,7 @@ impl PaCluster {
 
     /// The registered graph under `id`, if any.
     pub fn graph(&self, id: GraphId) -> Option<&Graph> {
-        self.slots.get(&id).map(|s| &s.graph)
+        self.slots.get(&id)
     }
 
     /// Current cluster counters (lifetime queries + all warm engines).
@@ -692,7 +679,7 @@ impl PaCluster {
                 let (n, m) = self
                     .slots
                     .get(&id)
-                    .map_or((0, 0), |slot| (slot.graph.n(), slot.graph.m()));
+                    .map_or((0, 0), |graph| (graph.n(), graph.m()));
                 indices
                     .iter()
                     .filter_map(|&idx| queries.get(idx))
@@ -911,7 +898,7 @@ impl PaCluster {
         shard: usize,
         steal: bool,
         state: &Mutex<SchedState>,
-        slots: &BTreeMap<GraphId, GraphSlot>,
+        slots: &BTreeMap<GraphId, Graph>,
         queries: &[(GraphId, Query)],
         emit: &mut dyn FnMut(usize, QueryResponse),
     ) -> Option<PanicPayload> {
@@ -920,7 +907,7 @@ impl PaCluster {
             let next = lock(state).next_group(shard, steal);
             let Some(mut group) = next else { break };
             // Groups exist only for registered graphs.
-            let Some(slot) = slots.get(&group.id) else {
+            let Some(graph) = slots.get(&group.id) else {
                 continue;
             };
             // Responses written before a panic are kept (each response
@@ -928,8 +915,8 @@ impl PaCluster {
             // unwind-safe in both serving modes.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut engine = match group.core.take() {
-                    Some(core) => PaEngine::from_core(&slot.graph, core),
-                    None => PaEngine::new(&slot.graph, slot.config),
+                    Some(core) => PaEngine::from_core(graph, core),
+                    None => PaEngine::new(graph, EngineConfig::new()),
                 };
                 for &idx in &group.indices {
                     if let Some((_, query)) = queries.get(idx) {
@@ -954,7 +941,7 @@ impl PaCluster {
     /// contained by the workers come back as payloads instead of
     /// poisoning the batch.
     fn run_threaded(
-        slots: &BTreeMap<GraphId, GraphSlot>,
+        slots: &BTreeMap<GraphId, Graph>,
         state: &Mutex<SchedState>,
         shards: usize,
         queries: &[(GraphId, Query)],
@@ -1007,7 +994,7 @@ impl PaCluster {
     /// stealing — the deterministic reference executor, with the same
     /// per-group panic containment as the threaded mode.
     fn run_on_caller(
-        slots: &BTreeMap<GraphId, GraphSlot>,
+        slots: &BTreeMap<GraphId, Graph>,
         state: &Mutex<SchedState>,
         shards: usize,
         queries: &[(GraphId, Query)],
@@ -1851,27 +1838,12 @@ mod tests {
         let mut cluster = small_cluster(2);
         // Two disjoint edges: connected() is false.
         let disconnected = Graph::from_edges(4, &[(0, 1, 1), (2, 3, 1)]).unwrap();
-        let err = cluster
-            .register(GraphId(9), disconnected, EngineConfig::new())
-            .unwrap_err();
+        let err = cluster.register(GraphId(9), disconnected).unwrap_err();
         assert!(matches!(err, PaError::Disconnected), "{err:?}");
         let empty = Graph::from_edges(0, &[]).unwrap();
-        assert!(cluster
-            .register(GraphId(9), empty, EngineConfig::new())
-            .is_err());
-        // A zero-capacity config would panic the first batch's engine.
-        let no_cache = EngineConfig {
-            cache_capacity: 0,
-            ..EngineConfig::new()
-        };
-        let err = cluster
-            .register(GraphId(9), gen::path(5), no_cache)
-            .unwrap_err();
-        assert_eq!(err, PaError::ZeroCacheCapacity);
+        assert!(cluster.register(GraphId(9), empty).is_err());
         // The rejected id stays free for a valid registration.
-        cluster
-            .register(GraphId(9), gen::path(5), EngineConfig::new())
-            .unwrap();
+        cluster.register(GraphId(9), gen::path(5)).unwrap();
         assert!(cluster.graph(GraphId(9)).is_some());
     }
 

@@ -75,7 +75,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::mpsc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -381,8 +380,8 @@ impl StreamReport {
     }
 }
 
-/// Live progress of a streaming run, pushed to the caller's sink (or
-/// over the channel in [`StreamGateway::run_channel`]) as it happens.
+/// Live progress of a streaming run, pushed to the caller's sink (see
+/// [`StreamGateway::run_with`]) as it happens.
 ///
 /// Event *order* within a batch's responses follows execution, so the
 /// threaded mode may interleave differently run to run; the
@@ -959,8 +958,8 @@ impl<'a> Session<'a> {
 }
 
 /// The streaming front-end: owns a [`PaCluster`] and drives arrival
-/// traces (or a live channel) through admission, adaptive batching,
-/// and the shared batch core. See the module docs for the full story.
+/// traces through admission, adaptive batching, and the shared batch
+/// core. See the module docs for the full story.
 pub struct StreamGateway {
     cluster: PaCluster,
     config: StreamConfig,
@@ -1023,26 +1022,6 @@ impl StreamGateway {
     /// the reference mode replays and tests compare against.
     pub fn run_sequential(&mut self, trace: &[Arrival]) -> StreamReport {
         let (report, _) = self.drive(trace.iter().cloned(), false, None, &mut |_| {});
-        report
-    }
-
-    /// Live-channel mode: arrivals stream in over `arrivals` (the
-    /// run ends when every sender is dropped), progress streams out
-    /// as [`StreamEvent`]s over `events` — per-query responses
-    /// included, so a caller gets answers while later queries are
-    /// still arriving. Identical semantics to [`StreamGateway::run`]
-    /// on the equivalent trace slice.
-    pub fn run_channel(
-        &mut self,
-        arrivals: mpsc::Receiver<Arrival>,
-        events: &mpsc::Sender<StreamEvent>,
-    ) -> StreamReport {
-        let mut sink = |event: StreamEvent| {
-            // A dropped listener only mutes progress; the report still
-            // carries everything.
-            let _ = events.send(event);
-        };
-        let (report, _) = self.drive(arrivals.into_iter(), true, None, &mut sink);
         report
     }
 
@@ -1318,12 +1297,38 @@ mod tests {
         let mut gateway = StreamGateway::new(small_cluster(3), config);
         let mut events = Vec::new();
         let report = gateway.run_with(&trace, &mut |e| events.push(e));
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, StreamEvent::Response { .. })),
-            "responses stream out per query"
-        );
+        // The sink sees one response per admitted arrival and one close
+        // per batch, as the log records it; size closes show live.
+        let responses = events
+            .iter()
+            .filter(|e| matches!(e, StreamEvent::Response { .. }))
+            .count();
+        assert_eq!(responses as u64, report.stats.admitted);
+        let closes: Vec<(usize, usize, BatchClose)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                StreamEvent::BatchClosed {
+                    batch,
+                    size,
+                    closed_by,
+                    ..
+                } => Some((batch, size, closed_by)),
+                _ => None,
+            })
+            .collect();
+        let logged: Vec<(usize, usize, BatchClose)> = report
+            .log
+            .batches
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (i, b.queries.len(), b.closed_by))
+            .collect();
+        assert_eq!(closes, logged);
+        assert!(closes.iter().any(|&(_, _, by)| by == BatchClose::Size));
+        // The sink observes the run without changing it.
+        let silent = StreamGateway::new(small_cluster(3), config).run(&trace);
+        assert_eq!(silent.outcomes, report.outcomes);
+        assert_eq!(silent.stats, report.stats);
         let mut fresh = StreamGateway::new(small_cluster(3), config);
         let replayed = fresh.replay(&trace, &report.log).expect("log matches");
         // The whole report — outcomes, every batch record including
@@ -1353,35 +1358,6 @@ mod tests {
         truncated.batches.pop();
         let mut fresh = StreamGateway::new(small_cluster(2), StreamConfig::new());
         assert!(fresh.replay(&trace, &truncated).is_err());
-    }
-
-    #[test]
-    fn run_channel_streams_events_and_matches_the_slice_run() {
-        let trace = mixed_arrivals(&small_cluster(2), 20, 31, 5);
-        let (atx, arx) = mpsc::channel::<Arrival>();
-        let (etx, erx) = mpsc::channel::<StreamEvent>();
-        for a in &trace {
-            atx.send(a.clone()).unwrap();
-        }
-        drop(atx);
-        let mut gateway = StreamGateway::new(small_cluster(2), StreamConfig::new());
-        let live = gateway.run_channel(arx, &etx);
-        drop(etx);
-        let events: Vec<StreamEvent> = erx.iter().collect();
-        let responses = events
-            .iter()
-            .filter(|e| matches!(e, StreamEvent::Response { .. }))
-            .count();
-        assert_eq!(responses as u64, live.stats.admitted);
-        let batch_events = events
-            .iter()
-            .filter(|e| matches!(e, StreamEvent::BatchClosed { .. }))
-            .count();
-        assert_eq!(batch_events as u64, live.stats.batches);
-        // The channel run is the slice run.
-        let slice = StreamGateway::new(small_cluster(2), StreamConfig::new()).run(&trace);
-        assert_eq!(live.outcomes, slice.outcomes);
-        assert_eq!(live.stats, slice.stats);
     }
 
     #[test]

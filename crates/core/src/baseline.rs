@@ -107,7 +107,7 @@ mod tests {
         // Root the BFS tree at the apex: columns become the single block.
         let apex = depth * width;
         let (tree, _) = bfs_tree(&g, apex);
-        let sc = trivial_shortcut_with_threshold(&g, &tree, &parts, 1);
+        let sc = trivial_shortcut_with_threshold(&tree, &parts, 1);
         let leaders = min_leaders(&parts);
         let res = naive_block_pa(&inst, &tree, &sc, &leaders, Variant::Deterministic, 1).unwrap();
         for p in parts.part_ids() {
@@ -127,7 +127,7 @@ mod tests {
         let inst = PaInstance::from_partition(&g, parts.clone(), values, Aggregate::Min).unwrap();
         let apex = depth * width;
         let (tree, _) = bfs_tree(&g, apex);
-        let sc = trivial_shortcut_with_threshold(&g, &tree, &parts, 1);
+        let sc = trivial_shortcut_with_threshold(&tree, &parts, 1);
         let leaders = min_leaders(&parts);
         let naive = naive_block_pa(&inst, &tree, &sc, &leaders, Variant::Deterministic, 1).unwrap();
         let intra = intra_part_pa(&inst, &tree, &leaders, Variant::Deterministic).unwrap();

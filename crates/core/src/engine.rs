@@ -15,14 +15,14 @@
 //! * constructed once per graph, it owns the [`Network`] and runs
 //!   election + BFS exactly once (lazily, at the first solve or tree
 //!   access — sessions that only need divisions never simulate it);
-//! * its PA surface is [`PaEngine::solve`], the buffer-taking
-//!   [`PaEngine::solve_into`], the pipelined [`PaEngine::solve_batch`]
-//!   and the pre-warming [`PaEngine::pipeline_for`]; each looks its part
-//!   vector up once in an LRU-bounded memo keyed by a fingerprint of the
-//!   vector; only a miss validates the vector against the graph and
-//!   rebuilds stages 2–4 and runs Algorithm 1's phase A, and a hit reuses
-//!   the partition validated then;
-//! * the solves replay the entry's recorded phase A: phase B folds the
+//! * its PA surface is [`PaEngine::solve`] (a wrapper over the
+//!   buffer-taking [`PaEngine::solve_into`]) and the pre-warming
+//!   [`PaEngine::pipeline_for`]; each looks its part vector up once in an
+//!   LRU-bounded memo keyed by a fingerprint of the vector; only a miss
+//!   validates the vector against the graph and rebuilds stages 2–4 and
+//!   runs Algorithm 1's phase A, and a hit reuses the partition
+//!   validated then;
+//! * a solve replays the entry's recorded phase A: phase B folds the
 //!   values backwards along its delivery record and phase C copies each
 //!   part's result forwards, in the engine's recycled accumulator;
 //! * costs are charged *incrementally*: election + BFS on the first
@@ -200,10 +200,8 @@ pub struct EngineStats {
     pub division_hits: u64,
     /// Misses on the whole-graph division memo (division built).
     pub division_misses: u64,
-    /// PA solves served (including the solve inside each batch).
+    /// PA solves served.
     pub solves: u64,
-    /// Batched solves served.
-    pub batches: u64,
     /// Distinct partitions currently cached.
     pub cached_partitions: usize,
     /// Election + BFS cost, paid once per engine — zero until stage 1
@@ -222,7 +220,6 @@ impl EngineStats {
         self.division_hits += other.division_hits;
         self.division_misses += other.division_misses;
         self.solves += other.solves;
-        self.batches += other.batches;
         self.cached_partitions += other.cached_partitions;
         self.base_cost += other.base_cost;
     }
@@ -241,12 +238,12 @@ impl EngineStats {
 
 impl std::fmt::Display for EngineStats {
     /// One-line cache economics summary, e.g.
-    /// `hits/misses/evictions 8/4/1 (66.7% hit), divisions 2/1, 12 solves (2 batched), 3 live, base 42r/1234m`.
+    /// `hits/misses/evictions 8/4/1 (66.7% hit), divisions 2/1, 12 solves, 3 live, base 42r/1234m`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "hits/misses/evictions {}/{}/{} ({:.1}% hit), divisions {}/{}, \
-             {} solves ({} batched), {} live, base {}r/{}m",
+             {} solves, {} live, base {}r/{}m",
             self.hits,
             self.misses,
             self.evictions,
@@ -254,21 +251,11 @@ impl std::fmt::Display for EngineStats {
             self.division_hits,
             self.division_misses,
             self.solves,
-            self.batches,
             self.cached_partitions,
             self.base_cost.rounds,
             self.base_cost.messages,
         )
     }
-}
-
-/// Result of [`PaEngine::solve_batch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchResult {
-    /// `aggregates[i][p]` — aggregate of value-set `i` on part `p`.
-    pub aggregates: Vec<Vec<u64>>,
-    /// Total measured cost of the pipelined batch.
-    pub cost: CostReport,
 }
 
 #[derive(Clone)]
@@ -615,11 +602,10 @@ impl<'g> PaEngine<'g> {
     /// A hit (equal key, equal part vector) reuses the partition
     /// validated when the entry was built and checks nothing else. A
     /// miss validates `assignment` against this engine's graph, then
-    /// builds the entry. `values` is the solve's value count (a batch
-    /// passes its first wrong set length), checked after the partition;
-    /// `None` marks a pre-warm, which counts no solve and leaves the
-    /// entry's setup cost pending. A rejected call counts, stamps and
-    /// builds nothing.
+    /// builds the entry. `values` is the solve's value count, checked
+    /// after the partition; `None` marks a pre-warm, which counts no
+    /// solve and leaves the entry's setup cost pending. A rejected call
+    /// counts, stamps and builds nothing.
     ///
     /// `on_entry` also gets the cost to charge beyond the waves: the entry's
     /// stage 2–4 setup if no solve has paid it yet, plus election + BFS
@@ -774,67 +760,6 @@ impl<'g> PaEngine<'g> {
                 Ok(())
             },
         )?
-    }
-
-    /// Solves `k` aggregations over one partition with a single pipelined
-    /// wave.
-    ///
-    /// Applications routinely aggregate many word-sized values over one
-    /// partition (the min-cut sketches, the CDS labels). The wave's
-    /// routes do not depend on the values, so each value set replays the
-    /// entry's recorded wave, and the `k` values stream behind each other
-    /// like the pipelined broadcast primitive
-    /// (`congest::programs::pipeline`, `O(depth + k)` rounds): each of
-    /// the three phases adds `k - 1` rounds to one solve's, and every
-    /// message carries `k` values, so messages are `k` times one solve's.
-    /// The checkout's setup is charged once on top.
-    ///
-    /// # Errors
-    /// As [`PaEngine::solve`]: a partition error first, then
-    /// [`PaError::ValueCountMismatch`] for the first value set without one
-    /// value per node (a rejected call changes no [`EngineStats`]
-    /// counter), then the errors of Algorithm 1.
-    ///
-    /// # Panics
-    /// Panics if `value_sets` is empty.
-    pub fn solve_batch(
-        &mut self,
-        assignment: &[usize],
-        value_sets: &[Vec<u64>],
-        agg: Aggregate,
-    ) -> Result<BatchResult, PaError> {
-        assert!(!value_sets.is_empty(), "batch needs at least one value set");
-        let graph = self.graph;
-        let n = graph.n();
-        let key = partition_fingerprint(assignment);
-        let count = value_sets
-            .iter()
-            .map(Vec::len)
-            .find(|&len| len != n)
-            .unwrap_or(n);
-        let batch = self.checkout(
-            key,
-            assignment,
-            Some(count),
-            |entry, tree, scratch, extra| {
-                let mut one = PaResult::default();
-                let mut aggregates = Vec::with_capacity(value_sets.len());
-                for values in value_sets {
-                    let inst = PaInstance::borrowed(graph, &entry.partition, values, agg);
-                    replay(&inst, entry, tree, scratch, &mut one)?;
-                    aggregates.push(one.aggregates.clone());
-                }
-                let k = value_sets.len();
-                let cost = CostReport::with_capacity(
-                    one.cost.rounds + 3 * (k - 1),
-                    one.cost.messages * k as u64,
-                    one.cost.capacity_multiplier,
-                ) + extra;
-                Ok(BatchResult { aggregates, cost })
-            },
-        )?;
-        self.core.stats.batches += 1;
-        batch
     }
 
     /// The Algorithm 6 division of the whole graph with completion
@@ -1053,99 +978,18 @@ mod tests {
         assert_eq!(engine.stats().misses, 4);
     }
 
-    /// `k` value sets: `values` shifted by 0, 1, …, k − 1.
-    fn value_sets(values: &[u64], k: u64) -> Vec<Vec<u64>> {
-        (0..k)
-            .map(|i| values.iter().map(|v| v + i).collect())
-            .collect()
-    }
-
     #[test]
-    fn batch_charges_setup_once() {
-        let (g, parts, values) = grid_instance();
-        // Exact (rounds, messages) of the cold and the warm batch: the
-        // cold one pays election + BFS + stages 2–4 once, and the waves
-        // of either add 3(k − 1) rounds and k× messages to one solve's.
-        for (k, cold, warm) in [
-            (1, (243, 2753), (30, 198)),
-            (4, (252, 3347), (39, 792)),
-            (16, (288, 5723), (75, 3168)),
-        ] {
-            let sets = value_sets(&values, k);
-            let mut engine = PaEngine::new(&g, EngineConfig::new());
-            let batch = engine
-                .solve_batch(parts.assignment(), &sets, Aggregate::Max)
-                .unwrap();
-            let again = engine
-                .solve_batch(parts.assignment(), &sets, Aggregate::Max)
-                .unwrap();
-            assert_eq!(batch.aggregates, again.aggregates);
-            assert_eq!((batch.cost.rounds, batch.cost.messages), cold, "k = {k}");
-            assert_eq!((again.cost.rounds, again.cost.messages), warm, "k = {k}");
-            let stats = engine.stats();
-            assert_eq!((stats.hits, stats.misses, stats.solves), (1, 1, 2));
-            assert_eq!(stats.batches, 2);
-        }
-    }
-
-    #[test]
-    fn batch_matches_individual_answers() {
-        let g = gen::grid(6, 6);
-        let parts = Partition::new(&g, gen::grid_row_partition(6, 6)).unwrap();
-        let sets: Vec<Vec<u64>> = (0..5u64)
-            .map(|i| (0..36u64).map(|v| (v * 7 + i * 13) % 97).collect())
-            .collect();
-        let mut engine = PaEngine::new(&g, EngineConfig::new());
-        let batch = engine
-            .solve_batch(parts.assignment(), &sets, Aggregate::Max)
-            .unwrap();
-        for (i, vs) in sets.iter().enumerate() {
-            for p in parts.part_ids() {
-                let expect = Aggregate::Max.fold(parts.members(p).iter().map(|&v| vs[v]));
-                assert_eq!(batch.aggregates[i][p], expect, "set {i} part {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn batching_beats_sequential_rounds() {
-        let g = gen::grid(5, 20);
-        let parts = Partition::new(&g, gen::grid_row_partition(5, 20)).unwrap();
-        let mut engine = PaEngine::new(&g, EngineConfig::new());
-        let ones = vec![1u64; 100];
-        engine
-            .solve(parts.assignment(), &ones, Aggregate::Sum)
-            .unwrap();
-        // Warm from here on: both charge the waves only.
-        let single = engine
-            .solve(parts.assignment(), &ones, Aggregate::Sum)
-            .unwrap();
-        let k = 16usize;
-        let batch = engine
-            .solve_batch(parts.assignment(), &vec![ones; k], Aggregate::Sum)
-            .unwrap();
-        assert!(
-            batch.cost.rounds < k * single.cost.rounds,
-            "pipelined {} should beat sequential {}",
-            batch.cost.rounds,
-            k * single.cost.rounds
-        );
-        assert_eq!(batch.cost.messages, single.cost.messages * k as u64);
-    }
-
-    #[test]
-    fn batch_rejects_a_short_value_set_before_counting() {
+    fn solve_rejects_a_short_value_vector_before_counting() {
         let (g, parts, values) = grid_instance();
         let n = g.n();
-        let mut sets = value_sets(&values, 3);
-        sets[2].truncate(2);
+        let short = &values[..2];
         let mut engine = PaEngine::new(&g, EngineConfig::new());
         for _ in 0..2 {
             // Cold first, then warm: no counter moves and nothing is
             // cached either way.
             let before = engine.stats();
             let err = engine
-                .solve_batch(parts.assignment(), &sets, Aggregate::Min)
+                .solve(parts.assignment(), short, Aggregate::Min)
                 .unwrap_err();
             assert_eq!(
                 err,
@@ -1159,11 +1003,9 @@ mod tests {
                 .solve(parts.assignment(), &values, Aggregate::Min)
                 .unwrap();
         }
-        // A partition error wins over the bad set.
+        // A partition error wins over the bad values.
         let before = engine.stats();
-        let err = engine
-            .solve_batch(&[0; 3], &sets, Aggregate::Min)
-            .unwrap_err();
+        let err = engine.solve(&[0; 3], short, Aggregate::Min).unwrap_err();
         assert!(matches!(err, PaError::Partition(_)), "{err:?}");
         assert_eq!(engine.stats(), before);
     }

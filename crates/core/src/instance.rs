@@ -20,9 +20,6 @@ pub enum PaError {
     /// budget — the supplied shortcut's block parameter is too large
     /// (this is exactly what Algorithm 2 detects).
     BlockBudgetExceeded { part: usize, budget: usize },
-    /// An engine configuration whose artifact cache has no room
-    /// (`cache_capacity == 0`): every solve caches its partition.
-    ZeroCacheCapacity,
 }
 
 impl fmt::Display for PaError {
@@ -39,7 +36,6 @@ impl fmt::Display for PaError {
                     "part {part} not covered within {budget} block iterations"
                 )
             }
-            PaError::ZeroCacheCapacity => write!(f, "cache capacity must be >= 1"),
         }
     }
 }

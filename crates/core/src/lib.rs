@@ -20,7 +20,7 @@
 //! | Algorithm 9 (leaderless PA) | [`leaderless`] |
 //! | Section 3.1 baselines | [`baseline`] |
 //! | Pipeline stages (Theorem 1.2) | [`pipeline`] |
-//! | Session engine (cached pipelines, batched PA) | [`engine`] |
+//! | Session engine (cached pipelines) | [`engine`] |
 //!
 //! # Quickstart
 //!
@@ -76,8 +76,8 @@ pub mod verify_block;
 
 pub use aggregate::Aggregate;
 pub use engine::{
-    partition_fingerprint, word_fingerprint, BatchResult, DivisionStrategy, EngineConfig,
-    EngineCore, EngineStats, PaEngine,
+    partition_fingerprint, word_fingerprint, DivisionStrategy, EngineConfig, EngineCore,
+    EngineStats, PaEngine,
 };
 pub use instance::{PaError, PaInstance};
 pub use pipeline::{build_artifacts, PipelineArtifacts, ShortcutStrategy};

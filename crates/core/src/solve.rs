@@ -823,7 +823,7 @@ mod tests {
         parts: &Partition,
     ) -> (RootedTree, Shortcut, SubPartDivision, Vec<NodeId>) {
         let (tree, _) = bfs_tree(g, 0);
-        let sc = trivial_shortcut_with_threshold(g, &tree, parts, 1);
+        let sc = trivial_shortcut_with_threshold(&tree, parts, 1);
         let leaders = min_leaders(parts);
         let division = SubPartDivision::one_per_part(g, parts, &leaders);
         (tree, sc, division, leaders)

@@ -94,7 +94,7 @@ mod tests {
         let g = gen::grid(6, 6);
         let parts = Partition::new(&g, gen::grid_row_partition(6, 6)).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
-        let sc = trivial_shortcut_with_threshold(&g, &tree, &parts, 1);
+        let sc = trivial_shortcut_with_threshold(&tree, &parts, 1);
         let leaders: Vec<NodeId> = parts.part_ids().map(|p| parts.members(p)[0]).collect();
         let division = SubPartDivision::one_per_part(&g, &parts, &leaders);
         let setup = PaSetup {
@@ -145,7 +145,7 @@ mod tests {
         let g = gen::grid(4, 4);
         let parts = Partition::new(&g, gen::grid_row_partition(4, 4)).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
-        let sc = trivial_shortcut_with_threshold(&g, &tree, &parts, 1);
+        let sc = trivial_shortcut_with_threshold(&tree, &parts, 1);
         let leaders: Vec<NodeId> = parts.part_ids().map(|p| parts.members(p)[0]).collect();
         let division = SubPartDivision::one_per_part(&g, &parts, &leaders);
         let setup = PaSetup {

@@ -38,7 +38,7 @@ pub fn run() {
         vec![e(1, 4), e(0, 2)],
     ];
     let sc = Shortcut::new(&parts, &tree, assignments).expect("tree-restricted");
-    let q = quality::measure(&g, &tree, &parts, &sc);
+    let q = quality::measure(&g, &parts, &sc);
     let mut rows = Vec::new();
     for p in parts.part_ids() {
         let blocks = sc.blocks_of(&g, &tree, &parts, p);

@@ -43,7 +43,7 @@ pub fn run(quick: bool) {
         // Shared infrastructure: BFS tree at the apex, whole-tree shortcut.
         let apex = depth * width;
         let (tree, _) = bfs_tree(&g, apex);
-        let sc = trivial_shortcut_with_threshold(&g, &tree, &parts, 1);
+        let sc = trivial_shortcut_with_threshold(&tree, &parts, 1);
         let leaders: Vec<usize> = parts.part_ids().map(|p| parts.members(p)[0]).collect();
         // Prior work: every node uses the block.
         let naive = naive_block_pa(&inst, &tree, &sc, &leaders, Variant::Deterministic, 1)

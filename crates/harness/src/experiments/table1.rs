@@ -46,8 +46,8 @@ pub fn run(quick: bool) {
             (artifacts.block_budget, artifacts.shortcut.clone())
         };
         let tree = engine.tree();
-        let congestion = quality::measure(g, tree, parts, &shortcut).congestion;
-        let trivial = quality::measure(g, tree, parts, &trivial_shortcut(g, tree, parts));
+        let congestion = quality::measure(g, parts, &shortcut).congestion;
+        let trivial = quality::measure(g, parts, &trivial_shortcut(g, tree, parts));
         let (pb, pc, b_max, c_max) = paper_bound(w.family, n, diameter_exact(g));
         let checks = [
             ("alg8 b", block_budget, b_max),

@@ -42,7 +42,6 @@ pub const SERVING_ENTRIES: &[&str] = &[
     "PaCluster::serve_replay",
     "StreamGateway::run",
     "StreamGateway::run_sequential",
-    "StreamGateway::run_channel",
     "StreamGateway::replay",
     // The replica-scheduling path: forking and re-absorbing warmed
     // cores runs on the serving batch path (outside any lock), so the

@@ -271,7 +271,6 @@ const BLOCKING: &[&str] = &[
     "recv_timeout",
     "solve",
     "solve_into",
-    "solve_batch",
     "solve_on",
     "pipeline_for",
     "run_query",

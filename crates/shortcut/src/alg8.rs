@@ -335,7 +335,7 @@ mod tests {
             &terminals,
             DetParams::new(c, 2, parts.num_parts()),
         );
-        let q = measure(&g, &tree, &parts, &res.shortcut);
+        let q = measure(&g, &parts, &res.shortcut);
         let log_d = ceil_log2(tree.depth().max(2));
         let bound = 2 * c * log_d * res.iterations + res.iterations;
         assert!(

@@ -233,7 +233,7 @@ mod tests {
             &terminals,
             RandParams::new(c, 2, parts.num_parts(), 3),
         );
-        let q = measure(&g, &tree, &parts, &res.shortcut);
+        let q = measure(&g, &parts, &res.shortcut);
         assert!(
             q.congestion <= 2 * c * res.iterations,
             "congestion {} exceeds per-iteration budget times iterations",

@@ -42,7 +42,7 @@
 //! let parts = Partition::new(&g, gen::grid_row_partition(8, 8)).unwrap();
 //! let (tree, _) = bfs_tree(&g, 0);
 //! let sc = trivial::trivial_shortcut(&g, &tree, &parts);
-//! let q = quality::measure(&g, &tree, &parts, &sc);
+//! let q = quality::measure(&g, &parts, &sc);
 //! assert_eq!(q.block_parameter, 1);
 //! ```
 

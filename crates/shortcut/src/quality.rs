@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use rmo_graph::{Graph, NodeId, Partition, RootedTree};
+use rmo_graph::{Graph, NodeId, Partition};
 
 use crate::model::{BlockCounter, Shortcut};
 
@@ -21,13 +21,12 @@ pub struct Quality {
     pub dilation: usize,
 }
 
-/// Measures congestion, block parameter and dilation of `sc` exactly.
-/// `sc` must be restricted to `_tree`; none of the three measures needs
-/// more of the tree than the edge ids `sc` holds.
+/// Measures congestion, block parameter and dilation of `sc` exactly;
+/// all three read only the tree edge ids `sc` holds.
 ///
 /// # Panics
 /// Panics if the shortcut's part count does not match the partition.
-pub fn measure(g: &Graph, _tree: &RootedTree, parts: &Partition, sc: &Shortcut) -> Quality {
+pub fn measure(g: &Graph, parts: &Partition, sc: &Shortcut) -> Quality {
     assert_eq!(
         sc.num_parts(),
         parts.num_parts(),
@@ -133,7 +132,7 @@ mod tests {
         let parts = Partition::new(&g, gen::grid_row_partition(8, 8)).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
         let sc = trivial_shortcut(&g, &tree, &parts);
-        let q = measure(&g, &tree, &parts, &sc);
+        let q = measure(&g, &parts, &sc);
         // Rows have 8 >= sqrt(64) nodes, so all get the whole tree:
         assert_eq!(q.block_parameter, 1);
         assert_eq!(q.congestion, 8, "all 8 rows share every tree edge");
@@ -163,8 +162,7 @@ mod tests {
     fn congestion_zero_for_empty() {
         let g = gen::path(6);
         let parts = Partition::new(&g, gen::path_blocks(6, 2)).unwrap();
-        let (tree, _) = bfs_tree(&g, 0);
-        let q = measure(&g, &tree, &parts, &Shortcut::empty(3));
+        let q = measure(&g, &parts, &Shortcut::empty(3));
         assert_eq!(q.congestion, 0);
         assert_eq!(q.block_parameter, 1, "no block-handled parts");
     }

@@ -17,7 +17,7 @@ use crate::model::Shortcut;
 /// `⌈√n⌉`.
 pub fn trivial_shortcut(g: &Graph, tree: &RootedTree, parts: &Partition) -> Shortcut {
     let threshold = ceil_sqrt(g.n());
-    trivial_shortcut_with_threshold(g, tree, parts, threshold.max(1))
+    trivial_shortcut_with_threshold(tree, parts, threshold.max(1))
 }
 
 /// Builds the trivial shortcut with an explicit size threshold: parts with
@@ -28,7 +28,6 @@ pub fn trivial_shortcut(g: &Graph, tree: &RootedTree, parts: &Partition) -> Shor
 /// # Panics
 /// Panics if `threshold == 0`.
 pub fn trivial_shortcut_with_threshold(
-    _g: &Graph,
     tree: &RootedTree,
     parts: &Partition,
     threshold: usize,
@@ -72,7 +71,7 @@ mod tests {
         let parts = Partition::new(&g, gen::grid_row_partition(10, 10)).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
         let sc = trivial_shortcut(&g, &tree, &parts);
-        let q = measure(&g, &tree, &parts, &sc);
+        let q = measure(&g, &parts, &sc);
         assert!(q.congestion <= 10, "c = {} exceeds sqrt(n)", q.congestion);
         assert_eq!(q.block_parameter, 1);
     }
@@ -82,11 +81,11 @@ mod tests {
         let g = gen::path(12);
         let parts = Partition::new(&g, gen::path_blocks(12, 3)).unwrap();
         let (tree, _) = bfs_tree(&g, 0);
-        let sc = trivial_shortcut_with_threshold(&g, &tree, &parts, 3);
+        let sc = trivial_shortcut_with_threshold(&tree, &parts, 3);
         for p in 0..4 {
             assert!(!sc.is_direct(p), "all parts have size 3 >= threshold");
         }
-        let sc2 = trivial_shortcut_with_threshold(&g, &tree, &parts, 4);
+        let sc2 = trivial_shortcut_with_threshold(&tree, &parts, 4);
         for p in 0..4 {
             assert!(sc2.is_direct(p));
         }

@@ -6,14 +6,16 @@
 //!
 //! Builds a weighted 12×12 grid and serves three different jobs from a
 //! single session — an MST build (Borůvka over PA), its verification
-//! (component labeling + spanning-tree checks), and a batch of 16
-//! row-wise aggregations — then prints the engine's cache statistics.
-//! Leader election and the BFS tree run exactly once, on the first call;
-//! everything after that is charged incrementally.
+//! (component labeling + spanning-tree checks), and 16 row-wise
+//! aggregations into one recycled result buffer — then prints the
+//! engine's cache statistics. Leader election and the BFS tree run
+//! exactly once, on the first call; everything after that is charged
+//! incrementally.
 
 use rmo::apps::mst::pa_mst;
 use rmo::apps::verify::verify_mst;
-use rmo::core::{Aggregate, EngineConfig, PaEngine};
+use rmo::congest::CostReport;
+use rmo::core::{Aggregate, EngineConfig, PaEngine, PaResult};
 use rmo::graph::gen;
 
 fn main() {
@@ -40,39 +42,38 @@ fn main() {
     assert!(verdict.holds, "our own MST must verify");
     println!("verify(MST):  holds = {}, {}", verdict.holds, verdict.cost);
 
-    // Job 3: a batch of 16 row-wise aggregations, pipelined in one wave.
-    // The engine takes the part id per node and validates the vector the
-    // first time it sees it.
+    // Job 3: 16 row-wise aggregations through `solve_into`, recycling one
+    // result buffer. The engine takes the part id per node and validates
+    // the vector the first time it sees it: the first solve misses and
+    // builds stages 2-4, the other 15 hit and pay the waves only.
     let rows = gen::grid_row_partition(12, 12);
-    let sets: Vec<Vec<u64>> = (0..16u64)
-        .map(|i| (0..g.n() as u64).map(|v| (v * 13 + i) % 1009).collect())
-        .collect();
-    let batch = engine
-        .solve_batch(&rows, &sets, Aggregate::Min)
-        .expect("batch solves");
-    println!(
-        "batch(16):    {} value sets over {} row parts, {}",
-        batch.aggregates.len(),
-        batch.aggregates[0].len(),
-        batch.cost
-    );
-
-    // Warm repeat: the same batch again is served from the cache.
-    let again = engine
-        .solve_batch(&rows, &sets, Aggregate::Min)
-        .expect("batch solves");
-    println!("batch again:  {} (cache hit, waves only)", again.cost);
+    let mut values = vec![0u64; g.n()];
+    let mut out = PaResult::default();
+    let mut warm = CostReport::zero();
+    for i in 0..16u64 {
+        for (v, x) in (0u64..).zip(values.iter_mut()) {
+            *x = (v * 13 + i) % 1009;
+        }
+        engine
+            .solve_into(&rows, &values, Aggregate::Min, &mut out)
+            .expect("row aggregation solves");
+        if i == 0 {
+            println!(
+                "rows, cold:   {} row parts, {} (cache miss)",
+                out.aggregates.len(),
+                out.cost
+            );
+        } else {
+            warm += out.cost;
+        }
+    }
+    println!("rows, warm:   15 more value sets, {warm} (cache hits, waves only)");
 
     let stats = engine.stats();
     println!(
-        "\nEngineStats: {} solves ({} batched), cache {} hits / {} misses / {} evictions, \
+        "\nEngineStats: {} solves, cache {} hits / {} misses / {} evictions, \
          {} partitions cached",
-        stats.solves,
-        stats.batches,
-        stats.hits,
-        stats.misses,
-        stats.evictions,
-        stats.cached_partitions
+        stats.solves, stats.hits, stats.misses, stats.evictions, stats.cached_partitions
     );
     println!(
         "stage-1 cost (election + BFS, paid once): {}",

@@ -30,14 +30,14 @@ fn explore(name: &str, g: &Graph, parts: &Partition) {
         g.m(),
         tree.depth()
     );
-    let q = quality::measure(g, tree, parts, &shortcut);
+    let q = quality::measure(g, parts, &shortcut);
     let direct = parts.part_ids().filter(|&p| shortcut.is_direct(p)).count();
     println!(
         "engine shortcut: block budget {block_budget}, congestion {}, {direct} of {} parts direct",
         q.congestion,
         parts.num_parts()
     );
-    let qt = quality::measure(g, tree, parts, &trivial_shortcut(g, tree, parts));
+    let qt = quality::measure(g, parts, &trivial_shortcut(g, tree, parts));
     println!(
         "trivial fallback for comparison: (b, c) = ({}, {})",
         qt.block_parameter, qt.congestion

@@ -30,7 +30,7 @@ fn figure1_example_parameters() {
         ],
     )
     .unwrap();
-    let q = quality::measure(&g, &tree, &parts, &sc);
+    let q = quality::measure(&g, &parts, &sc);
     assert_eq!(q.congestion, 3);
     assert_eq!(q.block_parameter, 2);
 }
@@ -46,7 +46,7 @@ fn figure2_separation_at_depth_32() {
     let inst = PaInstance::from_partition(&g, parts.clone(), values, Aggregate::Min).unwrap();
     let apex = depth * width;
     let (tree, _) = bfs_tree(&g, apex);
-    let sc = trivial_shortcut_with_threshold(&g, &tree, &parts, 1);
+    let sc = trivial_shortcut_with_threshold(&tree, &parts, 1);
     let leaders: Vec<usize> = parts.part_ids().map(|p| parts.members(p)[0]).collect();
     let naive = naive_block_pa(&inst, &tree, &sc, &leaders, Variant::Deterministic, 1).unwrap();
     let div = random_division(&g, &parts, &leaders, tree.depth().max(1), 7);

@@ -72,7 +72,7 @@ proptest! {
             &g, &tree, &parts, &terminals,
             DetParams::new(budget, budget, parts.num_parts()),
         );
-        let q = quality::measure(&g, &tree, &parts, &res.shortcut);
+        let q = quality::measure(&g, &parts, &res.shortcut);
         let log_d = ceil_log2(tree.depth().max(2)) + 1;
         prop_assert!(
             q.congestion <= 2 * budget * log_d * res.iterations.max(1) + res.iterations,

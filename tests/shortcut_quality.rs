@@ -40,7 +40,7 @@ fn trivial_shortcut_is_universal() {
         let parts = gen::random_connected_partition(&g, k, 3);
         let (tree, _) = bfs_tree(&g, 0);
         let sc = trivial_shortcut(&g, &tree, &parts);
-        let q = quality::measure(&g, &tree, &parts, &sc);
+        let q = quality::measure(&g, &parts, &sc);
         assert_eq!(q.block_parameter, 1, "n = {}", g.n());
         assert!(
             q.congestion <= k + 1,

@@ -4,14 +4,11 @@
 //! `ArrivalLog` replay, and backpressure pinning the *exact* rejection
 //! set at a given high-water mark.
 
-use std::sync::mpsc;
-
 use proptest::prelude::*;
 
 use rmo::apps::service::{GraphId, PaCluster};
 use rmo::apps::stream::{
-    mixed_arrivals, zipf_arrivals, Arrival, BatchClose, RejectReason, StreamConfig, StreamEvent,
-    StreamGateway,
+    mixed_arrivals, zipf_arrivals, Arrival, RejectReason, StreamConfig, StreamGateway,
 };
 use rmo::apps::Query;
 use rmo::graph::gen;
@@ -211,52 +208,6 @@ fn backpressure_is_per_shard_not_global() {
             ..
         })
     ));
-}
-
-/// The live channel front-end streams responses while later queries
-/// are still arriving, and ends up with the identical deterministic
-/// report as the slice run — arrival transport does not change
-/// results.
-#[test]
-fn channel_mode_matches_slice_mode_and_streams_responses() {
-    let trace = mixed_arrivals(&small_fleet(2), 30, 77, 4);
-    let config = StreamConfig::new().with_max_batch(4).with_max_wait_ticks(8);
-    let (atx, arx) = mpsc::channel::<Arrival>();
-    let (etx, erx) = mpsc::channel::<StreamEvent>();
-    let sender = std::thread::spawn({
-        let trace = trace.clone();
-        move || {
-            for a in trace {
-                atx.send(a).expect("gateway outlives the sender");
-            }
-        }
-    });
-    let mut gateway = StreamGateway::new(small_fleet(2), config);
-    let live = gateway.run_channel(arx, &etx);
-    drop(etx);
-    sender.join().expect("sender thread");
-    let events: Vec<StreamEvent> = erx.iter().collect();
-    let responses = events
-        .iter()
-        .filter(|e| matches!(e, StreamEvent::Response { .. }))
-        .count() as u64;
-    assert_eq!(
-        responses, live.stats.admitted,
-        "every response streamed out"
-    );
-    assert!(
-        events.iter().any(|e| matches!(
-            e,
-            StreamEvent::BatchClosed {
-                closed_by: BatchClose::Size,
-                ..
-            }
-        )),
-        "batch boundaries are visible live"
-    );
-    let slice = StreamGateway::new(small_fleet(2), config).run(&trace);
-    assert_eq!(live.outcomes, slice.outcomes);
-    assert_eq!(live.stats, slice.stats);
 }
 
 /// Replaying someone else's log is a typed error, not a panic — even

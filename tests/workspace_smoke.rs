@@ -1,7 +1,8 @@
 //! Workspace smoke tests: the parts of the repo that aren't exercised by
 //! unit tests still build and run.
 //!
-//! * every example under `examples/` compiles (`cargo build --examples`);
+//! * every example under `examples/` compiles (`cargo build --examples`)
+//!   and runs to exit 0 with a non-empty report;
 //! * the `rmo-harness` binary runs a quick Table 1 regeneration without
 //!   panicking and prints a markdown table;
 //! * the `serve --skew` experiment runs, which exercises the threaded
@@ -103,6 +104,7 @@ fn all_examples_compile() {
     // seven quickstart/explorer binaries must be produced (fresh builds)
     // or already on disk as reported by a previous run (fingerprint-fresh
     // builds still emit the artifact messages with the executable path).
+    // Each must then run: a panic or an empty report fails here.
     let expected = [
         "diameter_probe",
         "engine_session",
@@ -121,12 +123,30 @@ fn all_examples_compile() {
         })
         .collect();
     for name in expected {
+        let exe = executables
+            .iter()
+            .find(|exe| {
+                std::path::Path::new(exe)
+                    .file_stem()
+                    .is_some_and(|s| s == name)
+            })
+            .unwrap_or_else(|| {
+                panic!(
+                    "example binary `{name}` missing after cargo build --examples; \
+                     built: {executables:?}"
+                )
+            });
+        let run = Command::new(exe)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn example `{name}`: {e}"));
         assert!(
-            executables.iter().any(|exe| std::path::Path::new(exe)
-                .file_stem()
-                .is_some_and(|s| s == name)),
-            "example binary `{name}` missing after cargo build --examples; built: {executables:?}"
+            run.status.success(),
+            "example `{name}` exited with {:?}:\n{}",
+            run.status.code(),
+            String::from_utf8_lossy(&run.stderr)
         );
+        assert!(!run.stdout.is_empty(), "example `{name}` printed nothing");
     }
 }
 
