@@ -22,8 +22,10 @@
 //!   core is re-parked (lowest replica index) with every other
 //!   replica's counters absorbed into it, and each fork is recorded as
 //!   a [`ReplicaEvent`] in the batch's [`ServeLog`];
-//! * serves the shards on `std::thread::scope` workers that stream
-//!   responses back over an `mpsc` channel ([`PaCluster::serve`]); an
+//! * serves the shards on workers ([`PaCluster::serve`]): the calling
+//!   thread serves shard 0 and `std::thread::scope` helpers serve the
+//!   rest, each handing its responses straight to one lock-guarded
+//!   emitter (no `mpsc` channel, no collector thread); an
 //!   **idle worker steals** whole parked graph groups from the most
 //!   loaded shard's tail (legal because a group's
 //!   [`rmo_core::EngineCore`] is `Send` and parked between groups),
@@ -100,7 +102,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::{mpsc, Mutex};
+use std::sync::{Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -410,6 +412,48 @@ fn lock(state: &Mutex<SchedState>) -> std::sync::MutexGuard<'_, SchedState> {
     state.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
+/// Where workers hand their responses: the batch's response slots and
+/// the streaming hook, behind one lock. Every worker delivers on its own
+/// thread the moment a response exists, so concurrent workers call the
+/// hook one at a time and no thread waits to collect.
+struct Emitter<'h> {
+    delivery: Mutex<Delivery<'h>>,
+}
+
+struct Delivery<'h> {
+    responses: Vec<Option<QueryResponse>>,
+    hook: Option<ResponseHook<'h>>,
+}
+
+impl<'h> Emitter<'h> {
+    fn new(responses: Vec<Option<QueryResponse>>, hook: Option<ResponseHook<'h>>) -> Emitter<'h> {
+        Emitter {
+            delivery: Mutex::new(Delivery { responses, hook }),
+        }
+    }
+
+    /// Shows `response` to the hook, then moves it into slot `idx`.
+    /// Poison is shrugged off like the scheduler's: a hook that panicked
+    /// left every slot set at most once.
+    fn emit(&self, idx: usize, response: QueryResponse) {
+        let mut guard = self.delivery.lock().unwrap_or_else(PoisonError::into_inner);
+        let Delivery { responses, hook } = &mut *guard;
+        if let Some(hook) = hook {
+            hook(idx, &response);
+        }
+        if let Some(slot) = responses.get_mut(idx) {
+            *slot = Some(response);
+        }
+    }
+
+    fn into_responses(self) -> Vec<Option<QueryResponse>> {
+        self.delivery
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .responses
+    }
+}
+
 /// Rearranges a batch's planned groups into a previously recorded
 /// final assignment, or `None` when the log does not fit the batch: a
 /// different shard count, a group it names that this batch lacks, or a
@@ -509,7 +553,10 @@ impl GroupHistory {
 /// streaming front-end ([`crate::stream::StreamGateway`]) can drive the
 /// same batch lifecycle as the public `serve*` entry points.
 pub(crate) enum ExecMode<'a> {
-    /// One scoped worker per shard, stealing enabled.
+    /// One worker per shard, stealing enabled: the calling thread serves
+    /// shard 0 and scoped helper threads serve the others. Workers hand
+    /// responses to a shared lock-guarded emitter, never to an `mpsc`
+    /// channel.
     Threaded,
     /// Shard by shard on the calling thread, no steals.
     Sequential,
@@ -519,13 +566,14 @@ pub(crate) enum ExecMode<'a> {
 }
 
 /// A per-response streaming hook: called with `(batch-local index,
-/// response)` the moment each response exists — from the collector as
-/// worker groups finish in the threaded mode, in execution order on the
-/// calling thread otherwise, and up front for plan-time failures. The
-/// response still lands in the batch's [`ServeReport`] afterwards; the
-/// hook is how the streaming front-end pushes responses to clients
-/// before the batch completes.
-pub(crate) type ResponseHook<'a> = &'a mut dyn FnMut(usize, &QueryResponse);
+/// response)` the moment each response exists — on the worker that
+/// produced it, under the emitter lock, so calls never overlap (in the
+/// threaded mode on the calling thread or a helper, in execution order
+/// on the calling thread otherwise), and up front for plan-time
+/// failures. Hence `Send`. The response then moves into the batch's
+/// [`ServeReport`]; the hook is how the streaming front-end pushes
+/// responses to clients before the batch completes.
+pub(crate) type ResponseHook<'a> = &'a mut (dyn FnMut(usize, &QueryResponse) + Send);
 
 /// A sharded worker pool owning one [`PaEngine`] session per registered
 /// graph (see the module docs for the full serving story).
@@ -670,7 +718,7 @@ impl PaCluster {
     /// a-priori [`Query::weight`] sum. Never zero, so LPT ties stay
     /// well-defined; saturating, because a hostile query's weight is
     /// already `u64::MAX`.
-    fn group_weight(&self, id: GraphId, indices: &[usize], queries: &[(GraphId, Query)]) -> u64 {
+    fn group_weight(&self, id: GraphId, indices: &[usize], queries: &[(GraphId, &Query)]) -> u64 {
         match self.history.get(&id).and_then(GroupHistory::mean_work) {
             Some(mean) => mean.saturating_mul(indices.len() as u64),
             // The planner groups only registered graphs' in-range indices,
@@ -726,7 +774,7 @@ impl PaCluster {
     #[allow(clippy::type_complexity)]
     fn plan(
         &self,
-        queries: &[(GraphId, Query)],
+        queries: &[(GraphId, &Query)],
     ) -> (
         Vec<Vec<Group>>,
         Vec<Option<QueryResponse>>,
@@ -899,8 +947,8 @@ impl PaCluster {
         steal: bool,
         state: &Mutex<SchedState>,
         slots: &BTreeMap<GraphId, Graph>,
-        queries: &[(GraphId, Query)],
-        emit: &mut dyn FnMut(usize, QueryResponse),
+        queries: &[(GraphId, &Query)],
+        emitter: &Emitter<'_>,
     ) -> Option<PanicPayload> {
         let mut first_panic: Option<PanicPayload> = None;
         loop {
@@ -910,9 +958,9 @@ impl PaCluster {
             let Some(graph) = slots.get(&group.id) else {
                 continue;
             };
-            // Responses written before a panic are kept (each response
-            // slot is set at most once), so the emit closure is
-            // unwind-safe in both serving modes.
+            // Responses delivered before a panic are kept (each response
+            // slot is set at most once), so the emitter is unwind-safe in
+            // both serving modes.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut engine = match group.core.take() {
                     Some(core) => PaEngine::from_core(graph, core),
@@ -920,7 +968,7 @@ impl PaCluster {
                 };
                 for &idx in &group.indices {
                     if let Some((_, query)) = queries.get(idx) {
-                        emit(idx, run_query(&mut engine, query));
+                        emitter.emit(idx, run_query(&mut engine, query));
                     }
                 }
                 engine.into_core()
@@ -935,59 +983,37 @@ impl PaCluster {
         first_panic
     }
 
-    /// Runs every worker concurrently (one scoped thread per shard,
-    /// stealing when idle), streaming `(index, response)` pairs back
-    /// over an `mpsc` channel while the calling thread collects. Panics
-    /// contained by the workers come back as payloads instead of
-    /// poisoning the batch.
+    /// Runs every worker concurrently, stealing when idle: the calling
+    /// thread serves shard 0 itself and `shards − 1` scoped helpers
+    /// serve the others, so one shard spawns nothing. Each worker hands
+    /// its responses to the shared emitter as it produces them. Panics
+    /// contained by the workers come back as payloads, in shard order,
+    /// instead of poisoning the batch.
     fn run_threaded(
         slots: &BTreeMap<GraphId, Graph>,
         state: &Mutex<SchedState>,
         shards: usize,
-        queries: &[(GraphId, Query)],
-        responses: &mut [Option<QueryResponse>],
-        mut hook: Option<ResponseHook<'_>>,
+        queries: &[(GraphId, &Query)],
+        emitter: &Emitter<'_>,
     ) -> Vec<PanicPayload> {
-        let mut panics = Vec::new();
         std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(usize, QueryResponse)>();
-            let handles: Vec<_> = (0..shards)
+            let helpers: Vec<_> = (1..shards)
                 .map(|shard| {
-                    let tx = tx.clone();
                     scope.spawn(move || {
-                        let mut emit = |idx: usize, resp: QueryResponse| {
-                            // The collector drains until every sender
-                            // drops, so a send only fails if the batch is
-                            // already unwinding — dropping the response
-                            // then degrades that query to `Failed`.
-                            let _ = tx.send((idx, resp));
-                        };
-                        Self::run_worker(shard, true, state, slots, queries, &mut emit)
+                        Self::run_worker(shard, true, state, slots, queries, emitter)
                     })
                 })
                 .collect();
-            drop(tx);
-            // Every worker eventually drops its sender (group panics are
-            // contained inside run_worker), so the drain terminates. The
-            // hook runs on the collecting thread, so streaming callers
-            // see responses the moment a worker produces them.
-            for (idx, resp) in rx {
-                if let Some(h) = hook.as_mut() {
-                    h(idx, &resp);
-                }
-                if let Some(slot) = responses.get_mut(idx) {
-                    *slot = Some(resp);
-                }
-            }
-            panics = handles
-                .into_iter()
-                .filter_map(|h| match h.join() {
-                    Ok(contained) => contained,
-                    Err(payload) => Some(payload),
-                })
-                .collect();
-        });
-        panics
+            let mut panics: Vec<PanicPayload> =
+                Self::run_worker(0, true, state, slots, queries, emitter)
+                    .into_iter()
+                    .collect();
+            panics.extend(helpers.into_iter().filter_map(|h| match h.join() {
+                Ok(contained) => contained,
+                Err(payload) => Some(payload),
+            }));
+            panics
+        })
     }
 
     /// Runs every worker on the calling thread, in shard order, no
@@ -997,27 +1023,12 @@ impl PaCluster {
         slots: &BTreeMap<GraphId, Graph>,
         state: &Mutex<SchedState>,
         shards: usize,
-        queries: &[(GraphId, Query)],
-        responses: &mut [Option<QueryResponse>],
-        mut hook: Option<ResponseHook<'_>>,
+        queries: &[(GraphId, &Query)],
+        emitter: &Emitter<'_>,
     ) -> Vec<PanicPayload> {
-        let mut panics = Vec::new();
-        for shard in 0..shards {
-            let hook = &mut hook;
-            let mut emit = |idx: usize, resp: QueryResponse| {
-                if let Some(h) = hook.as_mut() {
-                    h(idx, &resp);
-                }
-                if let Some(slot) = responses.get_mut(idx) {
-                    *slot = Some(resp);
-                }
-            };
-            if let Some(payload) = Self::run_worker(shard, false, state, slots, queries, &mut emit)
-            {
-                panics.push(payload);
-            }
-        }
-        panics
+        (0..shards)
+            .filter_map(|shard| Self::run_worker(shard, false, state, slots, queries, emitter))
+            .collect()
     }
 
     /// The shared batch lifecycle every serving mode runs: plan, check
@@ -1043,11 +1054,11 @@ impl PaCluster {
     /// still identical across serving modes and steal timings.
     pub(crate) fn run_batch(
         &mut self,
-        queries: &[(GraphId, Query)],
+        queries: &[(GraphId, &Query)],
         mode: ExecMode<'_>,
         mut hook: Option<ResponseHook<'_>>,
     ) -> (ServeReport, Vec<Vec<usize>>) {
-        let (mut shard_groups, mut responses, forks) = self.plan(queries);
+        let (mut shard_groups, responses, forks) = self.plan(queries);
         let plan = planned_indices(&shard_groups);
         if let ExecMode::Replay(log) = mode {
             let Some(placed) = apply_log(shard_groups, log) else {
@@ -1096,24 +1107,16 @@ impl PaCluster {
             }
         }
         let state = Mutex::new(SchedState::new(shard_groups));
+        let emitter = Emitter::new(responses, hook);
         let panics = match mode {
-            ExecMode::Threaded => Self::run_threaded(
-                &self.slots,
-                &state,
-                self.shards,
-                queries,
-                &mut responses,
-                hook,
-            ),
-            ExecMode::Sequential | ExecMode::Replay(_) => Self::run_on_caller(
-                &self.slots,
-                &state,
-                self.shards,
-                queries,
-                &mut responses,
-                hook,
-            ),
+            ExecMode::Threaded => {
+                Self::run_threaded(&self.slots, &state, self.shards, queries, &emitter)
+            }
+            ExecMode::Sequential | ExecMode::Replay(_) => {
+                Self::run_on_caller(&self.slots, &state, self.shards, queries, &emitter)
+            }
         };
+        let responses = emitter.into_responses();
         let mut state = state.into_inner().unwrap_or_else(|p| p.into_inner());
 
         // Bank warm cores: finished groups, plus groups a panic left
@@ -1198,10 +1201,12 @@ impl PaCluster {
         (report, plan)
     }
 
-    /// Serves a batch concurrently: one worker thread per shard, each
-    /// pulling graph groups off the shared scheduler — stealing from
-    /// loaded shards when idle — and streaming `(index, response)` pairs
-    /// back over an `mpsc` channel.
+    /// Serves a batch concurrently: one worker per shard — the calling
+    /// thread serves shard 0, scoped helper threads the others — each
+    /// pulling graph groups off the shared scheduler, stealing from
+    /// loaded shards when idle. Workers move each response into its slot
+    /// under one lock the moment it exists; there is no `mpsc` channel
+    /// and no collector, and the queries are borrowed, never copied.
     ///
     /// Responses come back in submission order; results and per-query
     /// costs are bit-identical to [`PaCluster::serve_sequential`]
@@ -1216,7 +1221,8 @@ impl PaCluster {
     /// post-panic cluster state is deterministic). Unregistered graphs
     /// do *not* panic; they answer [`QueryResponse::Failed`] per query.
     pub fn serve(&mut self, queries: &[(GraphId, Query)]) -> ServeReport {
-        self.run_batch(queries, ExecMode::Threaded, None).0
+        self.run_batch(&borrowed(queries), ExecMode::Threaded, None)
+            .0
     }
 
     /// Serves a batch on the calling thread: the *same* plan as
@@ -1229,7 +1235,8 @@ impl PaCluster {
     /// Panics if a group panics (contained and re-raised like
     /// [`PaCluster::serve`]).
     pub fn serve_sequential(&mut self, queries: &[(GraphId, Query)]) -> ServeReport {
-        self.run_batch(queries, ExecMode::Sequential, None).0
+        self.run_batch(&borrowed(queries), ExecMode::Sequential, None)
+            .0
     }
 
     /// Serves a batch on the calling thread with the groups pre-placed
@@ -1246,7 +1253,8 @@ impl PaCluster {
     /// Panics if a group panics (contained and re-raised like
     /// [`PaCluster::serve`]).
     pub fn serve_replay(&mut self, queries: &[(GraphId, Query)], log: &ServeLog) -> ServeReport {
-        self.run_batch(queries, ExecMode::Replay(log), None).0
+        self.run_batch(&borrowed(queries), ExecMode::Replay(log), None)
+            .0
     }
 
     /// The deterministic pre-execution placement of a batch: for each
@@ -1263,7 +1271,7 @@ impl PaCluster {
     /// critical path actually drops. Queries that fail at plan time
     /// (unregistered graphs) appear on no shard.
     pub fn planned_execution(&self, queries: &[(GraphId, Query)]) -> Vec<Vec<usize>> {
-        planned_indices(&self.plan(queries).0)
+        planned_indices(&self.plan(&borrowed(queries)).0)
     }
 
     /// The batch's *home placement* as a log for
@@ -1291,6 +1299,12 @@ impl PaCluster {
             ..ServeLog::default()
         }
     }
+}
+
+/// A batch as the planner and the workers read it: every query borrowed
+/// from the caller's slice, none copied.
+fn borrowed(queries: &[(GraphId, Query)]) -> Vec<(GraphId, &Query)> {
+    queries.iter().map(|(id, query)| (*id, query)).collect()
 }
 
 /// The shared generator behind [`mixed_workload`] and [`zipf_workload`]:
@@ -1498,7 +1512,7 @@ mod tests {
             (GraphId(1), pa(&rows_a, 3)),
             (GraphId(2), Query::Mst),
         ];
-        let (shard_groups, prefailed, forks) = cluster.plan(&queries);
+        let (shard_groups, prefailed, forks) = cluster.plan(&borrowed(&queries));
         assert!(prefailed.iter().all(|r| r.is_none()));
         assert!(forks.is_empty(), "replicas are strictly opt-in");
         assert_eq!(shard_groups.len(), 1);
@@ -1534,7 +1548,7 @@ mod tests {
                 cluster.add_graph(GraphId(1), gen::path(8));
                 cluster
             };
-            let (shard_groups, _, _) = cluster().plan(&batch);
+            let (shard_groups, _, _) = cluster().plan(&borrowed(&batch));
             assert_eq!(shard_groups[0][0].id, GraphId(0), "heaviest group first");
             let threaded = cluster().serve(&batch);
             let sequential = cluster().serve_sequential(&batch);
@@ -1565,7 +1579,7 @@ mod tests {
             (GraphId(3), pa(11)),
             (GraphId(4), pa(12)),
         ];
-        let (shard_groups, _, _) = cluster.plan(&queries);
+        let (shard_groups, _, _) = cluster.plan(&borrowed(&queries));
         // LPT: the heavy group goes first, alone on shard 0; the light
         // groups pile onto shard 1 until it catches up.
         assert_eq!(shard_groups[0].len(), 1);
@@ -1574,7 +1588,7 @@ mod tests {
         // And a hot graph with *all* the traffic forms one unsplittable
         // group (stealing granularity is the whole graph).
         let hot: Vec<_> = (0..6).map(|_| (GraphId(2), pa(10))).collect();
-        let (shard_groups, _, _) = cluster.plan(&hot);
+        let (shard_groups, _, _) = cluster.plan(&borrowed(&hot));
         let non_empty: Vec<usize> = shard_groups
             .iter()
             .enumerate()
@@ -1641,11 +1655,11 @@ mod tests {
         };
         let hot: Vec<_> = (0..6u64).map(|v| (GraphId(1), pa(v))).collect();
         // Cold graphs never split: there is no warm core to fork.
-        let (_, _, forks) = cluster.plan(&hot);
+        let (_, _, forks) = cluster.plan(&borrowed(&hot));
         assert!(forks.is_empty(), "cold graphs are never split");
         // Warm the hot graph, then the same batch splits three ways.
         cluster.serve_sequential(&[(GraphId(1), pa(99))]);
-        let (shard_groups, _, forks) = cluster.plan(&hot);
+        let (shard_groups, _, forks) = cluster.plan(&borrowed(&hot));
         assert_eq!(forks.len(), 1, "{forks:?}");
         let event = &forks[0];
         assert_eq!(event.graph, GraphId(1));

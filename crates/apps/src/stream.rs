@@ -23,9 +23,10 @@
 //!   replica set instead of only its home shard, so replicating a hot
 //!   graph widens its admission headroom to match;
 //! * closed batches execute on the cluster's shared batch core
-//!   ([`PaCluster`]'s `run_batch`), and **responses stream back
-//!   per-query** (see [`StreamEvent::Response`]) the moment each
-//!   group finishes, not at batch end;
+//!   ([`PaCluster`]'s `run_batch`) on queries borrowed from the trace,
+//!   never copied, and **responses stream back per-query** (see
+//!   [`StreamEvent::Response`]) the moment each one exists, not at
+//!   batch end: the worker that produced it calls the sink itself;
 //! * completion is *modeled* in logical time against the scheduler's
 //!   deterministic pre-steal plan: each shard serves its planned
 //!   queries in order at [`StreamConfig::work_per_tick`] cost units
@@ -82,7 +83,9 @@ use rand::{Rng, SeedableRng};
 use rmo_core::{word_fingerprint, EngineStats};
 
 use crate::dispatch::{Query, QueryResponse};
-use crate::service::{mixed_workload, zipf_workload, ExecMode, GraphId, PaCluster, ServeLog};
+use crate::service::{
+    mixed_workload, zipf_workload, ExecMode, GraphId, PaCluster, ServeLog, ServeReport,
+};
 
 /// One query entering the gateway: *when* (a logical tick), *where*
 /// (the target graph), *what* (the query). Ticks must be monotone
@@ -417,7 +420,9 @@ pub enum StreamEvent {
         /// The tick it closed.
         close_tick: u64,
     },
-    /// One response, the moment its graph group finished.
+    /// One response, the moment it exists, delivered on the worker that
+    /// produced it. The event carries a copy; the original moves into
+    /// the [`StreamReport`]'s outcome.
     Response {
         /// Stream sequence number of the answered query.
         seq: usize,
@@ -483,8 +488,9 @@ struct Session<'a> {
     config: StreamConfig,
     threaded: bool,
     replay: Option<&'a ArrivalLog>,
-    /// Every arrival seen, indexed by sequence number.
-    arrived: Vec<Arrival>,
+    /// The trace being driven, borrowed: every arrival gets exactly one
+    /// outcome, so an arrival's sequence number is its index here.
+    trace: &'a [Arrival],
     outcomes: Vec<StreamOutcome>,
     /// Admitted-but-unfinished queries per admission shard.
     depths: BTreeMap<usize, usize>,
@@ -526,6 +532,7 @@ impl<'a> Session<'a> {
     fn new(
         cluster: &'a mut PaCluster,
         config: StreamConfig,
+        trace: &'a [Arrival],
         threaded: bool,
         replay: Option<&'a ArrivalLog>,
     ) -> Session<'a> {
@@ -534,8 +541,8 @@ impl<'a> Session<'a> {
             config,
             threaded,
             replay,
-            arrived: Vec::new(),
-            outcomes: Vec::new(),
+            trace,
+            outcomes: Vec::with_capacity(trace.len()),
             depths: BTreeMap::new(),
             replica_sets: BTreeMap::new(),
             charged: BTreeMap::new(),
@@ -553,23 +560,18 @@ impl<'a> Session<'a> {
 
     fn reject(
         &mut self,
-        arrival: Arrival,
+        tick: u64,
         reason: RejectReason,
-        sink: &mut dyn FnMut(StreamEvent),
+        sink: &mut (dyn FnMut(StreamEvent) + Send),
     ) {
         let seq = self.outcomes.len();
-        sink(StreamEvent::Rejected {
-            seq,
-            tick: arrival.tick,
-            reason,
-        });
+        sink(StreamEvent::Rejected { seq, tick, reason });
         self.outcomes.push(StreamOutcome {
-            tick: arrival.tick,
+            tick,
             result: Err(reason),
             batch: None,
             done_tick: None,
         });
-        self.arrived.push(arrival);
     }
 
     /// The shard an arrival's admission depth is charged to, with the
@@ -591,20 +593,20 @@ impl<'a> Session<'a> {
 
     /// One arrival: advance logical time to its tick (firing every
     /// due close/serve/done event first), then run admission.
-    fn on_arrival(&mut self, arrival: Arrival, sink: &mut dyn FnMut(StreamEvent)) {
+    fn on_arrival(&mut self, arrival: &Arrival, sink: &mut (dyn FnMut(StreamEvent) + Send)) {
         if arrival.tick < self.last_tick {
             let reason = RejectReason::TickRegression {
                 tick: arrival.tick,
                 last: self.last_tick,
             };
-            self.reject(arrival, reason, sink);
+            self.reject(arrival.tick, reason, sink);
             return;
         }
         self.last_tick = arrival.tick;
         self.advance(arrival.tick, sink);
         if self.cluster.graph(arrival.graph).is_none() {
             let reason = RejectReason::UnknownGraph(arrival.graph);
-            self.reject(arrival, reason, sink);
+            self.reject(arrival.tick, reason, sink);
             return;
         }
         let home = self.cluster.shard_of(arrival.graph);
@@ -615,7 +617,7 @@ impl<'a> Session<'a> {
                 depth,
                 high_water: self.config.high_water,
             };
-            self.reject(arrival, reason, sink);
+            self.reject(arrival.tick, reason, sink);
             return;
         }
         *self.depths.entry(shard).or_insert(0) += 1;
@@ -640,7 +642,6 @@ impl<'a> Session<'a> {
             batch: None,
             done_tick: None,
         });
-        self.arrived.push(arrival);
         if self.open.len() >= self.config.max_batch.max(1) {
             self.close_open(self.last_tick, BatchClose::Size, sink);
         }
@@ -648,7 +649,7 @@ impl<'a> Session<'a> {
 
     /// Fires every due event up to logical time `now`, in tick order
     /// with the [`Pending`] tie-break.
-    fn advance(&mut self, now: u64, sink: &mut dyn FnMut(StreamEvent)) {
+    fn advance(&mut self, now: u64, sink: &mut (dyn FnMut(StreamEvent) + Send)) {
         loop {
             if self.mismatch.is_some() {
                 return;
@@ -689,7 +690,7 @@ impl<'a> Session<'a> {
         &mut self,
         close_tick: u64,
         closed_by: BatchClose,
-        sink: &mut dyn FnMut(StreamEvent),
+        sink: &mut (dyn FnMut(StreamEvent) + Send),
     ) {
         if self.open.is_empty() {
             return;
@@ -720,7 +721,7 @@ impl<'a> Session<'a> {
 
     /// The modeled server finished its batch: release the admitted
     /// depth its queries held.
-    fn finish_in_flight(&mut self, sink: &mut dyn FnMut(StreamEvent)) {
+    fn finish_in_flight(&mut self, sink: &mut (dyn FnMut(StreamEvent) + Send)) {
         let Some(flight) = self.in_flight.take() else {
             return;
         };
@@ -737,20 +738,21 @@ impl<'a> Session<'a> {
 
     /// Executes the next closed batch on the cluster and models its
     /// completion against the deterministic pre-steal plan.
-    fn serve_next(&mut self, start: u64, sink: &mut dyn FnMut(StreamEvent)) {
+    fn serve_next(&mut self, start: u64, sink: &mut (dyn FnMut(StreamEvent) + Send)) {
         let Some(batch) = self.closed.pop_front() else {
             return;
         };
-        let queries: Vec<(GraphId, Query)> = batch
+        let trace = self.trace;
+        let queries: Vec<(GraphId, &Query)> = batch
             .seqs
             .iter()
-            .filter_map(|&seq| self.arrived.get(seq))
-            .map(|a| (a.graph, a.query.clone()))
+            .filter_map(|&seq| trace.get(seq))
+            .map(|a| (a.graph, &a.query))
             .collect();
         let ticks: Vec<(usize, u64)> = batch
             .seqs
             .iter()
-            .filter_map(|&seq| self.arrived.get(seq).map(|a| (seq, a.tick)))
+            .filter_map(|&seq| trace.get(seq).map(|a| (seq, a.tick)))
             .collect();
         // Replay: the recorded frame must match this batch exactly
         // before its ServeLog is trusted for placement.
@@ -816,6 +818,7 @@ impl<'a> Session<'a> {
         // `plan` is the pre-steal LPT plan — a pure function of (fleet,
         // demand history, batch) — and the latency model's placement.
         let (report, plan) = self.cluster.run_batch(&queries, mode, Some(&mut relay));
+        let ServeReport { responses, log, .. } = report;
         // The record a replayed batch logs is the recorded ServeLog
         // itself (steal events included): the executed placement is
         // checked against it, so the replayed report — the nested
@@ -823,19 +826,19 @@ impl<'a> Session<'a> {
         // that does not fit the batch runs nothing, so it fails here.
         let serve_log = match recorded {
             Some(rec) => {
-                if report.log.assignments != rec.assignments {
+                if log.assignments != rec.assignments {
                     self.mismatch = Some(ReplayMismatch {
                         batch: Some(batch.index),
                         detail: format!(
                             "executed placement {:?} diverged from the recorded {:?}",
-                            report.log.assignments, rec.assignments
+                            log.assignments, rec.assignments
                         ),
                     });
                     return;
                 }
                 rec.clone()
             }
-            None => report.log,
+            None => log,
         };
         // Refresh the replica view for later admissions: a graph this
         // batch *split* admits against its replica set from now on; a
@@ -855,8 +858,7 @@ impl<'a> Session<'a> {
         for shard_plan in &plan {
             let mut tick = start;
             for &local in shard_plan {
-                let work = report
-                    .responses
+                let work = responses
                     .get(local)
                     .map(|resp| {
                         let cost = resp.cost();
@@ -874,14 +876,13 @@ impl<'a> Session<'a> {
                 done = done.max(tick);
             }
         }
-        for (local, &seq) in batch.seqs.iter().enumerate() {
+        // Each answer moves into its outcome; the sink got its own copy.
+        for ((local, &seq), response) in batch.seqs.iter().enumerate().zip(responses) {
             // Plan-time failures appear on no shard; model them as
             // instant (the plan answers them before execution).
             let done_tick = modeled.get(local).copied().flatten().unwrap_or(start);
-            if let (Some(outcome), Some(resp)) =
-                (self.outcomes.get_mut(seq), report.responses.get(local))
-            {
-                outcome.result = Ok(resp.clone());
+            if let Some(outcome) = self.outcomes.get_mut(seq) {
+                outcome.result = Ok(response);
                 outcome.done_tick = Some(done_tick);
             }
         }
@@ -891,7 +892,7 @@ impl<'a> Session<'a> {
             // member for split graphs, the home shard otherwise).
             let shard = match self.charged.remove(&seq) {
                 Some(shard) => shard,
-                None => match self.arrived.get(seq) {
+                None => match trace.get(seq) {
                     Some(a) => self.cluster.shard_of(a.graph),
                     None => continue,
                 },
@@ -917,7 +918,7 @@ impl<'a> Session<'a> {
 
     /// End of stream: flush the open batch and drain every queued
     /// event to quiescence.
-    fn finish(&mut self, sink: &mut dyn FnMut(StreamEvent)) {
+    fn finish(&mut self, sink: &mut (dyn FnMut(StreamEvent) + Send)) {
         self.advance(self.last_tick, sink);
         self.close_open(self.last_tick, BatchClose::Flush, sink);
         self.advance(u64::MAX, sink);
@@ -983,13 +984,13 @@ impl StreamGateway {
 
     fn drive(
         &mut self,
-        arrivals: impl Iterator<Item = Arrival>,
+        trace: &[Arrival],
         threaded: bool,
         replay: Option<&ArrivalLog>,
-        sink: &mut dyn FnMut(StreamEvent),
+        sink: &mut (dyn FnMut(StreamEvent) + Send),
     ) -> (StreamReport, Option<ReplayMismatch>) {
-        let mut session = Session::new(&mut self.cluster, self.config, threaded, replay);
-        for arrival in arrivals {
+        let mut session = Session::new(&mut self.cluster, self.config, trace, threaded, replay);
+        for arrival in trace {
             session.on_arrival(arrival, sink);
         }
         session.finish(sink);
@@ -1009,19 +1010,26 @@ impl StreamGateway {
     /// [`StreamGateway::run`] with a live [`StreamEvent`] sink:
     /// admissions, rejections, batch boundaries, and per-query
     /// responses as they happen.
+    ///
+    /// The sink is `Send` because each [`StreamEvent::Response`] is
+    /// delivered on the worker that produced it — the calling thread
+    /// (which serves shard 0) or a helper thread — under the cluster's
+    /// emitter lock, so calls never overlap; every other event comes
+    /// from the calling thread. There is no `mpsc` channel between the
+    /// workers and the sink.
     pub fn run_with(
         &mut self,
         trace: &[Arrival],
-        sink: &mut dyn FnMut(StreamEvent),
+        sink: &mut (dyn FnMut(StreamEvent) + Send),
     ) -> StreamReport {
-        let (report, _) = self.drive(trace.iter().cloned(), true, None, sink);
+        let (report, _) = self.drive(trace, true, None, sink);
         report
     }
 
     /// Streams `trace` with the deterministic sequential executor —
     /// the reference mode replays and tests compare against.
     pub fn run_sequential(&mut self, trace: &[Arrival]) -> StreamReport {
-        let (report, _) = self.drive(trace.iter().cloned(), false, None, &mut |_| {});
+        let (report, _) = self.drive(trace, false, None, &mut |_| {});
         report
     }
 
@@ -1042,7 +1050,7 @@ impl StreamGateway {
         trace: &[Arrival],
         log: &ArrivalLog,
     ) -> Result<StreamReport, ReplayMismatch> {
-        let (report, mismatch) = self.drive(trace.iter().cloned(), false, Some(log), &mut |_| {});
+        let (report, mismatch) = self.drive(trace, false, Some(log), &mut |_| {});
         match mismatch {
             Some(mismatch) => Err(mismatch),
             None => Ok(report),
@@ -1334,6 +1342,39 @@ mod tests {
         // The whole report — outcomes, every batch record including
         // the nested ServeLog placements and steals, stats — is equal.
         assert_eq!(replayed, report);
+    }
+
+    #[test]
+    fn sink_hears_each_admitted_response_once() {
+        // Workers deliver responses to the sink themselves, the calling
+        // thread among them: whatever the shard count, every admitted
+        // arrival is heard exactly once, with its outcome's response,
+        // and a rejected one never.
+        for shards in [1usize, 2, 4] {
+            let mut trace = mixed_arrivals(&small_cluster(shards), 40, 31, 3);
+            let tick = trace[10].tick;
+            trace.insert(11, mst_at(tick, 99));
+            let config = StreamConfig::new().with_max_batch(6).with_max_wait_ticks(8);
+            let mut gateway = StreamGateway::new(small_cluster(shards), config);
+            let mut heard: Vec<Vec<QueryResponse>> = vec![Vec::new(); trace.len()];
+            let report = gateway.run_with(&trace, &mut |event| {
+                if let StreamEvent::Response { seq, response } = event {
+                    heard[seq].push(response);
+                }
+            });
+            assert_eq!(report.stats.rejected, 1, "{shards} shards");
+            assert!(report.stats.batches > 1, "{shards} shards");
+            for (seq, (outcome, responses)) in report.outcomes.iter().zip(&heard).enumerate() {
+                match &outcome.result {
+                    Ok(response) => assert_eq!(
+                        responses.as_slice(),
+                        std::slice::from_ref(response),
+                        "seq {seq} at {shards} shards"
+                    ),
+                    Err(_) => assert!(responses.is_empty(), "rejected seq {seq} was answered"),
+                }
+            }
+        }
     }
 
     #[test]

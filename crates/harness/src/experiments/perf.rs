@@ -4,7 +4,9 @@
 //! primitives (BFS, tree casts, pipelining, election), the Table 2 PA
 //! pipeline end to end, the isolated pipeline stages (stage-1 tree,
 //! divisions, shortcuts, a whole artifact miss, tree routing, warm
-//! engine solves), a mixed `PaCluster` batch, and the three scheduling
+//! engine solves), a mixed `PaCluster` batch, a fixed PA arrival trace
+//! streamed through a warmed `StreamGateway` on the calling thread
+//! (`stream/pa_sequential`), and the three scheduling
 //! setups of `serve --hot` (`cluster/hot_*`, timed on the calling
 //! thread: `serve_sequential`, or `serve_replay` of the home placement
 //! for `cluster/hot_pinned`; the threaded executor's wall time is not
@@ -27,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use rmo_apps::dispatch::{run_query, Query, VerifyCheck};
 use rmo_apps::service::{mixed_workload, GraphId, PaCluster};
+use rmo_apps::stream::{Arrival, StreamConfig, StreamGateway};
 use rmo_congest::programs::bfs::run_bfs;
 use rmo_congest::programs::broadcast::run_tree_broadcast;
 use rmo_congest::programs::convergecast::run_tree_convergecast;
@@ -327,6 +330,30 @@ fn run_suite(quick: bool) -> Vec<Entry> {
     let serve_count = if quick { 48 } else { 160 };
     let hot = HotFleet::new(quick);
 
+    // --- Streaming front-end: a 2-shard gateway over the pipeline
+    // fixture graph, warmed outside the clock, streams a fixed trace of
+    // PA arrivals (two size-closed batches) through `run_sequential`,
+    // so the clock measures framing and the batch core, not threads. ---
+    let aggs = [Aggregate::Min, Aggregate::Max, Aggregate::Sum];
+    let stream_trace: Vec<Arrival> = (0..32u64)
+        .zip(aggs.iter().cycle())
+        .map(|(i, &agg)| Arrival {
+            tick: i,
+            graph: GraphId(1),
+            query: Query::Pa {
+                assignment: partition.assignment().to_vec(),
+                values: pvalues.iter().map(|v| v.wrapping_add(i)).collect(),
+                agg,
+            },
+        })
+        .collect();
+    let mut stream_gateway = {
+        let mut cluster = PaCluster::new(2);
+        cluster.add_graph(GraphId(1), pg.clone());
+        StreamGateway::new(cluster, StreamConfig::new())
+    };
+    stream_gateway.run_sequential(&stream_trace);
+
     // --- `run_query` dispatch: one warmed engine over a fixed weighted
     // 12×12 grid (`stream_zipf`'s most popular graph). Its cache holds
     // every kind's artifacts and division memos, so no entry evicts
@@ -459,6 +486,15 @@ fn run_suite(quick: bool) -> Vec<Entry> {
             report
                 .responses
                 .iter()
+                .map(|r| r.cost())
+                .sum::<CostReport>()
+        }),
+        bench("stream/pa_sequential", move || {
+            stream_gateway
+                .run_sequential(&stream_trace)
+                .outcomes
+                .iter()
+                .filter_map(|o| o.result.as_ref().ok())
                 .map(|r| r.cost())
                 .sum::<CostReport>()
         }),

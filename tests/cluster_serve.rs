@@ -285,55 +285,73 @@ fn every_graph_is_pinned_to_one_shard_under_pinned_policy() {
 fn group_panic_spares_other_groups_and_stays_deterministic() {
     // Panics are contained per *group*: every healthy group still
     // serves (wherever it was placed, stolen or not), so the post-panic
-    // cluster state is identical across serving modes.
-    let mut post_panic_engine = Vec::new();
-    for threaded in [true, false] {
-        let mut cluster = fleet_cluster(2);
-        let ids = cluster.graph_ids();
-        let (healthy, third) = (ids[0], ids[2]);
-        // A connected graph whose edge weight overflows the Borůvka
-        // packing (`pack` requires weight < 2^40): registration accepts
-        // it, and `Query::Mst` on it is documented to panic.
-        let wide = GraphId(777);
-        cluster.add_graph(
-            wide,
-            rmo_graph::Graph::from_edges(2, &[(0, 1, 1u64 << 40)]).unwrap(),
-        );
-        let n = cluster.graph(healthy).unwrap().n();
-        let pa = Query::Pa {
-            assignment: vec![0; n],
-            values: vec![7; n],
-            agg: Aggregate::Sum,
-        };
-        // Warm the healthy graph, then serve a batch where one group
-        // panics deep in its solver.
-        let _ = cluster.serve(&[(healthy, pa.clone())]);
-        let batch = vec![
-            (healthy, pa.clone()),
-            (wide, Query::Mst),
-            (third, Query::Mst),
-        ];
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    // cluster state is identical across serving modes. The threaded
+    // mode serves shard 0 on the calling thread, so the poisoned group
+    // must be contained there as well as on a helper thread: at one
+    // shard it is planned on the caller's shard, at two and three on a
+    // helper's.
+    let mut poisoned_shards = Vec::new();
+    for shards in [1usize, 2, 3] {
+        let mut post_panic_engine = Vec::new();
+        for threaded in [true, false] {
+            let mut cluster = fleet_cluster(shards);
+            let ids = cluster.graph_ids();
+            let (healthy, third) = (ids[0], ids[2]);
+            // A connected graph whose edge weight overflows the Borůvka
+            // packing (`pack` requires weight < 2^40): registration
+            // accepts it, and `Query::Mst` on it is documented to panic.
+            let wide = GraphId(777);
+            cluster.add_graph(
+                wide,
+                rmo_graph::Graph::from_edges(2, &[(0, 1, 1u64 << 40)]).unwrap(),
+            );
+            let n = cluster.graph(healthy).unwrap().n();
+            let pa = Query::Pa {
+                assignment: vec![0; n],
+                values: vec![7; n],
+                agg: Aggregate::Sum,
+            };
+            // Warm the healthy graph, then serve a batch where one group
+            // panics deep in its solver.
+            let _ = cluster.serve(&[(healthy, pa.clone())]);
+            let batch = vec![
+                (healthy, pa.clone()),
+                (wide, Query::Mst),
+                (third, Query::Mst),
+            ];
+            let plan = cluster.planned_execution(&batch);
+            let poisoned = plan.iter().position(|queue| queue.contains(&1));
             if threaded {
-                cluster.serve(&batch)
-            } else {
-                cluster.serve_sequential(&batch)
+                poisoned_shards.push(poisoned);
             }
-        }));
-        assert!(result.is_err(), "the solver panic must propagate");
-        // The healthy groups' work and warm state survived the panic:
-        // their queries were answered (served counter) and the parked
-        // engines still serve cache hits.
-        let after = cluster.serve(&[(healthy, pa.clone())]);
-        let stats = after.stats;
-        assert_eq!(stats.engine.misses, 2, "healthy engines never rebuilt");
-        assert_eq!(stats.engine.hits, 2, "both repeat solves were warm");
-        assert_eq!(stats.queries, 4, "all four healthy queries counted");
-        post_panic_engine.push(stats.engine);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if threaded {
+                    cluster.serve(&batch)
+                } else {
+                    cluster.serve_sequential(&batch)
+                }
+            }));
+            assert!(result.is_err(), "the solver panic must propagate");
+            // The healthy groups' work and warm state survived the
+            // panic: their queries were answered (served counter) and
+            // the parked engines still serve cache hits.
+            let after = cluster.serve(&[(healthy, pa.clone())]);
+            let stats = after.stats;
+            assert_eq!(stats.engine.misses, 2, "healthy engines never rebuilt");
+            assert_eq!(stats.engine.hits, 2, "both repeat solves were warm");
+            assert_eq!(stats.queries, 4, "all four healthy queries counted");
+            post_panic_engine.push(stats.engine);
+        }
+        assert_eq!(
+            post_panic_engine[0], post_panic_engine[1],
+            "post-panic cluster state must not depend on the serving mode ({shards} shards)"
+        );
     }
     assert_eq!(
-        post_panic_engine[0], post_panic_engine[1],
-        "post-panic cluster state must not depend on the serving mode"
+        poisoned_shards,
+        [Some(0), Some(1), Some(2)],
+        "the poisoned group is planned on the caller's shard 0 at one shard \
+         and on a helper's shard at two and three"
     );
 }
 

@@ -6,7 +6,8 @@
 //! * the `rmo-harness` binary runs a quick Table 1 regeneration without
 //!   panicking and prints a markdown table;
 //! * the `serve --skew` experiment runs, which exercises the threaded
-//!   `PaCluster` path (scoped shard workers + mpsc collection, LPT
+//!   `PaCluster` path (shard 0 on the calling thread, scoped helper
+//!   workers for the rest, one shared response emitter, LPT
 //!   placement, work stealing on the skewed scenarios) and its internal
 //!   threaded-vs-sequential/steal-log-replay bit-match assertions — plus
 //!   the ≥1.5× balanced-vs-pinned critical-path bound — on every CI
@@ -17,7 +18,8 @@
 //! * `rmo-harness perf --quick --json` emits a well-formed `rmo-perf/3`
 //!   JSON document covering the whole workload suite (primitives with
 //!   their dense-reference speedups, table2 PA, the isolated pipeline
-//!   stages, serve, the hot-graph cluster rows, one `run_query` row
+//!   stages, serve, the streamed PA trace, the hot-graph cluster rows,
+//!   one `run_query` row
 //!   per query kind), so the perf trajectory's machine-readable format
 //!   can't silently rot.
 //!
@@ -205,6 +207,7 @@ fn harness_quick_perf_emits_valid_json() {
         "pipeline/routing",
         "pipeline/warm_solve",
         "serve/mixed_sequential",
+        "stream/pa_sequential",
         "cluster/hot_pinned",
         "cluster/hot_balanced",
         "cluster/hot_replicas",
